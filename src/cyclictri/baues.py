@@ -12,7 +12,6 @@ force the cell hulls to meet face to face.
 
 import json
 from itertools import combinations
-from math import ceil
 
 from . import geometry, simplices, triangulations as tri
 from .posets import FinitePoset, build_s2, interval_poset
@@ -162,8 +161,7 @@ def phi(delta):
         high.update(cell_top(c, delta.d))
     t_low = tri.make_triangulation(low, delta.n, delta.d)
     t_high = tri.make_triangulation(high, delta.n, delta.d)
-    mid = ceil(delta.d / 2)
-    if tri.submersion_mask(t_low, mid) & ~tri.submersion_mask(t_high, mid):
+    if tri.submersion_mask(t_low) & ~tri.submersion_mask(t_high):
         raise AssertionError("glued bottom is not below glued top")
     if t_low == tri.bottom(delta.n, delta.d) and \
             t_high == tri.top(delta.n, delta.d):

@@ -75,7 +75,7 @@ def cmd_compare_orders(args):
         return 0
     print("orders differ on the pair %s" % (diff["pair"],))
     print("in s1: %s, in s2: %s" % (diff["in_first"], diff["in_second"]))
-    return 1 if args.d <= 3 else 0
+    return 1
 
 
 def cmd_check_lattice(args):
@@ -220,8 +220,6 @@ def build_parser():
                        help="face budget (default 2*10^6 or CYCLICTRI_FACE_BUDGET)")
         p.add_argument("--output", default=None, help="write artifact here")
         p.add_argument("--format", choices=("json", "dot"), default="json")
-        p.add_argument("--threads", type=int, default=1,
-                       help="reserved; the current implementation is single-threaded")
         p.set_defaults(func=func)
         return p
 

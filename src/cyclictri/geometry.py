@@ -1,10 +1,12 @@
 """Exact geometry on the moment curve.
 
 Every computation in here is over int / fractions.Fraction; there are no
-floats anywhere.  The two workhorses are an exact two-phase simplex solver
-(Bland's rule, so termination is unconditional) and cached per-simplex data
-(lift functionals, barycentric halfspace systems) that turn the hot
-intersection queries into very small LPs.
+floats anywhere.  The production path uses only the exact volumes.  The rest
+is the oracle side that tests check the combinatorial rules against: an
+exact two-phase simplex solver (Bland's rule, so termination is
+unconditional) and cached per-simplex data (lift functionals, barycentric
+halfspace systems) that turn relative-height and submersion queries into
+very small LPs.
 """
 
 from fractions import Fraction

@@ -11,7 +11,6 @@ import json
 import os
 from collections import deque
 from itertools import combinations
-from math import ceil
 
 from . import triangulations as tri
 
@@ -409,8 +408,7 @@ def build_s2(n, d, cap=None):
     p = _s2_cache.get(key)
     if p is None:
         ts = enumerate_triangulations(n, d, cap)
-        mid = ceil(d / 2)
-        masks = [tri.submersion_mask(t, mid) for t in ts]
+        masks = [tri.submersion_mask(t) for t in ts]
         m = len(ts)
         up = []
         for i in range(m):

@@ -3,14 +3,14 @@ flips, the vertex contraction/insertion maps, and submersion sets."""
 
 import json
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import combinations, product
 
 from . import geometry
-from .simplices import simplex, facet_split, gale_facets, zig_zag_admissible, LOWER, UPPER
+from .simplices import simplex, facet_split, gale_facets, zig_zag_admissible, LOWER
 
 _bottom_top_cache = {}
 _split_cache = {}
-_foil_cache = {}
+_intertwining_cache = {}
 
 
 @dataclass(frozen=True)
@@ -261,102 +261,61 @@ def color(t):
 # ---------------------------------------------------------------------------
 # Submersion sets.
 
-def _foil_masks(n, d, i):
-    """For d <= 3 only: bitmask per potential obstructing edge of the
-    i-simplices whose submersion it denies."""
-    key = (n, d, i)
-    got = _foil_cache.get(key)
-    if got is not None:
-        return got
-    cells = list(combinations(range(1, n + 1), i + 1))
-    index = {c: k for k, c in enumerate(cells)}
-    masks = {}
-    for edge in combinations(range(1, n + 1), 2):
-        x, y = edge
-        m = 0
-        if d == 2 and i == 1:
-            # {a,b} denied by a T-edge {x,y} with x < a < y < b
-            for c in cells:
-                a, b = c
-                if x < a < y < b:
-                    m |= 1 << index[c]
-        elif d == 3 and i == 2:
-            # {a,b,c} denied by a T-edge {x,y} with a < x < b < y < c
-            for cc in cells:
-                a, b, c = cc
-                if a < x < b < y < c:
-                    m |= 1 << index[cc]
-        elif d == 1 and i == 1:
-            # chord {a,b} denied by any used vertex strictly inside; treat
-            # the edge's endpoints as the used vertices
-            for v in edge:
-                for c in cells:
-                    a, b = c
-                    if a < v < b:
-                        m |= 1 << index[c]
-        masks[edge] = m
-    got = (cells, index, masks)
-    _foil_cache[key] = got
+def _middle(d):
+    """The middle dimension ceil(d/2) at which the height order compares
+    submersion sets."""
+    return (d + 1) // 2
+
+
+def _intertwining_masks(n, d):
+    """Middle cells of [n] and, for each (floor(d/2)+1)-subset B, the bitmask
+    of the cells B denies.
+
+    With k = floor(d/2), B denies the cell s iff b0<s0<b1<...<bk<sk for even
+    d, and iff s0<b0<s1<...<bk<s(k+1) for odd d (Oppermann-Thomas 2012;
+    Williams 2023).  The denied cells are enumerated directly: each s_j
+    ranges over the open gap between its two neighbouring b's.
+    """
+    key = (n, d)
+    got = _intertwining_cache.get(key)
+    if got is None:
+        cells = list(combinations(range(1, n + 1), _middle(d) + 1))
+        index = {c: j for j, c in enumerate(cells)}
+        masks = {}
+        for b in combinations(range(1, n + 1), d // 2 + 1):
+            walls = (b if d % 2 == 0 else (0,) + b) + (n + 1,)
+            m = 0
+            for s in product(*(range(lo + 1, hi) for lo, hi in zip(walls, walls[1:]))):
+                m |= 1 << index[s]
+            masks[b] = m
+        got = (cells, masks)
+        _intertwining_cache[key] = got
     return got
 
 
-def submersion_mask(t, i):
-    """Bitmask over all i-simplices of [n] marking those submerged under t,
-    using the combinatorial rule for d <= 3 and exact LPs otherwise."""
-    n, d = t.n, t.d
-    cells, _, masks = _foil_masks(n, d, i) if d <= 3 else (None, None, None)
-    if d <= 3 and (d, i) in ((1, 1), (2, 1), (3, 2)):
-        edges = set()
-        for s in t:
-            edges.update(combinations(s, 2))
-        deny = 0
-        for e in edges:
-            deny |= masks[e]
-        full = (1 << len(cells)) - 1
-        return full & ~deny
-    cells = list(combinations(range(1, n + 1), i + 1))
-    m = 0
-    for k, c in enumerate(cells):
-        if _submerged_cached(c, t, d):
-            m |= 1 << k
-    return m
-
-
-def _submerged_cached(sigma, t, d):
+def submersion_mask(t):
+    """Bitmask over the middle cells of [n] (the (ceil(d/2)+1)-subsets, in
+    lexicographic order) marking those submerged under t: the cells no
+    (floor(d/2)+1)-vertex face of t denies."""
+    cells, masks = _intertwining_masks(t.n, t.d)
+    faces = set()
     for s in t:
-        if set(sigma) <= set(s):
-            return True
-    for s in t:
-        if not zig_zag_admissible(sigma, s, d):
-            if geometry._submersion_pair(sigma, s, d) == "violate":
-                return False
-    return True
+        faces.update(combinations(s, t.d // 2 + 1))
+    deny = 0
+    for b in faces:
+        deny |= masks[b]
+    return ((1 << len(cells)) - 1) & ~deny
 
 
-def submersion_set(t, i, method="auto"):
-    """The i-simplices whose lifts lie weakly under the section of t."""
+def submersion_set(t, i):
+    """The i-simplices whose lifts lie weakly under the section of t: by the
+    intertwining rule at the middle dimension, by exact LPs otherwise."""
     n, d = t.n, t.d
     if not 0 <= i <= d:
         raise ValueError("submersion dimension out of range")
-    if method not in ("auto", "combinatorial", "geometric"):
-        raise ValueError("unknown method %r" % (method,))
-    cells = list(combinations(range(1, n + 1), i + 1))
-    use_comb = method == "combinatorial" or \
-        (method == "auto" and d <= 3 and (d, i) in ((1, 1), (2, 1), (3, 2)))
-    if use_comb:
-        if (d, i) not in ((1, 1), (2, 1), (3, 2)):
-            raise ValueError("no combinatorial rule for d=%d, i=%d" % (d, i))
-        m = submersion_mask(t, i)
-        return frozenset(c for k, c in enumerate(cells) if (m >> k) & 1)
+    if i == _middle(d):
+        cells, _ = _intertwining_masks(n, d)
+        m = submersion_mask(t)
+        return frozenset(c for j, c in enumerate(cells) if (m >> j) & 1)
+    cells = combinations(range(1, n + 1), i + 1)
     return frozenset(c for c in cells if geometry.submerged(c, t.simplices, d))
-
-
-def s2_leq_direct(t1, t2):
-    """Test-oracle order: the section of t1 lies weakly below that of t2,
-    checked pair-by-pair with exact height LPs."""
-    for a in t1:
-        for b in t2:
-            r = geometry.relative_height(a, b, t1.d)
-            if r in (geometry.ABOVE, geometry.CROSSING):
-                return False
-    return True

@@ -2,14 +2,9 @@
 
 Run with `pytest tests/test_acceptance.py -v -s` to see the verdict lines.
 Everything here is exact arithmetic; there are no tolerances to tune.
-The extended (10,5) lattice refutation only runs when CYCLICTRI_EXTENDED=1
-and is reported as skipped (never failed) if its resource budget trips.
 """
 
 import json
-import os
-
-import pytest
 
 from cyclictri.baues import (
     baues_poset,
@@ -76,13 +71,14 @@ def test_criterion_01_triangulation_counts():
 
 
 def test_criterion_02_order_coincidence():
+    # a theorem in every dimension (Williams 2023), checked, not assumed
     bad = []
-    for d in (1, 2, 3):
-        for n in range(d + 2, 10):
-            diff = compare_relations(build_s1(n, d), build_s2(n, d))
-            if diff is not None:
-                bad.append((n, d, diff))
-    _verdict(2, "S1 = S2 for d <= 3, n <= 9", bad)
+    instances = [(n, d) for d in range(1, 8) for n in range(d + 2, 10)] + [(10, 5)]
+    for n, d in instances:
+        diff = compare_relations(build_s1(n, d), build_s2(n, d))
+        if diff is not None:
+            bad.append((n, d, diff))
+    _verdict(2, "S1 = S2 for d <= 7, n <= 9, and at (10,5)", bad)
 
 
 def test_criterion_03_lattice_results():
@@ -91,23 +87,11 @@ def test_criterion_03_lattice_results():
         for n in range(d + 2, 10):
             if build_s2(n, d).is_lattice() is not True:
                 bad.append((n, d))
-    w = build_s2(9, 4).is_lattice()
-    if w is True or "pair" not in w:
-        bad.append((9, 4, "expected a witness pair", w))
-    _verdict(3, "lattice for d <= 3 and refuted at (9,4)", bad)
-
-
-def test_criterion_03_extended_10_5():
-    if not os.environ.get("CYCLICTRI_EXTENDED"):
-        print("ACCEPTANCE  3 extended (10,5) refutation: SKIPPED (set CYCLICTRI_EXTENDED=1)")
-        pytest.skip("extended run not requested")
-    try:
-        w = build_s2(10, 5).is_lattice()
-    except ResourceBudgetError as e:
-        print("ACCEPTANCE  3 extended (10,5) refutation: SKIPPED (budget: %s)" % e)
-        pytest.skip(str(e))
-    _verdict(3, "extended: S2(10,5) is not a lattice",
-             [] if w is not True and "pair" in w else [w])
+    for n, d in ((9, 4), (10, 5)):
+        w = build_s2(n, d).is_lattice()
+        if w is True or "pair" not in w:
+            bad.append((n, d, "expected a witness pair", w))
+    _verdict(3, "lattice for d <= 3 and refuted at (9,4) and (10,5)", bad)
 
 
 def test_criterion_04_stasheff_tamari_spheres():

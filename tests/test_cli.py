@@ -4,7 +4,9 @@ import json
 
 import pytest
 
+from cyclictri import cli
 from cyclictri.cli import main
+from cyclictri.posets import FinitePoset, build_s2
 
 
 def run(capsys, *argv):
@@ -48,6 +50,17 @@ def test_compare_orders_equal(capsys):
     code, out, _ = run(capsys, "compare-orders", "--n", "6", "--d", "2")
     assert code == 0
     assert "equal" in out
+
+
+def test_compare_orders_difference_is_refuted_in_any_dimension(capsys, monkeypatch):
+    def discrete_s2(n, d, cap=None):
+        p = build_s2(n, d, cap)
+        return FinitePoset(p.elements, [1 << i for i in range(len(p))])
+
+    monkeypatch.setattr(cli, "build_s2", discrete_s2)
+    code, out, _ = run(capsys, "compare-orders", "--n", "7", "--d", "4")
+    assert code == 1
+    assert "orders differ" in out
 
 
 def test_check_lattice(capsys):

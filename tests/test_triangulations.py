@@ -4,7 +4,7 @@ from itertools import combinations
 
 import pytest
 
-from cyclictri.geometry import cyclic_volume, normalized_volume
+from cyclictri.geometry import cyclic_volume, normalized_volume, submerged
 from cyclictri.triangulations import (
     Triangulation,
     apply_flip,
@@ -156,14 +156,21 @@ def test_contract_last_drops_to_smaller_polytope():
     assert validate(t.simplices, 5, 2) is None
 
 
-def test_submersion_set_methods_agree():
-    # bitmask shortcut vs exact rational LPs
-    for n, d in [(5, 2), (6, 2), (6, 3)]:
-        i = (d + 1) // 2
+def _lp_submersion_set(t, i):
+    return frozenset(c for c in combinations(range(1, t.n + 1), i + 1)
+                     if submerged(c, t.simplices, t.d))
+
+
+def test_submersion_set_rule_matches_lp():
+    # the intertwining rule at the middle dimension vs exact rational LPs
+    for n, d in [(4, 1), (6, 1), (5, 2), (6, 2), (6, 3), (7, 4), (8, 4),
+                 (7, 5), (8, 5), (8, 6), (9, 7)]:
+        mid = (d + 1) // 2
         for t in _all_triangulations(n, d):
-            a = submersion_set(t, i, method="combinatorial")
-            b = submersion_set(t, i, method="geometric")
-            assert a == b, (t.key(), i)
+            assert submersion_set(t, mid) == _lp_submersion_set(t, mid), t.key()
+    # any other dimension stays on the LP route
+    t = bottom(7, 4)
+    assert submersion_set(t, 1) == _lp_submersion_set(t, 1)
 
 
 def test_submersion_set_monotone_under_flip():
