@@ -13,7 +13,7 @@ from .posets import (FinitePoset, ResourceBudgetError, boolean_lattice,
                      build_s1, build_s2, compare_relations,
                      enumerate_triangulations, interval_poset)
 from .topology import (HomologyResult, SimplicialComplex, complex_from_maximal,
-                       homology, order_complex, poset_homology,
+                       homology, order_complex, poset_core, poset_homology,
                        sphere_certificate, suspension_compare,
                        webb_reduction_check)
 from .baues import (Subdivision, baues_poset, dissection_oracle_d2,
@@ -39,7 +39,7 @@ __all__ = [
     "build_s2", "compare_relations", "enumerate_triangulations",
     "interval_poset",
     "HomologyResult", "SimplicialComplex", "complex_from_maximal", "homology",
-    "order_complex", "poset_homology", "sphere_certificate",
+    "order_complex", "poset_core", "poset_homology", "sphere_certificate",
     "suspension_compare", "webb_reduction_check",
     "Subdivision", "baues_poset", "dissection_oracle_d2",
     "interval_to_subdivision", "make_subdivision", "phi", "refinement_leq",

@@ -14,7 +14,7 @@ import json
 from itertools import combinations
 
 from . import geometry, simplices, triangulations as tri
-from .posets import FinitePoset, build_s2, interval_poset
+from .posets import FinitePoset, _interval_coatomic, build_s2, interval_poset
 
 
 class Subdivision:
@@ -169,35 +169,12 @@ def phi(delta):
     return t_low, t_high
 
 
-def _coatomic_diagnostic(s2, i, j):
-    """None when the interval [i, j] is coatomic (the meet of its coatoms is
-    its bottom), else a dict naming the failing meet."""
-    inner = s2.up[i] & s2.down[j]
-    coatoms = []
-    m = inner & ~(1 << j)
-    k = 0
-    while m:
-        if m & 1:
-            between = s2.up[k] & s2.down[j] & ~(1 << k) & ~(1 << j)
-            if between & inner == 0:
-                coatoms.append(k)
-        m >>= 1
-        k += 1
-    cur = j if not coatoms else None
-    for c in coatoms:
-        cur = c if cur is None else s2.meet(cur, c)
-    if cur != i:
-        return {"coatoms": [s2.elements[c] for c in coatoms],
-                "meet": None if cur is None else s2.elements[cur]}
-    return None
-
-
 def interval_to_subdivision(t_low, t_high, s2=None, check_coatomic=True):
     """Recover the subdivision whose refinements are exactly [t_low, t_high].
 
     Components of the graph on t_high's simplices, joined when they share a
     wall that is not a face of t_low, become the cells.  Rejects non-coatomic
-    intervals (for which no such subdivision exists) with a diagnostic.
+    intervals, for which no such subdivision exists.
     """
     n, d = t_high.n, t_high.d
     if d > 3:
@@ -211,11 +188,8 @@ def interval_to_subdivision(t_low, t_high, s2=None, check_coatomic=True):
         raise ValueError("endpoints are not ordered")
     if i == s2.bottom() and j == s2.top():
         raise ValueError("improper interval")
-    if check_coatomic:
-        diag = _coatomic_diagnostic(s2, i, j)
-        if diag is not None:
-            raise ValueError("interval is not coatomic; coatom meet is %s"
-                             % (diag["meet"],))
+    if check_coatomic and not _interval_coatomic(s2, i, j):
+        raise ValueError("interval is not coatomic")
     walls_low = set()
     for s in t_low:
         for f in combinations(s, d):

@@ -22,6 +22,16 @@ class _Parser(argparse.ArgumentParser):
         self.exit(3, "%s: error: %s\n" % (self.prog, message))
 
 
+def _positive_int(text):
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError("expected a positive integer, got %r" % text)
+    return value
+
+
 def _emit(text, args):
     if getattr(args, "output", None):
         with open(args.output, "w") as fh:
@@ -214,9 +224,9 @@ def build_parser():
         p = sub.add_parser(name, **kw)
         p.add_argument("--n", type=int, required=True)
         p.add_argument("--d", type=int, required=True)
-        p.add_argument("--cap", type=int, default=None,
+        p.add_argument("--cap", type=_positive_int, default=None,
                        help="enumeration cap (default 10^6 or CYCLICTRI_ENUM_CAP)")
-        p.add_argument("--budget", type=int, default=None,
+        p.add_argument("--budget", type=_positive_int, default=None,
                        help="face budget (default 2*10^6 or CYCLICTRI_FACE_BUDGET)")
         p.add_argument("--output", default=None, help="write artifact here")
         p.add_argument("--format", choices=("json", "dot"), default="json")
@@ -254,6 +264,9 @@ def main(argv=None):
     except ResourceBudgetError as exc:
         print("resource budget exceeded: %s" % exc, file=sys.stderr)
         return 2
+    except ValueError as exc:
+        print("error: %s" % exc, file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

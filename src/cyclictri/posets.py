@@ -21,6 +21,14 @@ class ResourceBudgetError(RuntimeError):
     """A configured cap or budget was exceeded; carries what and where."""
 
 
+def bits(m):
+    """Indices of the set bits of the mask m, in ascending order."""
+    while m:
+        b = m & -m
+        yield b.bit_length() - 1
+        m ^= b
+
+
 def _enum_cap(cap):
     if cap is not None:
         return cap
@@ -50,27 +58,17 @@ class FinitePoset:
                 if not (self.up[i] >> i) & 1:
                     raise ValueError("not reflexive at %r" % (self.elements[i],))
             for i in range(n):
-                m = self.up[i]
-                j = 0
-                while m:
-                    if m & 1:
-                        if j != i and (self.up[j] >> i) & 1:
-                            raise ValueError("not antisymmetric: %r, %r" %
-                                             (self.elements[i], self.elements[j]))
-                        if self.up[j] & ~self.up[i]:
-                            raise ValueError("not transitive at %r <= %r" %
-                                             (self.elements[i], self.elements[j]))
-                    m >>= 1
-                    j += 1
+                for j in bits(self.up[i]):
+                    if j != i and (self.up[j] >> i) & 1:
+                        raise ValueError("not antisymmetric: %r, %r" %
+                                         (self.elements[i], self.elements[j]))
+                    if self.up[j] & ~self.up[i]:
+                        raise ValueError("not transitive at %r <= %r" %
+                                         (self.elements[i], self.elements[j]))
         self.down = [0] * n
         for i in range(n):
-            m = self.up[i]
-            j = 0
-            while m:
-                if m & 1:
-                    self.down[j] |= 1 << i
-                m >>= 1
-                j += 1
+            for j in bits(self.up[i]):
+                self.down[j] |= 1 << i
         self._covers = None
         self._topo = None
         self.data = {}
@@ -102,29 +100,19 @@ class FinitePoset:
         indeg2 = list(indeg)
         while q:
             i = q.popleft()
-            m = succ[i]
-            j = 0
-            while m:
-                if m & 1:
-                    indeg2[j] -= 1
-                    if indeg2[j] == 0:
-                        q.append(j)
-                        order.append(j)
-                        seen += 1
-                m >>= 1
-                j += 1
+            for j in bits(succ[i]):
+                indeg2[j] -= 1
+                if indeg2[j] == 0:
+                    q.append(j)
+                    order.append(j)
+                    seen += 1
         if seen != n:
             raise ValueError("step relation has a cycle")
         up = [0] * n
         for i in reversed(order):
             m = 1 << i
-            s = succ[i]
-            j = 0
-            while s:
-                if s & 1:
-                    m |= up[j]
-                s >>= 1
-                j += 1
+            for j in bits(succ[i]):
+                m |= up[j]
             up[i] = m
         return FinitePoset(elements, up, check=check)
 
@@ -144,20 +132,9 @@ class FinitePoset:
             for i in range(n):
                 strict = self.up[i] & ~(1 << i)
                 reach = 0
-                m = strict
-                j = 0
-                while m:
-                    if m & 1:
-                        reach |= self.up[j] & ~(1 << j)
-                    m >>= 1
-                    j += 1
-                cov = strict & ~reach
-                j = 0
-                while cov:
-                    if cov & 1:
-                        out.append((i, j))
-                    cov >>= 1
-                    j += 1
+                for j in bits(strict):
+                    reach |= self.up[j] & ~(1 << j)
+                out.extend((i, j) for j in bits(strict & ~reach))
             self._covers = sorted(out)
         return self._covers
 
@@ -203,56 +180,45 @@ class FinitePoset:
     def meet(self, i, j):
         """Index of the meet, or None if it does not exist."""
         lows = self.down[i] & self.down[j]
-        m = lows
-        k = 0
-        while m:
-            if m & 1 and lows & ~self.down[k] == 0:
+        for k in bits(lows):
+            if lows & ~self.down[k] == 0:
                 return k
-            m >>= 1
-            k += 1
         return None
 
     def join(self, i, j):
         ups = self.up[i] & self.up[j]
-        if ups == 0:
-            return None
-        m = ups
-        k = 0
-        while m:
-            if m & 1 and ups & ~self.up[k] == 0:
+        for k in bits(ups):
+            if ups & ~self.up[k] == 0:
                 return k
-            m >>= 1
-            k += 1
         return None
+
+    def topo_masks(self):
+        """Down-sets and up-sets re-indexed by position in topo_order():
+        (pos, down_t, up_t) with pos[i] the position of element i and
+        down_t[pos[i]], up_t[pos[i]] its down-set and up-set as position
+        masks.  Whatever lies strictly above an element sits at a higher
+        position, so the only candidate for the maximum of a position mask
+        is its top set bit, and for the minimum its bottom set bit."""
+        n = len(self.elements)
+        pos = [0] * n
+        for p, i in enumerate(self.topo_order()):
+            pos[i] = p
+        down_t = [0] * n
+        up_t = [0] * n
+        for i in range(n):
+            for j in bits(self.down[i]):
+                down_t[pos[i]] |= 1 << pos[j]
+            for j in bits(self.up[i]):
+                up_t[pos[i]] |= 1 << pos[j]
+        return pos, down_t, up_t
 
     def is_lattice(self):
         """True, or a witness dict naming the first pair lacking a meet or
         a join."""
         n = len(self.elements)
-        order = self.topo_order()
-        pos = [0] * n
-        for p, i in enumerate(order):
-            pos[i] = p
-        # work in topo coordinates so the top set bit of a common down-set
-        # is the meet candidate (and the bottom set bit of a common up-set
-        # the join candidate); unique extremum iff it dominates the rest
-        down_t = [0] * n
-        up_t = [0] * n
-        for i in range(n):
-            m = self.down[i]
-            j = 0
-            while m:
-                if m & 1:
-                    down_t[pos[i]] |= 1 << pos[j]
-                m >>= 1
-                j += 1
-            m = self.up[i]
-            j = 0
-            while m:
-                if m & 1:
-                    up_t[pos[i]] |= 1 << pos[j]
-                m >>= 1
-                j += 1
+        # a common down-set (up-set) has a unique maximum (minimum) iff its
+        # top (bottom) set bit in topo coordinates dominates the rest
+        pos, down_t, up_t = self.topo_masks()
         for i in range(n):
             di = down_t[pos[i]]
             ui = up_t[pos[i]]
@@ -277,15 +243,7 @@ class FinitePoset:
         for k in elems:
             if k == i:
                 continue
-            s = 0
-            m = interval & self.down[k] & ~(1 << k)
-            w = 0
-            while m:
-                if m & 1:
-                    s += mu[w]
-                m >>= 1
-                w += 1
-            mu[k] = -s
+            mu[k] = -sum(mu[w] for w in bits(interval & self.down[k] & ~(1 << k)))
         return mu[j]
 
     def mobius_bottom_top(self):
@@ -479,13 +437,7 @@ def interval_poset(p, variant="all"):
             raise ValueError("atomic/coatomic intervals need a lattice: %r" % (w,))
     pairs = []
     for i in range(n):
-        m = p.up[i]
-        j = 0
-        while m:
-            if m & 1:
-                pairs.append((i, j))
-            m >>= 1
-            j += 1
+        pairs.extend((i, j) for j in bits(p.up[i]))
     if variant != "all":
         pairs = [(i, j) for i, j in pairs if not (i == b and j == t)]
     if variant == "proper_atomic":
@@ -512,15 +464,10 @@ def interval_poset(p, variant="all"):
 def _interval_covers_of_bottom(p, i, j):
     inner = p.up[i] & p.down[j]
     atoms = []
-    m = inner & ~(1 << i)
-    k = 0
-    while m:
-        if m & 1:
-            between = p.up[i] & p.down[k] & ~(1 << i) & ~(1 << k)
-            if between & inner == 0:
-                atoms.append(k)
-        m >>= 1
-        k += 1
+    for k in bits(inner & ~(1 << i)):
+        between = p.up[i] & p.down[k] & ~(1 << i) & ~(1 << k)
+        if between & inner == 0:
+            atoms.append(k)
     return atoms
 
 
@@ -537,15 +484,10 @@ def _interval_atomic(p, i, j):
 def _interval_coatomic(p, i, j):
     coatoms = []
     inner = p.up[i] & p.down[j]
-    m = inner & ~(1 << j)
-    k = 0
-    while m:
-        if m & 1:
-            between = p.up[k] & p.down[j] & ~(1 << k) & ~(1 << j)
-            if between & inner == 0:
-                coatoms.append(k)
-        m >>= 1
-        k += 1
+    for k in bits(inner & ~(1 << j)):
+        between = p.up[k] & p.down[j] & ~(1 << k) & ~(1 << j)
+        if between & inner == 0:
+            coatoms.append(k)
     cur = None
     for c in coatoms:
         cur = c if cur is None else p.meet(cur, c)

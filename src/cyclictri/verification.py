@@ -8,7 +8,7 @@ from collections import deque
 from itertools import combinations
 
 from . import geometry, simplices, triangulations as tri
-from .posets import build_s1, build_s2
+from .posets import bits, build_s1, build_s2
 
 
 def _poset(n, d, order, cap=None):
@@ -47,14 +47,10 @@ def verify_suspension(n, d, order="s1", cap=None):
             break
         if p.elements[a] not in green:
             continue
-        m = p.down[a] & ~(1 << a)
-        b = 0
-        while m:
-            if m & 1 and p.elements[b] not in green:
+        for b in bits(p.down[a] & ~(1 << a)):
+            if p.elements[b] not in green:
                 w = (p.elements[b], p.elements[a])
                 break
-            m >>= 1
-            b += 1
     entry("green_ideal", w)
 
     w = next((t.key() for t in q_elems
@@ -94,30 +90,22 @@ def verify_suspension(n, d, order="s1", cap=None):
     # conditions above only make sense for monotone data
     w = None
     for a in range(len(p_elems)):
-        m = p.up[a] & ~(1 << a)
-        b = 0
-        while m:
-            if m & 1 and not q.le_keys(f_of[p.elements[a]].key(),
-                                       f_of[p.elements[b]].key()):
+        for b in bits(p.up[a] & ~(1 << a)):
+            if not q.le_keys(f_of[p.elements[a]].key(),
+                             f_of[p.elements[b]].key()):
                 w = (p.elements[a], p.elements[b])
                 break
-            m >>= 1
-            b += 1
         if w:
             break
     entry("f_monotone", w)
     for name, mapping in (("i_monotone", i_of), ("j_monotone", j_of)):
         w = None
         for a in range(len(q_elems)):
-            m = q.up[a] & ~(1 << a)
-            b = 0
-            while m:
-                if m & 1 and not p.le_keys(mapping[q.elements[a]].key(),
-                                           mapping[q.elements[b]].key()):
+            for b in bits(q.up[a] & ~(1 << a)):
+                if not p.le_keys(mapping[q.elements[a]].key(),
+                                 mapping[q.elements[b]].key()):
                     w = (q.elements[a], q.elements[b])
                     break
-                m >>= 1
-                b += 1
             if w:
                 break
         entry(name, w)
@@ -220,17 +208,12 @@ def verify_s0_monotone(n, d, order="s1", cap=None):
     s0 = tri.terminal_simplex(n, d)
     has = [s0 in p.data[k] for k in p.elements]
     for a in range(len(p.elements)):
-        m = p.up[a] & ~(1 << a)
-        b = 0
-        while m:
-            if m & 1:
-                ok = (not has[a] or has[b]) if d % 2 == 0 else \
-                    (not has[b] or has[a])
-                if not ok:
-                    return {"pass": False,
-                            "witness": (p.elements[a], p.elements[b])}
-            m >>= 1
-            b += 1
+        for b in bits(p.up[a] & ~(1 << a)):
+            ok = (not has[a] or has[b]) if d % 2 == 0 else \
+                (not has[b] or has[a])
+            if not ok:
+                return {"pass": False,
+                        "witness": (p.elements[a], p.elements[b])}
     return {"pass": True, "witness": None}
 
 

@@ -22,7 +22,7 @@ from cyclictri.baues import (
     refines,
     validate_subdivision,
 )
-from cyclictri.posets import build_s2, interval_poset
+from cyclictri.posets import _interval_coatomic, build_s2, interval_poset
 from cyclictri.triangulations import bottom, top
 
 
@@ -136,9 +136,7 @@ def test_interval_to_subdivision_rejects_non_coatomic():
         for j in range(len(s2)):
             if not s2.le(i, j) or (i, j) == (s2.bottom(), s2.top()):
                 continue
-            from cyclictri.baues import _coatomic_diagnostic
-
-            if _coatomic_diagnostic(s2, i, j) is not None:
+            if not _interval_coatomic(s2, i, j):
                 with pytest.raises(ValueError):
                     interval_to_subdivision(s2.data[s2.elements[i]],
                                             s2.data[s2.elements[j]], s2)

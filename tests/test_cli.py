@@ -91,6 +91,13 @@ def test_sphere_pass(capsys):
     assert doc["mobius_crosscheck"] == -1
 
 
+def test_sphere_9_3_certified(capsys):
+    # its full order complex is over the default face budget; its core is not
+    code, out, _ = run(capsys, "sphere", "--n", "9", "--d", "3")
+    assert code == 0
+    assert out.startswith("homology certificate PASS: S^3\n")
+
+
 def test_sphere_wrong_k_fails(capsys):
     code, out, _ = run(capsys, "sphere", "--n", "6", "--d", "2", "--k", "2")
     assert code == 1
@@ -140,6 +147,26 @@ def test_bad_args_exit_code(capsys):
     assert code == 3
     code, _, _ = run(capsys, "no-such-command")
     assert code == 3
+
+
+@pytest.mark.parametrize("argv", [
+    "baues --n 6 --d 4",
+    "oracle-crosscheck --n 9 --d 3",
+    "verify-suspension --n 5 --d 3",
+])
+def test_domain_error_exit_code(capsys, argv):
+    # out-of-domain requests are bad arguments: exit 3, one line, no traceback
+    code, _, err = run(capsys, *argv.split())
+    assert code == 3
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("flag", ["--cap", "--budget"])
+@pytest.mark.parametrize("value", ["-1", "0"])
+def test_nonpositive_limit_exit_code(capsys, flag, value):
+    code, _, err = run(capsys, "sphere", "--n", "6", "--d", "2", flag, value)
+    assert code == 3
+    assert "positive integer" in err
 
 
 def test_output_file(tmp_path, capsys):

@@ -2,13 +2,15 @@
 
 Fixture homology is frozen from the literature (projective plane,
 7-vertex torus, simplex boundaries); the implementation must reproduce
-it including torsion, with and without the collapsing preprocessor.
+it including torsion.  Poset homology goes through beat-point cores and is
+checked against the full order complex.
 """
 
 import itertools
 
 import pytest
 
+from cyclictri.baues import baues_poset
 from cyclictri.posets import (
     FinitePoset,
     ResourceBudgetError,
@@ -20,6 +22,7 @@ from cyclictri.topology import (
     complex_from_maximal,
     homology,
     order_complex,
+    poset_core,
     poset_homology,
     sphere_certificate,
     suspension_compare,
@@ -97,12 +100,6 @@ def test_torus_homology():
     assert h.euler == -1
 
 
-@pytest.mark.parametrize("maximal", [RP2, TORUS, [(1, 2, 3, 4)], [(1, 2), (3, 4)]])
-def test_collapse_does_not_change_homology(maximal):
-    k = complex_from_maximal(maximal)
-    assert homology(k, collapse=True) == homology(k, collapse=False)
-
-
 def test_order_complex_of_chain_is_simplex():
     c = _poset(["a", "b", "c"], [("a", "b"), ("b", "c")])
     k = order_complex(c)
@@ -122,16 +119,41 @@ def test_order_complex_counts_match_chain_counts():
         assert sum(cc) == sum(counts.values())
 
 
-def test_chain_counts_budget():
-    b = boolean_lattice(8)
-    with pytest.raises(ResourceBudgetError) as e:
-        chain_counts(b, budget=100)
-    assert "dimension" in str(e.value)
+def test_chain_counts_budget(monkeypatch):
+    # counting materializes nothing, so the face budget does not bound it
+    monkeypatch.setenv("CYCLICTRI_FACE_BUDGET", "100")
+    cc = chain_counts(boolean_lattice(8))
+    assert cc[1] == 256 and cc[9] == 40320  # elements; maximal chains 8!
+    assert len(cc) == 10
 
 
 def test_order_complex_budget():
-    with pytest.raises(ResourceBudgetError):
+    with pytest.raises(ResourceBudgetError) as e:
         order_complex(boolean_lattice(8), budget=100)
+    assert "dimension" in str(e.value)
+
+
+# proper S2(8,2) is left out: its full order complex has 1.6 M faces
+@pytest.mark.parametrize("build", [
+    lambda: boolean_lattice(3).proper_part(),
+    lambda: build_s2(6, 2).proper_part(),
+    lambda: build_s2(7, 2).proper_part(),
+    lambda: build_s2(7, 3).proper_part(),
+    lambda: build_s2(8, 3).proper_part(),
+    lambda: baues_poset(6, 2),
+], ids=["B3", "S2(6,2)", "S2(7,2)", "S2(7,3)", "S2(8,3)", "Baues(6,2)"])
+def test_core_homology_matches_full_order_complex(build):
+    p = build()
+    h = poset_homology(p)
+    full = homology(order_complex(p))
+    assert h == full and h.euler == full.euler
+    core = poset_core(p)
+    assert poset_core(core).elements == core.elements
+
+
+def test_poset_with_bottom_cores_to_a_point():
+    for p in (boolean_lattice(3), build_s2(6, 2)):
+        assert len(poset_core(p)) == 1
 
 
 def test_poset_with_bottom_is_cone():
