@@ -194,8 +194,7 @@ def cmd_oracle_crosscheck(args):
 def cmd_flip_graph(args):
     _check_nd(args)
     ts = enumerate_triangulations(args.n, args.d, args.cap)
-    idx = {t: i for i, t in enumerate(ts)}
-    edges = sorted((idx[a], idx[b]) for a, b, _ in flip_step_edges(args.n, args.d, args.cap))
+    edges = sorted((i, j) for i, j, _ in flip_step_edges(args.n, args.d, args.cap))
     stray = flip_cover_discrepancies(args.n, args.d, args.cap)
     print("flip graph of C(%d,%d): %d nodes, %d edges, %d non-cover flips"
           % (args.n, args.d, len(ts), len(edges), len(stray)))

@@ -13,20 +13,8 @@ from collections import deque
 from itertools import combinations
 
 from . import triangulations as tri
-
-DEFAULT_ENUM_CAP = 10 ** 6
-
-
-class ResourceBudgetError(RuntimeError):
-    """A configured cap or budget was exceeded; carries what and where."""
-
-
-def bits(m):
-    """Indices of the set bits of the mask m, in ascending order."""
-    while m:
-        b = m & -m
-        yield b.bit_length() - 1
-        m ^= b
+from .simplices import bits
+from .triangulations import DEFAULT_ENUM_CAP, ResourceBudgetError
 
 
 def _enum_cap(cap):
@@ -301,34 +289,40 @@ _s2_cache = {}
 def enumerate_triangulations(n, d, cap=None):
     """All triangulations of C(n, d), by breadth-first search along upward
     flips from the bottom element.  Every result is validated.  Returns a
-    tuple sorted by canonical key; also records the flip step edges."""
+    list sorted by canonical key; also records the flip step edges."""
     key = (n, d)
     got = _enum_cache.get(key)
     cap = _enum_cap(cap)
     if got is None:
-        start = tri.bottom(n, d)
-        seen = {start}
-        frontier = deque([start])
+        tab = tri.table(n, d)
+        start = tab.mask(tab.bottom.simplices)
+        seen = {start: 0}
+        masks = [start]
         edges = []
-        while frontier:
-            t = frontier.popleft()
-            for cand in tri.increasing_flips(t):
-                nxt = tri.apply_flip(t, cand)
-                edges.append((t, nxt, cand))
-                if nxt not in seen:
+        for i, t in enumerate(masks):   # masks grows: the BFS queue
+            for cand, low, up in tab.flips(t):
+                nxt = (t ^ low) | up
+                j = seen.get(nxt)
+                if j is None:
                     if len(seen) >= cap:
                         raise ResourceBudgetError(
                             "enumeration cap %d exceeded at C(%d, %d)" % (cap, n, d))
-                    seen.add(nxt)
-                    frontier.append(nxt)
-        for t in seen:
+                    j = seen[nxt] = len(masks)
+                    masks.append(nxt)
+                edges.append((i, j, cand))
+        ts = [tab.triangulation(t) for t in masks]
+        for t in ts:
             v = tri.validate(t, n, d)
             if v is not None:
                 raise AssertionError("enumerated an invalid triangulation: %s" % (v,))
-        if tri.top(n, d) not in seen:
+        if tab.mask(tab.top.simplices) not in seen:
             raise AssertionError("flip search failed to reach the top element")
-        order = sorted(seen, key=lambda t: t.key())
-        got = (order, edges)
+        order = sorted(range(len(ts)), key=lambda i: ts[i].key())
+        rank = [0] * len(order)
+        for r, i in enumerate(order):
+            rank[i] = r
+        got = ([ts[i] for i in order],
+               [(rank[i], rank[j], cand) for i, j, cand in edges])
         _enum_cache[key] = got
     elif len(got[0]) > cap:
         raise ResourceBudgetError(
@@ -337,7 +331,9 @@ def enumerate_triangulations(n, d, cap=None):
 
 
 def flip_step_edges(n, d, cap=None):
-    """Single-flip pairs (t, t', flip_simplex) discovered by enumeration."""
+    """Single-flip steps (i, j, flip_simplex), one per flip found by
+    enumeration: element i of enumerate_triangulations(n, d) flips up to
+    element j."""
     enumerate_triangulations(n, d, cap)
     return _enum_cache[(n, d)][1]
 
@@ -348,12 +344,12 @@ def build_s1(n, d, cap=None):
     p = _s1_cache.get(key)
     if p is None:
         ts = enumerate_triangulations(n, d, cap)
-        idx = {t: i for i, t in enumerate(ts)}
-        edges = [(idx[a], idx[b]) for a, b, _ in flip_step_edges(n, d, cap)]
+        edges = [(i, j) for i, j, _ in flip_step_edges(n, d, cap)]
         p = FinitePoset.from_edges([t.key() for t in ts], edges, check=False)
         for t in ts:
             p.data[t.key()] = t
-        if p.bottom() != idx[tri.bottom(n, d)] or p.top() != idx[tri.top(n, d)]:
+        if p.bottom() != p.index[tri.bottom(n, d).key()] or \
+                p.top() != p.index[tri.top(n, d).key()]:
             raise AssertionError("flip order is not bounded by bottom/top")
         _s1_cache[key] = p
     return p
@@ -408,15 +404,10 @@ def compare_relations(p, q):
 def flip_cover_discrepancies(n, d, cap=None):
     """Flip edges that are not cover relations of the flip order (empty in
     every verified instance; reported, never assumed)."""
-    p = build_s1(n, d, cap)
+    cov = set(build_s1(n, d, cap).covers())
     ts = enumerate_triangulations(n, d, cap)
-    idx = {t: i for i, t in enumerate(ts)}
-    cov = set(p.covers())
-    out = []
-    for a, b, cand in flip_step_edges(n, d, cap):
-        if (idx[a], idx[b]) not in cov:
-            out.append((a.key(), b.key(), cand))
-    return out
+    return [(ts[i].key(), ts[j].key(), cand)
+            for i, j, cand in flip_step_edges(n, d, cap) if (i, j) not in cov]
 
 
 def interval_poset(p, variant="all"):

@@ -1,17 +1,29 @@
 """Label combinatorics of cyclic polytopes.
 
 Vertices of C(n, d) are the integer labels 1..n sitting on the moment curve;
-everything in this module is pure bookkeeping on sorted label tuples.  The
-geometric meaning of each predicate is pinned down by the exact-arithmetic
-oracles in `geometry` and the agreement tests between the two routes.
+everything in this module is pure bookkeeping on sorted label tuples, plus
+one helper for the int bitmasks that index sets of them.  The geometric
+meaning of each predicate is pinned down by the exact-arithmetic oracles in
+`geometry` and the agreement tests between the two routes.
 """
 
 from itertools import combinations
+from types import MappingProxyType
 
 EVEN = "even"
 ODD = "odd"
 LOWER = "lower"
 UPPER = "upper"
+
+_gale_cache = {}
+
+
+def bits(m):
+    """Indices of the set bits of the mask m, in ascending order."""
+    while m:
+        b = m & -m
+        yield b.bit_length() - 1
+        m ^= b
 
 
 def simplex(labels):
@@ -62,16 +74,20 @@ def facet_class(face, vertices, d):
 
 
 def gale_facets(n, d):
-    """All facets of C(n, d) with their class, as {facet_tuple: class}."""
-    if n < d + 1:
-        raise ValueError("C(n, d) needs n >= d+1")
-    out = {}
-    labels = range(1, n + 1)
-    for face in combinations(labels, d):
-        cls = facet_class(face, labels, d)
-        if cls is not None:
-            out[face] = cls
-    return out
+    """All facets of C(n, d) with their class, as a read-only mapping
+    {facet_tuple: class} in lexicographic order, computed once per (n, d)."""
+    got = _gale_cache.get((n, d))
+    if got is None:
+        if n < d + 1:
+            raise ValueError("C(n, d) needs n >= d+1")
+        out = {}
+        labels = range(1, n + 1)
+        for face in combinations(labels, d):
+            cls = facet_class(face, labels, d)
+            if cls is not None:
+                out[face] = cls
+        got = _gale_cache[(n, d)] = MappingProxyType(out)
+    return got
 
 
 def facet_split(s):

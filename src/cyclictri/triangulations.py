@@ -1,16 +1,30 @@
 """Triangulations of C(n, d): the value type, validity checking, bistellar
-flips, the vertex contraction/insertion maps, and submersion sets."""
+flips, the vertex contraction/insertion maps, and submersion sets.
+
+Validation and flips run on one lookup table per (n, d), `table(n, d)`: the
+d-simplices of [n] are numbered in lexicographic order, so a set of them is
+an int mask and an increasing flip is `t & low == low -> (t ^ low) | up`
+(the bitset design of TOPCOM; Rambau, ICMS 2002)."""
 
 import json
+from collections import Counter
 from dataclasses import dataclass
-from itertools import combinations, product
+from functools import cached_property
+from itertools import chain, combinations, product
+from math import comb
 
 from . import geometry
-from .simplices import simplex, facet_split, gale_facets, zig_zag_admissible, LOWER
+from .simplices import (LOWER, bits, facet_split, gale_facets, simplex,
+                        zig_zag_admissible)
 
-_bottom_top_cache = {}
-_split_cache = {}
+DEFAULT_ENUM_CAP = 10 ** 6
+
+_table_cache = {}
 _intertwining_cache = {}
+
+
+class ResourceBudgetError(RuntimeError):
+    """A configured cap or budget was exceeded; carries what and where."""
 
 
 @dataclass(frozen=True)
@@ -23,7 +37,7 @@ class Violation:
 class Triangulation:
     """Immutable set of d-simplices on labels 1..n, canonically ordered."""
 
-    __slots__ = ("n", "d", "simplices", "_set", "_hash")
+    __slots__ = ("n", "d", "simplices", "_set", "_hash", "_key")
 
     def __init__(self, n, d, simplices):
         if n < d + 1 or d < 1:
@@ -36,11 +50,22 @@ class Triangulation:
                 raise ValueError("label out of range in %r" % (s,))
         if len(set(simp)) != len(simp):
             raise ValueError("repeated simplex")
+        self._fill(n, d, simp)
+
+    def _fill(self, n, d, simp):
         self.n = n
         self.d = d
         self.simplices = simp
         self._set = frozenset(simp)
         self._hash = hash((n, d, simp))
+        self._key = None
+
+    @classmethod
+    def _canonical(cls, n, d, simp):
+        """Trusted constructor for members already canonical and sorted."""
+        t = cls.__new__(cls)
+        t._fill(n, d, simp)
+        return t
 
     def __contains__(self, s):
         return tuple(s) in self._set
@@ -63,14 +88,167 @@ class Triangulation:
 
     def key(self):
         """Canonical JSON form; byte-stable identity for posets and exports."""
-        return json.dumps(
-            {"n": self.n, "d": self.d, "simplices": [list(s) for s in self.simplices]},
-            separators=(",", ":"))
+        if self._key is None:
+            self._key = json.dumps(
+                {"n": self.n, "d": self.d,
+                 "simplices": [list(s) for s in self.simplices]},
+                separators=(",", ":"))
+        return self._key
 
     @staticmethod
     def from_json(text):
         obj = json.loads(text)
         return Triangulation(obj["n"], obj["d"], [tuple(s) for s in obj["simplices"]])
+
+
+class _Table:
+    """The d-simplices of [n] in lexicographic order, bit i of a mask
+    standing for simplices[i], with what validation and flips need of each:
+    its row and its extensions, both filled in on first use, so only the
+    simplices that occur cost anything.  The hull volume and the boundary
+    are computed once, on the first validation.
+    """
+
+    def __init__(self, n, d):
+        self.n = n
+        self.d = d
+        self.simplices = list(combinations(range(1, n + 1), d + 1))
+        self.index = {s: i for i, s in enumerate(self.simplices)}
+        self._rows = [None] * len(self.simplices)
+        self._extensions = [None] * len(self.simplices)
+        if n == d + 1:
+            lo = hi = 1
+        else:
+            facets = gale_facets(n, d + 1).items()
+            lo = self.mask(f for f, cls in facets if cls == LOWER)
+            hi = self.mask(f for f, cls in facets if cls != LOWER)
+        self.bottom = self.triangulation(lo)
+        self.top = self.triangulation(hi)
+
+    @cached_property
+    def hull(self):
+        return geometry.cyclic_volume(self.n, self.d)
+
+    @cached_property
+    def boundary(self):
+        return gale_facets(self.n, self.d)
+
+    def mask(self, members):
+        """Mask of distinct d-simplices of [n]."""
+        m = 0
+        for s in members:
+            m |= 1 << self.index[s]
+        return m
+
+    def triangulation(self, mask):
+        """The Triangulation of a mask, built without re-sorting."""
+        return Triangulation._canonical(
+            self.n, self.d, tuple(self.simplices[i] for i in bits(mask)))
+
+    def row(self, i):
+        """(conflicts, volume, facets) of simplices[i]: the mask of the later
+        simplices it is not zig-zag admissible with, its normalized volume,
+        and its facets in the order the wall check counts them."""
+        got = self._rows[i]
+        if got is None:
+            s, d = self.simplices[i], self.d
+            conflicts = 0
+            for j in range(i + 1, len(self.simplices)):
+                if not zig_zag_admissible(s, self.simplices[j], d):
+                    conflicts |= 1 << j
+            got = self._rows[i] = (
+                conflicts, geometry.normalized_volume(s, d),
+                tuple(s[:k] + s[k + 1:] for k in range(d + 1)))
+        return got
+
+    def violation(self, members):
+        """validate's checks after shape and emptiness, for distinct
+        d-simplices of [n] in lexicographic order."""
+        idx = [self.index[s] for s in members]
+        rows = [self.row(i) for i in idx]
+        mask = sum(1 << i for i in idx)
+        for i, (conflicts, _, _) in zip(idx, rows):
+            bad = mask & conflicts
+            if bad:
+                j = (bad & -bad).bit_length() - 1
+                return Violation("admissible", (self.simplices[i], self.simplices[j]),
+                                 "members intersect improperly")
+
+        vol = sum(vol for _, vol, _ in rows)
+        if vol != self.hull:
+            return Violation("volume", (vol, self.hull),
+                             "simplex volumes sum to %s, hull has %s" % (vol, self.hull))
+
+        boundary = self.boundary
+        seen = Counter(chain.from_iterable(facets for _, _, facets in rows))
+        for f, c in seen.items():
+            if c == 2:
+                if f in boundary:
+                    return Violation("wall", f, "hull facet covered twice")
+            elif c == 1:
+                if f not in boundary:
+                    return Violation("wall", f, "interior wall covered once")
+            else:
+                return Violation("wall", f, "wall covered %d times" % c)
+        for f in boundary:
+            if seen.get(f) != 1:
+                return Violation("wall", f, "hull facet not covered")
+
+        used = set(chain.from_iterable(members))
+        extreme = set(range(1, self.n + 1)) if self.d >= 2 else {1, self.n}
+        missing = extreme - used
+        if missing:
+            return Violation("labels", min(missing), "extreme label unused")
+        return None
+
+    def extensions(self, i):
+        """(cand, low, up) for each (d+2)-set cand = simplices[i] + (v,) with
+        v above the last label, low and up the masks of its lower and upper
+        facets.  The facet dropping the last label is always lower, so each
+        (d+2)-set is an extension of exactly one simplex, and each increasing
+        flip of t an extension of a member of t."""
+        got = self._extensions[i]
+        if got is None:
+            s = self.simplices[i]
+            got = []
+            for v in range(s[-1] + 1, self.n + 1):
+                cand = s + (v,)
+                lower, upper = facet_split(cand)
+                got.append((cand, self.mask(lower), self.mask(upper)))
+            self._extensions[i] = got
+        return got
+
+    def flips(self, mask):
+        """(cand, low, up) for each increasing flip of the mask, in
+        lexicographic order of cand."""
+        return [f for i in bits(mask) for f in self.extensions(i)
+                if mask & f[1] == f[1]]
+
+    def split(self, cand):
+        """(low, up) masks of a (d+2)-set of [n], given as a sorted tuple."""
+        i = self.index.get(cand[:-1])
+        if i is None or cand[-1] > self.n:
+            raise ValueError("%r is not a (d+2)-set of [%d]" % (cand, self.n))
+        _, low, up = self.extensions(i)[cand[-1] - cand[-2] - 1]
+        return low, up
+
+
+def table(n, d):
+    """The lookup table of C(n, d), built on first use.  Before building
+    anything, raises ResourceBudgetError when the d- or (d+1)-simplices of
+    [n] number more than DEFAULT_ENUM_CAP."""
+    got = _table_cache.get((n, d))
+    if got is None:
+        if n < d + 1 or d < 1:
+            raise ValueError("need n >= d+1 >= 2")
+        for k in (d + 1, d + 2):
+            count = comb(n, k)
+            if count > DEFAULT_ENUM_CAP:
+                raise ResourceBudgetError(
+                    "C(%d, %d): %d vertex sets of size %d exceed the size bound %d"
+                    % (n, d, count, k, DEFAULT_ENUM_CAP))
+        got = _table_cache[(n, d)] = _Table(n, d)
+    return got
 
 
 def validate(simplices, n, d):
@@ -89,47 +267,7 @@ def validate(simplices, n, d):
         return Violation("shape", simplices, str(e))
     if not t.simplices:
         return Violation("empty", t, "no simplices")
-
-    members = t.simplices
-    for i, a in enumerate(members):
-        for b in members[i + 1:]:
-            if not zig_zag_admissible(a, b, d):
-                return Violation("admissible", (a, b),
-                                 "members intersect improperly")
-
-    vol = sum(geometry.normalized_volume(s, d) for s in members)
-    hull = geometry.cyclic_volume(n, d)
-    if vol != hull:
-        return Violation("volume", (vol, hull),
-                         "simplex volumes sum to %s, hull has %s" % (vol, hull))
-
-    boundary = gale_facets(n, d)
-    seen = {}
-    for s in members:
-        for j in range(d + 1):
-            f = s[:j] + s[j + 1:]
-            seen[f] = seen.get(f, 0) + 1
-    for f, c in seen.items():
-        if c == 2:
-            if f in boundary:
-                return Violation("wall", f, "hull facet covered twice")
-        elif c == 1:
-            if f not in boundary:
-                return Violation("wall", f, "interior wall covered once")
-        else:
-            return Violation("wall", f, "wall covered %d times" % c)
-    for f in boundary:
-        if seen.get(f) != 1:
-            return Violation("wall", f, "hull facet not covered")
-
-    used = set()
-    for s in members:
-        used.update(s)
-    extreme = set(range(1, n + 1)) if d >= 2 else {1, n}
-    missing = extreme - used
-    if missing:
-        return Violation("labels", min(missing), "extreme label unused")
-    return None
+    return table(n, d).violation(t.simplices)
 
 
 def make_triangulation(simplices, n, d):
@@ -141,50 +279,22 @@ def make_triangulation(simplices, n, d):
     return t
 
 
-def _bottom_top(n, d):
-    key = (n, d)
-    pair = _bottom_top_cache.get(key)
-    if pair is None:
-        if n == d + 1:
-            only = Triangulation(n, d, [tuple(range(1, n + 1))])
-            pair = (only, only)
-        else:
-            lo, hi = [], []
-            for f, cls in gale_facets(n, d + 1).items():
-                (lo if cls == LOWER else hi).append(f)
-            pair = (Triangulation(n, d, lo), Triangulation(n, d, hi))
-        _bottom_top_cache[key] = pair
-    return pair
-
-
 def bottom(n, d):
     """The triangulation by lower facets of C(n, d+1); least element of the
     flip order."""
-    return _bottom_top(n, d)[0]
+    return table(n, d).bottom
 
 
 def top(n, d):
     """The triangulation by upper facets of C(n, d+1); greatest element."""
-    return _bottom_top(n, d)[1]
-
-
-def _split(s):
-    pair = _split_cache.get(s)
-    if pair is None:
-        pair = facet_split(s)
-        _split_cache[s] = pair
-    return pair
+    return table(n, d).top
 
 
 def increasing_flips(t):
-    """All (d+2)-subsets whose lower facets all lie in t; each is a valid
-    upward bistellar move."""
-    out = []
-    for cand in combinations(range(1, t.n + 1), t.d + 2):
-        lower, _ = _split(cand)
-        if all(f in t._set for f in lower):
-            out.append(cand)
-    return out
+    """All (d+2)-subsets whose lower facets all lie in t, in lexicographic
+    order; each is a valid upward bistellar move."""
+    tab = table(t.n, t.d)
+    return [cand for cand, _, _ in tab.flips(tab.mask(t.simplices))]
 
 
 def apply_flip(t, cand):
@@ -192,10 +302,12 @@ def apply_flip(t, cand):
     cand = simplex(cand)
     if len(cand) != t.d + 2:
         raise ValueError("flip simplex needs d+2 vertices")
-    lower, upper = _split(cand)
-    if not all(f in t._set for f in lower):
+    tab = table(t.n, t.d)
+    mask = tab.mask(t.simplices)
+    low, up = tab.split(cand)
+    if mask & low != low:
         raise ValueError("%r is not an increasing flip of this triangulation" % (cand,))
-    return Triangulation(t.n, t.d, (t._set - lower) | upper)
+    return tab.triangulation((mask ^ low) | up)
 
 
 def contract_last(t):

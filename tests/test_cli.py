@@ -1,6 +1,10 @@
 """Command line interface: exit codes, determinism, output formats."""
 
+import hashlib
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -138,6 +142,33 @@ def test_budget_exit_code(capsys):
     code, _, err = run(capsys, "enumerate", "--n", "8", "--d", "3", "--cap", "5")
     assert code == 2
     assert "budget" in err
+
+
+def test_size_guard_exits_before_any_work():
+    # C(30, 15) vertex sets: the guard must fire before bottom() walks them;
+    # the timeout turns a regressed guard into a failure instead of a hang
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-m", "cyclictri.cli", "enumerate",
+                           "--n", "30", "--d", "14", "--cap", "10"],
+                          capture_output=True, text=True, env=env, timeout=30)
+    assert proc.returncode == 2
+    assert "budget" in proc.stderr
+
+
+@pytest.mark.parametrize("argv,digest", [
+    ("enumerate --n 8 --d 3",
+     "4235f8fe974c66d5d65afa014823f4228f4c0d8a91e7cc7372a0c5f5b376a385"),
+    ("flip-graph --n 8 --d 3",
+     "398ad412e9c2808ec5f1c0eadaafb779315bcfc0fac71303fb75acd1a7a4daa1"),
+    ("poset --order s1 --n 8 --d 3",
+     "2c1d1b9f8c9e89dbbcfda725dfd1a4e0c5c930aee200aaf52c6791a310176241"),
+])
+def test_payload_bytes_pinned(capsys, argv, digest):
+    # whole stdout, as printed before the triangulation table existed
+    code, out, _ = run(capsys, *argv.split())
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 def test_bad_args_exit_code(capsys):

@@ -5,8 +5,11 @@ from itertools import combinations
 import pytest
 
 from cyclictri.geometry import cyclic_volume, normalized_volume, submerged
+from cyclictri.simplices import bits, facet_split, gale_facets, zig_zag_admissible
 from cyclictri.triangulations import (
+    ResourceBudgetError,
     Triangulation,
+    _Table,
     apply_flip,
     bottom,
     color,
@@ -16,6 +19,7 @@ from cyclictri.triangulations import (
     insert_top,
     make_triangulation,
     submersion_set,
+    table,
     terminal_simplex,
     top,
     validate,
@@ -184,3 +188,150 @@ def _all_triangulations(n, d):
     from cyclictri.posets import enumerate_triangulations
 
     return enumerate_triangulations(n, d)
+
+
+# ---------------------------------------------------------------------------
+# The per-(n, d) table against the definitions it is built from.
+
+def _reference_validate(simplices, n, d):
+    """validate's checks in their plain pairwise form, as a reference."""
+    try:
+        t = Triangulation(n, d, simplices)
+    except ValueError:
+        return ("shape", simplices)
+    if not t.simplices:
+        return ("empty", t)
+    return _reference_checks(t.simplices, n, d)
+
+
+def _reference_checks(members, n, d, hull=None):
+    """The checks after shape and emptiness, against the given hull volume
+    (default: the true one)."""
+    for i, a in enumerate(members):
+        for b in members[i + 1:]:
+            if not zig_zag_admissible(a, b, d):
+                return ("admissible", (a, b))
+    vol = sum(normalized_volume(s, d) for s in members)
+    if hull is None:
+        hull = cyclic_volume(n, d)
+    if vol != hull:
+        return ("volume", (vol, hull))
+    boundary = gale_facets(n, d)
+    seen = {}
+    for s in members:
+        for j in range(d + 1):
+            f = s[:j] + s[j + 1:]
+            seen[f] = seen.get(f, 0) + 1
+    for f, c in seen.items():
+        if (c == 2 and f in boundary) or (c == 1 and f not in boundary) or c > 2:
+            return ("wall", f)
+    for f in boundary:
+        if seen.get(f) != 1:
+            return ("wall", f)
+    used = {v for s in members for v in s}
+    missing = (set(range(1, n + 1)) if d >= 2 else {1, n}) - used
+    if missing:
+        return ("labels", min(missing))
+    return None
+
+
+def _rule_witness(v):
+    return None if v is None else (v.rule, v.witness)
+
+
+@pytest.mark.parametrize("n,d", [(7, 2), (8, 3), (9, 4), (9, 5)])
+def test_table_rows_match_zig_zag(n, d):
+    tab = table(n, d)
+    for i, a in enumerate(tab.simplices):
+        conflicts = tab.row(i)[0]
+        for j in range(i + 1, len(tab.simplices)):
+            b = tab.simplices[j]
+            assert (conflicts >> j) & 1 == (not zig_zag_admissible(a, b, d)), (a, b)
+        assert conflicts >> (i + 1) << (i + 1) == conflicts
+
+
+@pytest.mark.parametrize("n,d", [(6, 2), (8, 3), (9, 4), (9, 5)])
+def test_table_candidate_masks_match_facet_split(n, d):
+    tab = table(n, d)
+    listed = [cand for i in range(len(tab.simplices))
+              for cand, _, _ in tab.extensions(i)]
+    assert listed == sorted(listed)
+    assert listed == list(combinations(range(1, n + 1), d + 2))
+    for cand in listed:
+        low, up = tab.split(cand)
+        lower, upper = facet_split(cand)
+        assert {tab.simplices[i] for i in bits(low)} == lower
+        assert {tab.simplices[i] for i in bits(up)} == upper
+
+
+def test_validate_matches_pairwise_reference_on_corrupted_input():
+    for n, d in [(7, 2), (8, 3), (8, 4)]:
+        cands = list(combinations(range(1, n + 1), d + 1))
+        for t in _all_triangulations(n, d):
+            members = list(t.simplices)
+            cases = [members + [members[0]],                  # duplicate
+                     [s[:-1] for s in members],               # wrong size
+                     []]
+            for k, s in enumerate(members):
+                cases.append(members[:k] + members[k + 1:])   # dropped
+                vol = normalized_volume(s, d)
+                cases.extend(members[:k] + [w] + members[k + 1:]   # same volume
+                             for w in cands
+                             if w not in t and normalized_volume(w, d) == vol)
+            cases.extend(members + [w] for w in cands if w not in t)   # extra
+            for case in cases:
+                assert _rule_witness(validate(case, n, d)) == \
+                    _reference_validate(case, n, d), case
+
+
+def test_table_wall_check_matches_reference():
+    # A pairwise admissible set with the right volume tiles the hull, so the
+    # wall check is reached only with the hull volume overridden: drop a
+    # member, or all of them, and declare what is left the whole volume.
+    for n, d in [(7, 2), (8, 3), (8, 4)]:
+        tab = _Table(n, d)
+        for t in _all_triangulations(n, d):
+            for k in range(len(t)):
+                members = t.simplices[:k] + t.simplices[k + 1:]
+                vol = sum(normalized_volume(s, d) for s in members)
+                tab.hull = vol
+                want = _reference_checks(members, n, d, hull=vol)
+                assert want[0] == "wall"
+                assert _rule_witness(tab.violation(members)) == want
+        # nothing covered: the first hull facet is the witness
+        tab.hull = 0
+        want = _reference_checks((), n, d, hull=0)
+        assert want == ("wall", next(iter(gale_facets(n, d))))
+        assert _rule_witness(tab.violation(())) == want
+
+
+def _reference_flips(t):
+    """Increasing flips by scanning every (d+2)-set, as sets of simplices."""
+    for cand in combinations(range(1, t.n + 1), t.d + 2):
+        lower, upper = facet_split(cand)
+        if lower <= t._set:
+            yield cand, Triangulation(t.n, t.d, (t._set - lower) | upper)
+
+
+@pytest.mark.parametrize("n,d", [(8, 3), (8, 4), (9, 5)])
+def test_bfs_edges_match_public_flips(n, d):
+    from cyclictri.posets import flip_step_edges
+
+    ts = _all_triangulations(n, d)
+    index = {t: i for i, t in enumerate(ts)}
+    public = []
+    for i, t in enumerate(ts):
+        cands = increasing_flips(t)
+        ref = list(_reference_flips(t))
+        assert cands == [cand for cand, _ in ref]
+        for cand, t2 in ref:
+            assert apply_flip(t, cand) == t2
+            public.append((i, index[t2], cand))
+    assert sorted(flip_step_edges(n, d)) == sorted(public)
+
+
+def test_table_size_guard():
+    with pytest.raises(ResourceBudgetError) as e:
+        table(30, 14)
+    assert "155117520" in str(e.value) and "1000000" in str(e.value)
+    assert len(table(11, 4).simplices) == 462   # largest ladder instance
