@@ -235,33 +235,25 @@ def baues_poset(n, d, cap=None):
         raise ValueError("subdivision poset implemented for d <= 3 only")
     s2 = build_s2(n, d, cap)
     coat = interval_poset(s2, "proper_coatomic")
-    entries = []
+    deltas = []
     for key in coat.elements:
         i, j = coat.data[key]
         t_low = s2.data[s2.elements[i]]
         t_high = s2.data[s2.elements[j]]
-        delta = interval_to_subdivision(t_low, t_high, s2, check_coatomic=False)
-        entries.append((delta.key(), delta, i, j))
-    entries.sort(key=lambda e: e[0])
-    if len({e[0] for e in entries}) != len(entries):
+        deltas.append(interval_to_subdivision(t_low, t_high, s2, check_coatomic=False))
+    keys = [delta.key() for delta in deltas]
+    if len(set(keys)) != len(keys):
         raise AssertionError("interval map is not injective")
-    m = len(entries)
-    up = []
-    for a in range(m):
-        row = 0
-        for b in range(m):
-            fine = refinement_leq(entries[a][1], entries[b][1])
-            nested = s2.le(entries[b][2], entries[a][2]) and \
-                s2.le(entries[a][3], entries[b][3])
-            if fine != nested:
+    # the subdivisions take the positions of their intervals
+    by_key = sorted(range(len(keys)), key=keys.__getitem__)
+    for a in by_key:
+        for b in by_key:
+            if refinement_leq(deltas[a], deltas[b]) != coat.le(a, b):
                 raise AssertionError(
                     "refinement disagrees with interval inclusion: %s vs %s"
-                    % (entries[a][0], entries[b][0]))
-            if fine:
-                row |= 1 << b
-        up.append(row)
-    p = FinitePoset([e[0] for e in entries], up)
-    for key, delta, i, j in entries:
+                    % (keys[a], keys[b]))
+    p = FinitePoset._native(keys, coat.up, coat.down, by_key)
+    for key, delta in zip(keys, deltas):
         p.data[key] = delta
     return p
 

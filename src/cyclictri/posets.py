@@ -2,14 +2,16 @@
 orders: the flip order (transitive closure of single upward flips) and the
 height order (containment of submersion sets at the middle dimension).
 
-Relations are stored as per-element up-set bitmasks (python ints), which
-makes closure, reduction, meets/joins and relation comparison cheap at the
-scale this package targets (a few thousand elements).
+A poset is stored once, in one coordinate system: the positions of a linear
+extension, with the up-set and the down-set of each element as int bitmasks
+over positions.  Closure, covers, meets and joins, Mobius values and
+restriction then read the masks directly (the top set bit of a down-set is
+the only candidate for its maximum).  Keys are mapped to their own order, the
+sorted order for S1 and S2, only at export: JSON, DOT, covers and witnesses.
 """
 
 import json
 import os
-from collections import deque
 from itertools import combinations
 
 from . import triangulations as tri
@@ -25,222 +27,201 @@ def _enum_cap(cap):
 
 
 class FinitePoset:
-    """Elements (hashable canonical keys) plus reflexive partial order.
+    """A finite partial order on hashable keys, stored once, in the
+    positions of a linear extension: x < y in the order implies x < y as
+    positions.
 
-    up[i] is the bitmask of j with element_i <= element_j; down is the
-    transpose.  Construction verifies reflexivity, antisymmetry and
-    transitivity outright.
+    elements[x] is the key at position x and index maps keys back; up[x]
+    and down[x] are the masks of the positions above and below x, both
+    including x, so no bit of up[x] lies below bit x and no bit of down[x]
+    above it.  The keys also have an order of their own, the order they
+    were given in (sorted keys for S1 and S2): by_key lists the positions in
+    key order and rank[x] is the key-order index of position x.  Exports
+    (to_json, to_dot, covers) and every witness use key order; nothing else
+    does.
     """
 
-    def __init__(self, elements, up, check=True):
-        self.elements = tuple(elements)
-        n = len(self.elements)
-        if len(set(self.elements)) != n:
-            raise ValueError("repeated element key")
-        self.up = list(up)
-        if len(self.up) != n:
+    def __init__(self, elements, up):
+        """Poset from up-set rows in key order: bit j of up[i] says
+        elements[i] <= elements[j].  The rows become step edges of the
+        closure from_edges takes; they are a partial order iff they are
+        reflexive, the steps have no cycle and the closure adds nothing to
+        any row."""
+        elements = tuple(elements)
+        n = len(elements)
+        if len(up) != n:
             raise ValueError("relation size mismatch")
-        self.index = {e: i for i, e in enumerate(self.elements)}
-        if check:
-            for i in range(n):
-                if not (self.up[i] >> i) & 1:
-                    raise ValueError("not reflexive at %r" % (self.elements[i],))
-            for i in range(n):
-                for j in bits(self.up[i]):
-                    if j != i and (self.up[j] >> i) & 1:
-                        raise ValueError("not antisymmetric: %r, %r" %
-                                         (self.elements[i], self.elements[j]))
-                    if self.up[j] & ~self.up[i]:
-                        raise ValueError("not transitive at %r <= %r" %
-                                         (self.elements[i], self.elements[j]))
-        self.down = [0] * n
         for i in range(n):
-            for j in bits(self.up[i]):
-                self.down[j] |= 1 << i
+            if up[i] >> n:
+                raise ValueError("relation size mismatch")
+            if not (up[i] >> i) & 1:
+                raise ValueError("not reflexive at %r" % (elements[i],))
+        self._fill(*_closure(elements, [(i, j) for i in range(n)
+                                        for j in bits(up[i] & ~(1 << i))]))
+        for i, x in enumerate(self.by_key):
+            if self.up[x].bit_count() != up[i].bit_count():
+                raise ValueError("not transitive at %r" % (elements[i],))
+
+    def _fill(self, elements, up, down, by_key):
+        self.elements = tuple(elements)
+        self.index = {e: x for x, e in enumerate(self.elements)}
+        if len(self.index) != len(self.elements):
+            raise ValueError("repeated element key")
+        self.up = up
+        self.down = down
+        self.by_key = by_key
+        self.rank = [0] * len(by_key)
+        for r, x in enumerate(by_key):
+            self.rank[x] = r
         self._covers = None
-        self._topo = None
         self.data = {}
+
+    @classmethod
+    def _native(cls, elements, up, down, by_key):
+        """A poset given in its own coordinates: elements, up and down by
+        position (a linear extension), by_key the positions in key order."""
+        p = cls.__new__(cls)
+        p._fill(elements, up, down, by_key)
+        return p
 
     def __len__(self):
         return len(self.elements)
 
-    def le(self, i, j):
-        return (self.up[i] >> j) & 1 == 1
+    def le(self, x, y):
+        return (self.up[x] >> y) & 1 == 1
 
     def le_keys(self, a, b):
         return self.le(self.index[a], self.index[b])
 
     @staticmethod
-    def from_edges(elements, edges, check=True):
-        """Reflexive-transitive closure of a step relation given as index
-        pairs (i, j) meaning element_i < element_j."""
-        n = len(elements)
-        succ = [0] * n
-        indeg = [0] * n
-        for i, j in edges:
-            if not (succ[i] >> j) & 1:
-                succ[i] |= 1 << j
-                indeg[j] += 1
-        order = [i for i in range(n) if indeg[i] == 0]
-        q = deque(order)
-        seen = len(order)
-        order = list(order)
-        indeg2 = list(indeg)
-        while q:
-            i = q.popleft()
-            for j in bits(succ[i]):
-                indeg2[j] -= 1
-                if indeg2[j] == 0:
-                    q.append(j)
-                    order.append(j)
-                    seen += 1
-        if seen != n:
-            raise ValueError("step relation has a cycle")
-        up = [0] * n
-        for i in reversed(order):
-            m = 1 << i
-            for j in bits(succ[i]):
-                m |= up[j]
-            up[i] = m
-        return FinitePoset(elements, up, check=check)
-
-    def topo_order(self):
-        """Indices in some linear extension."""
-        if self._topo is None:
-            self._topo = sorted(range(len(self.elements)),
-                                key=lambda i: bin(self.up[i]).count("1"),
-                                reverse=True)
-        return self._topo
+    def from_edges(elements, edges):
+        """Reflexive-transitive closure of a step relation given as key-order
+        index pairs (i, j) meaning elements[i] < elements[j]."""
+        return FinitePoset._native(*_closure(tuple(elements), edges))
 
     def covers(self):
-        """Transitive reduction as a sorted list of index pairs (i covered by j)."""
+        """Transitive reduction as a sorted list of key-order index pairs
+        (i covered by j)."""
         if self._covers is None:
-            n = len(self.elements)
             out = []
-            for i in range(n):
-                strict = self.up[i] & ~(1 << i)
-                reach = 0
-                for j in bits(strict):
-                    reach |= self.up[j] & ~(1 << j)
-                out.extend((i, j) for j in bits(strict & ~reach))
+            rank, up = self.rank, self.up
+            for x, ux in enumerate(up):
+                # the lowest position left above x is a cover of x, and
+                # nothing above that cover is one
+                rest = ux & ~(1 << x)
+                while rest:
+                    y = (rest & -rest).bit_length() - 1
+                    out.append((rank[x], rank[y]))
+                    rest &= ~up[y]
             self._covers = sorted(out)
         return self._covers
 
     def bottom(self):
-        full = (1 << len(self.elements)) - 1
-        mins = [i for i in range(len(self.elements)) if self.up[i] == full]
-        return mins[0] if len(mins) == 1 else None
+        n = len(self.elements)
+        return 0 if n and self.up[0] == (1 << n) - 1 else None
 
     def top(self):
-        full = (1 << len(self.elements)) - 1
-        maxs = [i for i in range(len(self.elements)) if self.down[i] == full]
-        return maxs[0] if len(maxs) == 1 else None
+        n = len(self.elements)
+        return n - 1 if n and self.down[n - 1] == (1 << n) - 1 else None
 
     def is_bounded(self):
         return self.bottom() is not None and self.top() is not None
 
     def restrict(self, keep):
-        """Induced subposet on the given element indices (order preserved)."""
-        keep = sorted(keep)
-        pos = {i: k for k, i in enumerate(keep)}
-        up = []
-        for i in keep:
-            m = self.up[i]
-            r = 0
-            for j in keep:
-                if (m >> j) & 1:
-                    r |= 1 << pos[j]
-            up.append(r)
-        sub = FinitePoset([self.elements[i] for i in keep], up, check=False)
-        for i in keep:
-            k = self.elements[i]
+        """Induced subposet on the given positions.  Kept elements keep
+        their relative positions and key order, so each row is compressed
+        run by run of the kept mask."""
+        kept = sorted(set(keep))
+        runs = []       # [first, last, new position of first] per run
+        for k, x in enumerate(kept):
+            if runs and runs[-1][1] == x - 1:
+                runs[-1][1] = x
+            else:
+                runs.append([x, x, k])
+        runs = [(start, (1 << (last - start + 1)) - 1, shift)
+                for start, last, shift in runs]
+
+        def squeeze(m):
+            out = 0
+            for start, width, shift in runs:
+                out |= ((m >> start) & width) << shift
+            return out
+
+        new = [None] * len(self.elements)
+        for k, x in enumerate(kept):
+            new[x] = k
+        sub = FinitePoset._native(
+            [self.elements[x] for x in kept],
+            [squeeze(self.up[x]) for x in kept],
+            [squeeze(self.down[x]) for x in kept],
+            [new[x] for x in self.by_key if new[x] is not None])
+        for x in kept:
+            k = self.elements[x]
             if k in self.data:
                 sub.data[k] = self.data[k]
         return sub
 
     def proper_part(self):
-        """Strip the global bottom and top (both must exist)."""
-        b, t = self.bottom(), self.top()
-        if b is None or t is None:
+        """Strip the global bottom and top (both must exist and differ):
+        positions 1 .. n-2."""
+        if not self.is_bounded():
             raise ValueError("poset is not bounded")
-        return self.restrict([i for i in range(len(self.elements)) if i not in (b, t)])
-
-    def meet(self, i, j):
-        """Index of the meet, or None if it does not exist."""
-        lows = self.down[i] & self.down[j]
-        for k in bits(lows):
-            if lows & ~self.down[k] == 0:
-                return k
-        return None
-
-    def join(self, i, j):
-        ups = self.up[i] & self.up[j]
-        for k in bits(ups):
-            if ups & ~self.up[k] == 0:
-                return k
-        return None
-
-    def topo_masks(self):
-        """Down-sets and up-sets re-indexed by position in topo_order():
-        (pos, down_t, up_t) with pos[i] the position of element i and
-        down_t[pos[i]], up_t[pos[i]] its down-set and up-set as position
-        masks.  Whatever lies strictly above an element sits at a higher
-        position, so the only candidate for the maximum of a position mask
-        is its top set bit, and for the minimum its bottom set bit."""
         n = len(self.elements)
-        pos = [0] * n
-        for p, i in enumerate(self.topo_order()):
-            pos[i] = p
-        down_t = [0] * n
-        up_t = [0] * n
-        for i in range(n):
-            for j in bits(self.down[i]):
-                down_t[pos[i]] |= 1 << pos[j]
-            for j in bits(self.up[i]):
-                up_t[pos[i]] |= 1 << pos[j]
-        return pos, down_t, up_t
+        if n == 1:
+            raise ValueError("bottom equals top: a one-element order has "
+                             "no proper part")
+        return self.restrict(range(1, n - 1))
+
+    # The common lower bounds of x and y hold the down-set of each of them,
+    # so they have a maximum iff they equal the down-set of their highest
+    # position; likewise for upper bounds, up-sets and the lowest position.
+
+    def meet(self, x, y):
+        """Position of the meet, or None if it does not exist."""
+        lows = self.down[x] & self.down[y]
+        top = lows.bit_length() - 1
+        return top if lows and self.down[top] == lows else None
+
+    def join(self, x, y):
+        ups = self.up[x] & self.up[y]
+        low = (ups & -ups).bit_length() - 1
+        return low if ups and self.up[low] == ups else None
 
     def is_lattice(self):
-        """True, or a witness dict naming the first pair lacking a meet or
-        a join."""
-        n = len(self.elements)
-        # a common down-set (up-set) has a unique maximum (minimum) iff its
-        # top (bottom) set bit in topo coordinates dominates the rest
-        pos, down_t, up_t = self.topo_masks()
-        for i in range(n):
-            di = down_t[pos[i]]
-            ui = up_t[pos[i]]
-            for j in range(i + 1, n):
-                lows = di & down_t[pos[j]]
-                if not lows or lows & ~down_t[lows.bit_length() - 1]:
-                    return {"pair": (self.elements[i], self.elements[j]),
+        """True, or a witness dict naming the first pair, in key order,
+        lacking a meet or a join."""
+        up, down = self.up, self.down
+        order = self.by_key
+        for r, x in enumerate(order):
+            dx = down[x]
+            ux = up[x]
+            for y in order[r + 1:]:
+                lows = dx & down[y]
+                if not lows or down[lows.bit_length() - 1] != lows:
+                    return {"pair": (self.elements[x], self.elements[y]),
                             "missing": "meet"}
-                ups = ui & up_t[pos[j]]
-                if not ups or ups & ~up_t[(ups & -ups).bit_length() - 1]:
-                    return {"pair": (self.elements[i], self.elements[j]),
+                ups = ux & up[y]
+                if not ups or up[(ups & -ups).bit_length() - 1] != ups:
+                    return {"pair": (self.elements[x], self.elements[y]),
                             "missing": "join"}
         return True
 
-    def mobius(self, i, j):
-        """Mobius function of the interval [i, j]."""
-        if not self.le(i, j):
-            raise ValueError("mobius needs i <= j")
-        interval = self.up[i] & self.down[j]
-        mu = {i: 1}
-        elems = [k for k in self.topo_order() if (interval >> k) & 1]
-        for k in elems:
-            if k == i:
-                continue
-            mu[k] = -sum(mu[w] for w in bits(interval & self.down[k] & ~(1 << k)))
-        return mu[j]
+    def mobius(self, x, y):
+        """Mobius function of the interval [x, y]."""
+        if not self.le(x, y):
+            raise ValueError("mobius needs x <= y")
+        if x == y:
+            return 1
+        inner = self.up[x] & self.down[y] & ~(1 << x)
+        # mu(x, z) = -1 - the sum of mu(x, w) over x < w < z
+        mu = _mobius_values(((z, inner & self.down[z] & ~(1 << z))
+                             for z in bits(inner)), -1)
+        return mu[y]
 
     def mobius_bottom_top(self):
-        b, t = self.bottom(), self.top()
-        if b is None or t is None:
+        if not self.is_bounded():
             raise ValueError("poset is not bounded")
-        if b == t:
-            return 1
-        return self.mobius(b, t)
+        return self.mobius(0, len(self.elements) - 1)
 
     def adjoin_bounds(self):
         """Add fresh global bottom/top elements (for Hall-style checks)."""
@@ -250,28 +231,94 @@ class FinitePoset:
             bot += "_"
         while topk in self.index:
             topk += "_"
-        elements = [bot] + list(self.elements) + [topk]
         full = (1 << (n + 2)) - 1
         tbit = 1 << (n + 1)
-        up = [full]
-        for i in range(n):
-            up.append((self.up[i] << 1) | tbit)
-        up.append(tbit)
-        return FinitePoset(elements, up, check=False)
+        return FinitePoset._native(
+            [bot] + list(self.elements) + [topk],
+            [full] + [(u << 1) | tbit for u in self.up] + [tbit],
+            [1] + [(d << 1) | 1 for d in self.down] + [full],
+            [0] + [x + 1 for x in self.by_key] + [n + 1])
+
+    def keys(self):
+        """The element keys in key order."""
+        return [self.elements[x] for x in self.by_key]
 
     def to_json(self):
-        return json.dumps({"elements": [str(e) for e in self.elements],
+        return json.dumps({"elements": [str(e) for e in self.keys()],
                            "covers": [[i, j] for i, j in self.covers()]},
                           separators=(",", ":"))
 
     def to_dot(self, name="poset"):
         lines = ["digraph %s {" % name]
-        for i, e in enumerate(self.elements):
+        for i, e in enumerate(self.keys()):
             lines.append('  n%d [label="%s"];' % (i, _dot_escape(str(e))))
         for i, j in self.covers():
             lines.append("  n%d -> n%d;" % (i, j))
         lines.append("}")
         return "\n".join(lines) + "\n"
+
+
+def _mobius_values(rows, base):
+    """{z: base - the sum of the values over row_z} for (z, row_z) in rows,
+    each row a mask of positions listed before z.  A row is summed by bit
+    planes of the values so far, one AND and popcount per plane and sign,
+    not one step per element."""
+    plus, minus = [], []
+    out = {}
+    for z, row in rows:
+        s = 0
+        for b in range(len(plus)):
+            s += ((row & plus[b]).bit_count() - (row & minus[b]).bit_count()) << b
+        v = out[z] = base - s
+        while len(plus) < abs(v).bit_length():
+            plus.append(0)
+            minus.append(0)
+        planes = plus if v > 0 else minus
+        for b in bits(abs(v)):
+            planes[b] |= 1 << z
+    return out
+
+
+def _closure(elements, edges):
+    """(elements, up, down, by_key) of the reflexive-transitive closure of
+    step edges (i, j) between key-order indices.  Kahn's algorithm numbers
+    the positions; up is the closure over the steps forwards, down the
+    closure over the same steps backwards."""
+    n = len(elements)
+    succ = [[] for _ in range(n)]
+    indeg = [0] * n
+    for i, j in edges:
+        succ[i].append(j)
+        indeg[j] += 1
+    order = [i for i in range(n) if indeg[i] == 0]
+    for i in order:     # order grows: the queue
+        for j in succ[i]:
+            indeg[j] -= 1
+            if indeg[j] == 0:
+                order.append(j)
+    if len(order) != n:
+        raise ValueError("step relation has a cycle")
+    pos = [0] * n
+    for x, i in enumerate(order):
+        pos[i] = x
+    above = [[] for _ in range(n)]
+    below = [[] for _ in range(n)]
+    for i, j in edges:
+        above[pos[i]].append(pos[j])
+        below[pos[j]].append(pos[i])
+    up = [0] * n
+    for x in range(n - 1, -1, -1):
+        m = 1 << x
+        for y in above[x]:
+            m |= up[y]
+        up[x] = m
+    down = [0] * n
+    for x in range(n):
+        m = 1 << x
+        for y in below[x]:
+            m |= down[y]
+        down[x] = m
+    return [elements[i] for i in order], up, down, pos
 
 
 def _dot_escape(s):
@@ -306,7 +353,8 @@ def enumerate_triangulations(n, d, cap=None):
                 if j is None:
                     if len(seen) >= cap:
                         raise ResourceBudgetError(
-                            "enumeration cap %d exceeded at C(%d, %d)" % (cap, n, d))
+                            "enumeration cap %d exceeded at C(%d, %d)" % (cap, n, d),
+                            "enum_cap", cap, len(seen) + 1, "C(%d, %d)" % (n, d))
                     j = seen[nxt] = len(masks)
                     masks.append(nxt)
                 edges.append((i, j, cand))
@@ -326,7 +374,8 @@ def enumerate_triangulations(n, d, cap=None):
         _enum_cache[key] = got
     elif len(got[0]) > cap:
         raise ResourceBudgetError(
-            "enumeration cap %d exceeded at C(%d, %d)" % (cap, n, d))
+            "enumeration cap %d exceeded at C(%d, %d)" % (cap, n, d),
+            "enum_cap", cap, len(got[0]), "C(%d, %d)" % (n, d))
     return got[0]
 
 
@@ -345,7 +394,7 @@ def build_s1(n, d, cap=None):
     if p is None:
         ts = enumerate_triangulations(n, d, cap)
         edges = [(i, j) for i, j, _ in flip_step_edges(n, d, cap)]
-        p = FinitePoset.from_edges([t.key() for t in ts], edges, check=False)
+        p = FinitePoset.from_edges([t.key() for t in ts], edges)
         for t in ts:
             p.data[t.key()] = t
         if p.bottom() != p.index[tri.bottom(n, d).key()] or \
@@ -357,22 +406,51 @@ def build_s1(n, d, cap=None):
 
 def build_s2(n, d, cap=None):
     """Height order: t <= t' iff the middle-dimension submersion set of t is
-    contained in that of t'."""
+    contained in that of t'.
+
+    Built by columns: sorting by mask size is a linear extension, has[c] is
+    the position mask of the triangulations whose mask holds middle cell c,
+    up[x] is the AND of has[c] over the cells of x and down[x] the AND of
+    the complements over the cells x lacks.  Containment is reflexive and
+    transitive; it is antisymmetric iff the masks are pairwise distinct."""
     key = (n, d)
     p = _s2_cache.get(key)
     if p is None:
         ts = enumerate_triangulations(n, d, cap)
+        keys = [t.key() for t in ts]
         masks = [tri.submersion_mask(t) for t in ts]
-        m = len(ts)
+        first = {}
+        for i, m in enumerate(masks):
+            if first.setdefault(m, i) != i:
+                raise ValueError("not antisymmetric: %r, %r" % (keys[first[m]], keys[i]))
+        order = sorted(range(len(ts)), key=lambda i: masks[i].bit_count())
+        full = (1 << len(ts)) - 1
+        # a cell in every mask, or in none, constrains nothing
+        common, anywhere = masks[0], 0
+        for m in masks:
+            common &= m
+            anywhere |= m
+        has = [0] * anywhere.bit_length()
+        for x, i in enumerate(order):
+            for c in bits(masks[i] & ~common):
+                has[c] |= 1 << x
+        lacks = [full & ~h for h in has]
         up = []
-        for i in range(m):
-            mi = masks[i]
-            row = 0
-            for j in range(m):
-                if mi & ~masks[j] == 0:
-                    row |= 1 << j
-            up.append(row)
-        p = FinitePoset([t.key() for t in ts], up)
+        down = []
+        for i in order:
+            m = masks[i]
+            u = full
+            for c in bits(m & ~common):
+                u &= has[c]
+            dn = full
+            for c in bits(anywhere & ~m):
+                dn &= lacks[c]
+            up.append(u)
+            down.append(dn)
+        pos = [0] * len(ts)
+        for x, i in enumerate(order):
+            pos[i] = x
+        p = FinitePoset._native([keys[i] for i in order], up, down, pos)
         for t in ts:
             p.data[t.key()] = t
         idx = p.index
@@ -385,20 +463,29 @@ def build_s2(n, d, cap=None):
 
 def compare_relations(p, q):
     """None if the two posets are the same relation on the same keys, else a
-    dict naming the first divergent ordered pair."""
+    dict naming the first divergent ordered pair, in the key order of p.
+
+    Each is contained in the other iff every cover of each holds in the
+    other (the other is transitive), so only a mismatch costs a scan."""
     if sorted(p.elements) != sorted(q.elements):
         raise ValueError("posets have different element sets")
-    perm = [q.index[e] for e in p.elements]
-    for i, e in enumerate(p.elements):
-        m = p.up[i]
-        qa = q.up[perm[i]]
-        for j in range(len(p.elements)):
-            pin = (m >> j) & 1
-            qin = (qa >> perm[j]) & 1
+
+    def covers_hold(a, b):
+        keys = a.keys()
+        return all(b.le_keys(keys[i], keys[j]) for i, j in a.covers())
+
+    if covers_hold(p, q) and covers_hold(q, p):
+        return None
+    where = [q.index[e] for e in p.elements]
+    for x in p.by_key:
+        row, qrow = p.up[x], q.up[where[x]]
+        for y in p.by_key:
+            pin = (row >> y) & 1
+            qin = (qrow >> where[y]) & 1
             if pin != qin:
-                return {"pair": (e, p.elements[j]),
+                return {"pair": (p.elements[x], p.elements[y]),
                         "in_first": bool(pin), "in_second": bool(qin)}
-    return None
+    raise AssertionError("covers disagree but the relations are equal")
 
 
 def flip_cover_discrepancies(n, d, cap=None):
@@ -415,6 +502,10 @@ def interval_poset(p, variant="all"):
 
     variant: all | proper | proper_atomic | proper_coatomic.  The atomic and
     coatomic variants need p to be a lattice (meets and joins are used).
+    Intervals sit in order of size, a linear extension of inclusion, and
+    their relation is built by columns: [x, y] <= [v, w] iff v <= x and
+    y <= w, so the intervals above [x, y] are those with their low end in
+    down[x] and their high end in up[y].
     """
     if variant not in ("all", "proper", "proper_atomic", "proper_coatomic"):
         raise ValueError("unknown interval variant %r" % (variant,))
@@ -427,28 +518,42 @@ def interval_poset(p, variant="all"):
         if w is not True:
             raise ValueError("atomic/coatomic intervals need a lattice: %r" % (w,))
     pairs = []
-    for i in range(n):
-        pairs.extend((i, j) for j in bits(p.up[i]))
+    for x in range(n):
+        pairs.extend((x, y) for y in bits(p.up[x]))
     if variant != "all":
-        pairs = [(i, j) for i, j in pairs if not (i == b and j == t)]
+        pairs = [(x, y) for x, y in pairs if not (x == b and y == t)]
     if variant == "proper_atomic":
-        pairs = [ij for ij in pairs if _interval_atomic(p, *ij)]
+        pairs = [xy for xy in pairs if _interval_atomic(p, *xy)]
     elif variant == "proper_coatomic":
-        pairs = [ij for ij in pairs if _interval_coatomic(p, *ij)]
-    pairs.sort(key=lambda ij: (str(p.elements[ij[0]]), str(p.elements[ij[1]])))
-    keys = [json.dumps([str(p.elements[i]), str(p.elements[j])],
-                       separators=(",", ":")) for i, j in pairs]
-    up = []
-    for a, (i, j) in enumerate(pairs):
-        row = 0
-        for c, (k, l) in enumerate(pairs):
-            # [i,j] <= [k,l] iff k <= i and j <= l
-            if p.le(k, i) and p.le(j, l):
-                row |= 1 << c
-        up.append(row)
-    q = FinitePoset(keys, up, check=False)
-    for key, ij in zip(keys, pairs):
-        q.data[key] = ij
+        pairs = [xy for xy in pairs if _interval_coatomic(p, *xy)]
+    pairs.sort(key=lambda xy: (p.up[xy[0]] & p.down[xy[1]]).bit_count())
+    low = [0] * n
+    high = [0] * n
+    for z, (x, y) in enumerate(pairs):
+        low[x] |= 1 << z
+        high[y] |= 1 << z
+
+    def gather(masks, rows):
+        out = []
+        for row in rows:
+            m = 0
+            for x in bits(row):
+                m |= masks[x]
+            out.append(m)
+        return out
+
+    low_down, low_up = gather(low, p.down), gather(low, p.up)
+    high_down, high_up = gather(high, p.down), gather(high, p.up)
+    keys = [json.dumps([str(p.elements[x]), str(p.elements[y])],
+                       separators=(",", ":")) for x, y in pairs]
+    by_key = sorted(range(len(pairs)), key=lambda z: (str(p.elements[pairs[z][0]]),
+                                                      str(p.elements[pairs[z][1]])))
+    q = FinitePoset._native(keys,
+                            [low_down[x] & high_up[y] for x, y in pairs],
+                            [low_up[x] & high_down[y] for x, y in pairs],
+                            by_key)
+    for key, xy in zip(keys, pairs):
+        q.data[key] = xy
     return q
 
 
@@ -488,22 +593,19 @@ def _interval_coatomic(p, i, j):
 
 
 def boolean_lattice(k):
-    """Subsets of {1..k} by inclusion; keys are sorted-subset strings."""
+    """Subsets of {1..k} by inclusion; keys are sorted-subset strings, in
+    key order by size, then lexicographically."""
     subs = []
     for r in range(k + 1):
         subs.extend(combinations(range(1, k + 1), r))
     subs.sort(key=lambda s: (len(s), s))
-    keys = ["{" + ",".join(map(str, s)) + "}" for s in subs]
-    up = []
-    for a, s in enumerate(subs):
-        row = 0
-        for b, t in enumerate(subs):
-            if set(s) <= set(t):
-                row |= 1 << b
-        up.append(row)
-    p = FinitePoset(keys, up, check=False)
-    for key, s in zip(keys, subs):
-        p.data[key] = frozenset(s)
+    index = {s: a for a, s in enumerate(subs)}
+    edges = [(a, index[tuple(sorted(s + (v,)))])
+             for a, s in enumerate(subs) for v in range(1, k + 1) if v not in s]
+    p = FinitePoset.from_edges(["{" + ",".join(map(str, s)) + "}" for s in subs],
+                               edges)
+    for s in subs:
+        p.data["{" + ",".join(map(str, s)) + "}"] = frozenset(s)
     return p
 
 

@@ -17,7 +17,7 @@ import os
 from collections import deque
 from math import gcd
 
-from .posets import ResourceBudgetError, bits
+from .posets import ResourceBudgetError, _mobius_values, bits
 
 DEFAULT_FACE_BUDGET = 2 * 10 ** 6
 
@@ -79,14 +79,26 @@ def complex_from_maximal(faces):
 
 def chain_counts(p):
     """Number of chains per size (index = number of elements; entry 0 is the
-    empty chain), counted without materializing any chain."""
-    n = len(p.elements)
-    strict_down = [list(bits(p.down[i] & ~(1 << i))) for i in range(n)]
-    counts = [1]
-    cur = [1] * n
-    while any(cur):
-        counts.append(sum(cur))
-        cur = [sum(cur[i] for i in below) for below in strict_down]
+    empty chain), counted without materializing any chain.
+
+    The chains with top x, by size, are the polynomial f_x(t) = t (1 + sum
+    of f_y over y < x), kept as one int with a digit of `width` bits per
+    size.  The digits never carry: each is at most the number of chains,
+    which a first pass counts."""
+    below = [list(bits(d & ~(1 << x))) for x, d in enumerate(p.down)]
+    total = []
+    for row in below:
+        total.append(1 + sum(map(total.__getitem__, row)))
+    width = (1 + sum(total)).bit_length()
+    poly = []
+    for row in below:
+        poly.append((1 + sum(map(poly.__getitem__, row))) << width)
+    packed = 1 + sum(poly)
+    digit = (1 << width) - 1
+    counts = []
+    while packed:
+        counts.append(packed & digit)
+        packed >>= width
     return counts
 
 
@@ -100,24 +112,18 @@ def order_complex(p, budget=None):
         total += count
         if total > budget:
             raise ResourceBudgetError(
-                "face budget %d exceeded at dimension %d" % (budget, size - 1))
+                "face budget %d exceeded at dimension %d" % (budget, size - 1),
+                "face_budget", budget, total, "dimension %d" % (size - 1))
     n = len(p.elements)
-    topo = p.topo_order()
-    pos = [0] * n
-    for q, i in enumerate(topo):
-        pos[i] = q
-    succ = []
-    for i in range(n):
-        ups = [j for j in range(n) if j != i and p.le(i, j)]
-        ups.sort(key=lambda j: pos[j])
-        succ.append(ups)
+    # positions are a linear extension, so a chain grows by higher positions
+    succ = [list(bits(p.up[x] & ~(1 << x))) for x in range(n)]
     by_dim = {-1: [()]}
-    stack = [(i,) for i in sorted(range(n), key=lambda i: pos[i])]
+    stack = [(x,) for x in range(n)]
     while stack:
         f = stack.pop()
         by_dim.setdefault(len(f) - 1, []).append(f)
-        for j in succ[f[-1]]:
-            stack.append(f + (j,))
+        for y in succ[f[-1]]:
+            stack.append(f + (y,))
     return SimplicialComplex(by_dim, n, labels=list(p.elements))
 
 
@@ -347,21 +353,20 @@ def poset_core(p):
     removing beat points, elements whose strict down-set has a maximum or
     whose strict up-set has a minimum.  Each removal keeps the homotopy type
     of the order complex (Stong 1966)."""
-    order = p.topo_order()
-    _, down_t, up_t = p.topo_masks()
-    alive = (1 << len(order)) - 1
+    up, down = p.up, p.down
+    alive = (1 << len(p.elements)) - 1
     removed = True
     while removed:
         removed = False
         for x in bits(alive):
             rest = alive & ~(1 << x)
-            below = down_t[x] & rest
-            above = up_t[x] & rest
-            if (below and not below & ~down_t[below.bit_length() - 1]) or \
-                    (above and not above & ~up_t[(above & -above).bit_length() - 1]):
+            below = down[x] & rest
+            above = up[x] & rest
+            if (below and not below & ~down[below.bit_length() - 1]) or \
+                    (above and not above & ~up[(above & -above).bit_length() - 1]):
                 alive = rest
                 removed = True
-    return p.restrict([order[x] for x in bits(alive)])
+    return p.restrict(bits(alive))
 
 
 def poset_homology(p, budget=None):
@@ -391,7 +396,7 @@ def sphere_certificate(p_proper, k, budget=None):
     adjoined.
     """
     hom = poset_homology(p_proper, budget)
-    mob = p_proper.adjoin_bounds().mobius_bottom_top()
+    mob = _hall_mobius(p_proper)
     expected = -1 if k % 2 else 1
     reasons = []
     if not hom.is_sphere(k):
@@ -403,6 +408,14 @@ def sphere_certificate(p_proper, k, budget=None):
     return {"pass": not reasons, "k": k, "homology": hom, "euler": hom.euler,
             "mobius": mob, "reasons": reasons,
             "certificate": "homology-level"}
+
+
+def _hall_mobius(p):
+    """mu(0, 1) of p with a bottom 0 and a top 1 adjoined, without building
+    that poset: mu(0, x) = -1 - the sum of mu(0, y) over y < x in p, and
+    mu(0, 1) = -1 - the sum over all of p."""
+    mu = _mobius_values(((x, d & ~(1 << x)) for x, d in enumerate(p.down)), -1)
+    return -1 - sum(mu.values())
 
 
 def _shift_match(low, high):
@@ -442,8 +455,7 @@ def webb_reduction_check(l_poset, budget=None):
     for idx, key in enumerate(intp.elements):
         i, j = intp.data[key]
         strict = l_poset.up[i] & l_poset.down[j] & ~(1 << i) & ~(1 << j)
-        openp = l_poset.restrict([b for b in range(len(l_poset.elements))
-                                  if (strict >> b) & 1])
+        openp = l_poset.restrict(bits(strict))
         mu = l_poset.mobius(i, j)
         if mu != 0 or not poset_homology(openp, budget).is_trivial():
             keep.append(idx)

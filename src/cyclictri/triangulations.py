@@ -7,6 +7,7 @@ an int mask and an increasing flip is `t & low == low -> (t ^ low) | up`
 (the bitset design of TOPCOM; Rambau, ICMS 2002)."""
 
 import json
+from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
@@ -24,7 +25,17 @@ _intertwining_cache = {}
 
 
 class ResourceBudgetError(RuntimeError):
-    """A configured cap or budget was exceeded; carries what and where."""
+    """A configured cap or budget was exceeded.  Besides the message it
+    carries kind (enum_cap, size_guard or face_budget), limit (the bound),
+    reached (the count that crossed it) and where (the instance, C(n, d), or
+    the order-complex dimension)."""
+
+    def __init__(self, message, kind, limit, reached, where):
+        super().__init__(message)
+        self.kind = kind
+        self.limit = limit
+        self.reached = reached
+        self.where = where
 
 
 @dataclass(frozen=True)
@@ -37,7 +48,7 @@ class Violation:
 class Triangulation:
     """Immutable set of d-simplices on labels 1..n, canonically ordered."""
 
-    __slots__ = ("n", "d", "simplices", "_set", "_hash", "_key")
+    __slots__ = ("n", "d", "simplices", "_hash", "_key")
 
     def __init__(self, n, d, simplices):
         if n < d + 1 or d < 1:
@@ -56,7 +67,6 @@ class Triangulation:
         self.n = n
         self.d = d
         self.simplices = simp
-        self._set = frozenset(simp)
         self._hash = hash((n, d, simp))
         self._key = None
 
@@ -68,7 +78,9 @@ class Triangulation:
         return t
 
     def __contains__(self, s):
-        return tuple(s) in self._set
+        s = tuple(s)
+        i = bisect_left(self.simplices, s)
+        return i < len(self.simplices) and self.simplices[i] == s
 
     def __iter__(self):
         return iter(self.simplices)
@@ -246,7 +258,8 @@ def table(n, d):
             if count > DEFAULT_ENUM_CAP:
                 raise ResourceBudgetError(
                     "C(%d, %d): %d vertex sets of size %d exceed the size bound %d"
-                    % (n, d, count, k, DEFAULT_ENUM_CAP))
+                    % (n, d, count, k, DEFAULT_ENUM_CAP),
+                    "size_guard", DEFAULT_ENUM_CAP, count, "C(%d, %d)" % (n, d))
         got = _table_cache[(n, d)] = _Table(n, d)
     return got
 

@@ -30,8 +30,10 @@ def verify_suspension(n, d, order="s1", cap=None):
         raise ValueError("need n > d+2 so the smaller poset is nontrivial")
     p = _poset(n, d, order, cap)
     q = _poset(n - 1, d, order, cap)
-    p_elems = [p.data[k] for k in p.elements]
-    q_elems = [q.data[k] for k in q.elements]
+    # witnesses are the first in key order: elements listed in key order,
+    # the first of a position mask picked by key rank
+    p_elems = [p.data[k] for k in p.keys()]
+    q_elems = [q.data[k] for k in q.keys()]
     f_of = {t.key(): tri.contract_last(t) for t in p_elems}
     i_of = {t.key(): tri.insert_bottom(t) for t in q_elems}
     j_of = {t.key(): tri.insert_top(t) for t in q_elems}
@@ -40,17 +42,14 @@ def verify_suspension(n, d, order="s1", cap=None):
     def entry(name, witness):
         report[name] = {"pass": witness is None, "witness": witness}
 
-    w = None
     green = {t.key() for t in p_elems if tri.color(t) == tri.GREEN}
-    for a in range(len(p_elems)):
-        if w:
+    red_mask = sum(1 << x for x, k in enumerate(p.elements) if k not in green)
+    w = None
+    for a in p.by_key:
+        bad = p.down[a] & red_mask if p.elements[a] in green else 0
+        if bad:
+            w = (p.elements[min(bits(bad), key=p.rank.__getitem__)], p.elements[a])
             break
-        if p.elements[a] not in green:
-            continue
-        for b in bits(p.down[a] & ~(1 << a)):
-            if p.elements[b] not in green:
-                w = (p.elements[b], p.elements[a])
-                break
     entry("green_ideal", w)
 
     w = next((t.key() for t in q_elems
@@ -89,24 +88,22 @@ def verify_suspension(n, d, order="s1", cap=None):
     # order preservation of the three maps, checked because the interval
     # conditions above only make sense for monotone data
     w = None
-    for a in range(len(p_elems)):
-        for b in bits(p.up[a] & ~(1 << a)):
-            if not q.le_keys(f_of[p.elements[a]].key(),
-                             f_of[p.elements[b]].key()):
-                w = (p.elements[a], p.elements[b])
-                break
-        if w:
+    for a in p.by_key:
+        fa = f_of[p.elements[a]].key()
+        bad = [b for b in bits(p.up[a] & ~(1 << a))
+               if not q.le_keys(fa, f_of[p.elements[b]].key())]
+        if bad:
+            w = (p.elements[a], p.elements[min(bad, key=p.rank.__getitem__)])
             break
     entry("f_monotone", w)
     for name, mapping in (("i_monotone", i_of), ("j_monotone", j_of)):
         w = None
-        for a in range(len(q_elems)):
-            for b in bits(q.up[a] & ~(1 << a)):
-                if not p.le_keys(mapping[q.elements[a]].key(),
-                                 mapping[q.elements[b]].key()):
-                    w = (q.elements[a], q.elements[b])
-                    break
-            if w:
+        for a in q.by_key:
+            ma = mapping[q.elements[a]].key()
+            bad = [b for b in bits(q.up[a] & ~(1 << a))
+                   if not p.le_keys(ma, mapping[q.elements[b]].key())]
+            if bad:
+                w = (q.elements[a], q.elements[min(bad, key=q.rank.__getitem__)])
                 break
         entry(name, w)
 
@@ -161,18 +158,19 @@ def verify_connecting_set(t, t2, tilde):
     for a, b in combinations(tilde, 2):
         if not simplices.zig_zag_admissible(a, b, d + 1):
             return fail("i", (a, b))
+    in_t, in_t2 = set(t.simplices), set(t2.simplices)
     for s in tilde:
         lower, upper = simplices.facet_split(s)
         for face in lower:
             if not any(set(face) < set(o) for o in tilde if o != s) \
-                    and face not in t:
+                    and face not in in_t:
                 return fail("ii", (s, face))
         for face in upper:
             if not any(set(face) < set(o) for o in tilde if o != s) \
-                    and face not in t2:
+                    and face not in in_t2:
                 return fail("iii", (s, face))
-    only_t = t._set - t2._set
-    only_t2 = t2._set - t._set
+    only_t = in_t - in_t2
+    only_t2 = in_t2 - in_t
     for face in sorted(only_t):
         if not any(face in simplices.facet_split(s)[0] for s in tilde):
             return fail("iv", face)
@@ -206,14 +204,15 @@ def verify_s0_monotone(n, d, order="s1", cap=None):
     even d, downward for odd d.  Returns pass or the first witness pair."""
     p = _poset(n, d, order, cap)
     s0 = tri.terminal_simplex(n, d)
-    has = [s0 in p.data[k] for k in p.elements]
-    for a in range(len(p.elements)):
-        for b in bits(p.up[a] & ~(1 << a)):
-            ok = (not has[a] or has[b]) if d % 2 == 0 else \
-                (not has[b] or has[a])
-            if not ok:
-                return {"pass": False,
-                        "witness": (p.elements[a], p.elements[b])}
+    has = sum(1 << x for x, k in enumerate(p.elements) if s0 in p.data[k])
+    for a in p.by_key:
+        if (has >> a) & 1:
+            bad = p.up[a] & ~has if d % 2 == 0 else 0
+        else:
+            bad = 0 if d % 2 == 0 else p.up[a] & has
+        if bad:
+            b = min(bits(bad), key=p.rank.__getitem__)
+            return {"pass": False, "witness": (p.elements[a], p.elements[b])}
     return {"pass": True, "witness": None}
 
 

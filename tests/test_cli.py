@@ -1,6 +1,7 @@
 """Command line interface: exit codes, determinism, output formats."""
 
 import hashlib
+import importlib.util
 import json
 import os
 import subprocess
@@ -163,12 +164,40 @@ def test_size_guard_exits_before_any_work():
      "398ad412e9c2808ec5f1c0eadaafb779315bcfc0fac71303fb75acd1a7a4daa1"),
     ("poset --order s1 --n 8 --d 3",
      "2c1d1b9f8c9e89dbbcfda725dfd1a4e0c5c930aee200aaf52c6791a310176241"),
+    # witnesses and covers printed in key order, recorded before posets were
+    # stored in linear-extension positions
+    ("check-lattice --order s1 --n 9 --d 4",
+     "99376a4782d540e116284f9302a70c4cf80c0cc0aabcdfe504c736cc85dafc0c"),
+    ("poset --order s2 --n 8 --d 3 --format dot",
+     "8d6aec57e7a5cb2e18b861150756bafc0faf88450d9cabb5463d71374e06db4c"),
+    ("baues --n 6 --d 2 --certificate",
+     "5b16ae30be1efb0e41fd8b85f6811a8a5066bd484168787775f49fe41e58f876"),
+    ("mobius --order s2 --n 8 --d 3",
+     "f0e0d736c0cfe11da9fc33562b26e5bda3713faa379764a0112c57af95fec5e5"),
 ])
 def test_payload_bytes_pinned(capsys, argv, digest):
     # whole stdout, as printed before the triangulation table existed
     code, out, _ = run(capsys, *argv.split())
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def _benchmark_jobs():
+    """The benchmark's jobs that pin a stdout digest (perfbench/jobs.py,
+    loaded read-only)."""
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_jobs", os.path.join(root, "perfbench", "jobs.py"))
+    jobs = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(jobs)
+    return [j for w in jobs.WORKLOADS.values() for j in w if j.sha256]
+
+
+@pytest.mark.parametrize("job", _benchmark_jobs(), ids=lambda j: " ".join(j.argv))
+def test_benchmark_digests_in_process(capsys, job):
+    code, out, _ = run(capsys, *job.argv)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == job.sha256
 
 
 def test_bad_args_exit_code(capsys):
@@ -184,6 +213,7 @@ def test_bad_args_exit_code(capsys):
     "baues --n 6 --d 4",
     "oracle-crosscheck --n 9 --d 3",
     "verify-suspension --n 5 --d 3",
+    "sphere --n 3 --d 2",
 ])
 def test_domain_error_exit_code(capsys, argv):
     # out-of-domain requests are bad arguments: exit 3, one line, no traceback

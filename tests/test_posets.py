@@ -3,6 +3,8 @@
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cyclictri.posets import (
     FinitePoset,
@@ -10,6 +12,7 @@ from cyclictri.posets import (
     boolean_lattice,
     build_s1,
     build_s2,
+    clear_caches,
     compare_relations,
     enumerate_triangulations,
     flip_cover_discrepancies,
@@ -107,13 +110,11 @@ def test_adjoin_bounds():
     assert q.mobius_bottom_top() == 1  # 2-element antichain interval
 
 
-def test_topo_order_respects_relation():
-    p = _poset(*M_POSET)
-    pos = {i: k for k, i in enumerate(p.topo_order())}
-    for i in range(len(p)):
-        for j in range(len(p)):
-            if p.le(i, j) and i != j:
-                assert pos[i] < pos[j]
+def test_positions_are_a_linear_extension():
+    for p in (_poset(*M_POSET), boolean_lattice(3), build_s1(7, 3), build_s2(7, 3)):
+        for x in range(len(p)):
+            assert p.up[x] & ((1 << x) - 1) == 0
+            assert p.down[x] >> (x + 1) == 0
 
 
 def test_to_json_schema():
@@ -141,6 +142,26 @@ def test_enumeration_counts():
 def test_enumeration_cap():
     with pytest.raises(ResourceBudgetError):
         enumerate_triangulations(8, 2, cap=10)
+
+
+def test_enumeration_cap_fields_during_search():
+    clear_caches()
+    with pytest.raises(ResourceBudgetError) as e:
+        enumerate_triangulations(8, 2, cap=10)
+    err = e.value
+    assert (err.kind, err.limit, err.reached, err.where) == \
+        ("enum_cap", 10, 11, "C(8, 2)")
+    assert str(err) == "enumeration cap 10 exceeded at C(8, 2)"
+
+
+def test_enumeration_cap_fields_when_cached():
+    assert len(enumerate_triangulations(6, 2)) == 14
+    with pytest.raises(ResourceBudgetError) as e:
+        enumerate_triangulations(6, 2, cap=5)
+    err = e.value
+    assert (err.kind, err.limit, err.reached, err.where) == \
+        ("enum_cap", 5, 14, "C(6, 2)")
+    assert str(err) == "enumeration cap 5 exceeded at C(6, 2)"
 
 
 def test_s1_s2_small_equal():
@@ -211,3 +232,142 @@ def test_coatomic_intervals_of_s2_52():
     s2 = build_s2(5, 2)
     coat = interval_poset(s2, "proper_coatomic")
     assert len(coat) == 10
+
+
+# ---------------------------------------------------------------------------
+# The coordinate system against naive references, on random DAGs whose key
+# order is not a linear extension.
+
+@st.composite
+def _dags(draw):
+    """(keys, key-order step edges, hidden bottom, hidden top): a random DAG
+    on up to 12 elements, steps going up a hidden order that the keys
+    scramble; sometimes bounded by hidden element 0 and the last one."""
+    n = draw(st.integers(1, 12))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    steps = draw(st.lists(st.sampled_from(pairs), max_size=2 * n)) if pairs else []
+    bounded = draw(st.booleans())
+    if bounded:
+        steps += [(0, u) for u in range(1, n)] + [(u, n - 1) for u in range(n - 1)]
+    key_of = draw(st.permutations(range(n)))
+    if steps and all(key_of[u] < key_of[v] for u, v in steps):
+        key_of = [n - 1 - k for k in key_of]
+    keys = ["k%02d" % r for r in range(n)]
+    return keys, [(key_of[u], key_of[v]) for u, v in steps], key_of[0], key_of[n - 1]
+
+
+def _reach(n, edges):
+    """Floyd-Warshall reflexive-transitive closure over key indices."""
+    r = [[i == j for j in range(n)] for i in range(n)]
+    for i, j in edges:
+        r[i][j] = True
+    for k in range(n):
+        for i in range(n):
+            if r[i][k]:
+                for j in range(n):
+                    if r[k][j]:
+                        r[i][j] = True
+    return r
+
+
+def _naive_witness(keys, r):
+    """First key-order pair lacking a meet or a join, or True."""
+    n = len(keys)
+
+    def extremum(common, below):
+        return any(all(below(c, m) for c in common) for m in common)
+
+    for i in range(n):
+        for j in range(i + 1, n):
+            lows = [k for k in range(n) if r[k][i] and r[k][j]]
+            if not extremum(lows, lambda c, m: r[c][m]):
+                return {"pair": (keys[i], keys[j]), "missing": "meet"}
+            ups = [k for k in range(n) if r[i][k] and r[j][k]]
+            if not extremum(ups, lambda c, m: r[m][c]):
+                return {"pair": (keys[i], keys[j]), "missing": "join"}
+    return True
+
+
+def _naive_mobius(r, i, j):
+    mu = {}
+
+    def m(k):
+        if k not in mu:
+            mu[k] = 1 if k == i else -sum(m(w) for w in range(len(r))
+                                          if r[i][w] and r[w][k] and w != k)
+        return mu[k]
+    return m(j)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_dags(), st.data())
+def test_coordinates_match_naive_references(dag, data):
+    keys, edges, bot, top = dag
+    n = len(keys)
+    r = _reach(n, edges)
+    p = FinitePoset.from_edges(keys, edges)
+    pos = [p.index[k] for k in keys]
+    assert p.keys() == keys
+    # closure, both directions, and the linear-extension invariant
+    for i in range(n):
+        for j in range(n):
+            assert p.le(pos[i], pos[j]) == r[i][j]
+            assert bool((p.down[pos[j]] >> pos[i]) & 1) == r[i][j]
+    for x in range(n):
+        assert p.up[x] & ((1 << x) - 1) == 0
+        assert p.down[x] >> (x + 1) == 0
+    # covers: the naive transitive reduction
+    assert p.covers() == sorted(
+        (i, j) for i in range(n) for j in range(n)
+        if i != j and r[i][j] and not any(r[i][k] and r[k][j]
+                                          for k in range(n) if k not in (i, j)))
+    # restrict: the induced subposet, key order kept
+    keep = sorted(data.draw(st.sets(st.integers(0, n - 1))))
+    q = p.restrict([pos[i] for i in keep])
+    assert q.keys() == [keys[i] for i in keep]
+    for a in keep:
+        for b in keep:
+            assert q.le_keys(keys[a], keys[b]) == r[a][b]
+    for x in range(len(q)):
+        assert q.up[x] & ((1 << x) - 1) == 0
+    # proper part: positions 1 .. n-2 of a bounded poset
+    bounded = all(r[bot][k] and r[k][top] for k in range(n))
+    assert p.is_bounded() == bounded
+    if not bounded or n == 1:
+        with pytest.raises(ValueError):
+            p.proper_part()
+    else:
+        inner = [k for k in range(n) if k not in (bot, top)]
+        q = p.proper_part()
+        assert q.keys() == [keys[k] for k in inner]
+        for a in inner:
+            for b in inner:
+                assert q.le_keys(keys[a], keys[b]) == r[a][b]
+    assert p.is_lattice() == _naive_witness(keys, r)
+    ip = interval_poset(p)
+    for a in range(len(ip)):
+        assert ip.up[a] & ((1 << a) - 1) == 0
+        x, y = ip.data[ip.elements[a]]
+        for b in range(len(ip)):
+            v, w = ip.data[ip.elements[b]]
+            assert ip.le(a, b) == (p.le(v, x) and p.le(y, w))
+    for i in range(n):
+        for j in range(n):
+            if r[i][j]:
+                assert p.mobius(pos[i], pos[j]) == _naive_mobius(r, i, j)
+    # the same relation from up-set rows; the bare steps only if closed
+    rows = [sum(1 << j for j in range(n) if r[i][j]) for i in range(n)]
+    assert compare_relations(p, FinitePoset(keys, rows)) is None
+    steps = [(1 << i) | sum(1 << j for j in {b for a, b in edges if a == i})
+             for i in range(n)]
+    if steps == rows:
+        FinitePoset(keys, steps)
+    else:
+        with pytest.raises(ValueError):
+            FinitePoset(keys, steps)
+    # compare_relations: the first divergent pair in key order
+    fewer = data.draw(st.lists(st.sampled_from(edges), unique=True)) if edges else []
+    r2 = _reach(n, fewer)
+    want = next(({"pair": (keys[i], keys[j]), "in_first": r[i][j], "in_second": r2[i][j]}
+                 for i in range(n) for j in range(n) if r[i][j] != r2[i][j]), None)
+    assert compare_relations(p, FinitePoset.from_edges(keys, fewer)) == want

@@ -133,6 +133,16 @@ def test_order_complex_budget():
     assert "dimension" in str(e.value)
 
 
+def test_order_complex_budget_fields():
+    # B8 has 1 empty chain and 256 one-element chains: 257 > 100 at dimension 0
+    with pytest.raises(ResourceBudgetError) as e:
+        order_complex(boolean_lattice(8), budget=100)
+    err = e.value
+    assert (err.kind, err.limit, err.reached, err.where) == \
+        ("face_budget", 100, 257, "dimension 0")
+    assert str(err) == "face budget 100 exceeded at dimension 0"
+
+
 # proper S2(8,2) is left out: its full order complex has 1.6 M faces
 @pytest.mark.parametrize("build", [
     lambda: boolean_lattice(3).proper_part(),

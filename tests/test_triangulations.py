@@ -309,8 +309,9 @@ def _reference_flips(t):
     """Increasing flips by scanning every (d+2)-set, as sets of simplices."""
     for cand in combinations(range(1, t.n + 1), t.d + 2):
         lower, upper = facet_split(cand)
-        if lower <= t._set:
-            yield cand, Triangulation(t.n, t.d, (t._set - lower) | upper)
+        members = set(t.simplices)
+        if lower <= members:
+            yield cand, Triangulation(t.n, t.d, (members - lower) | upper)
 
 
 @pytest.mark.parametrize("n,d", [(8, 3), (8, 4), (9, 5)])
@@ -328,6 +329,14 @@ def test_bfs_edges_match_public_flips(n, d):
             assert apply_flip(t, cand) == t2
             public.append((i, index[t2], cand))
     assert sorted(flip_step_edges(n, d)) == sorted(public)
+
+
+def test_table_size_guard_fields():
+    with pytest.raises(ResourceBudgetError) as e:
+        table(30, 14)
+    err = e.value
+    assert (err.kind, err.limit, err.reached, err.where) == \
+        ("size_guard", 1000000, 155117520, "C(30, 14)")
 
 
 def test_table_size_guard():

@@ -6,12 +6,14 @@ flips, it just packs admissible simplices until the volume is exact.
 
 import pytest
 
-from cyclictri.posets import enumerate_triangulations
+from cyclictri import verification
+from cyclictri.posets import FinitePoset, build_s1, enumerate_triangulations
 from cyclictri.triangulations import (
     bottom,
     contract_last,
     insert_bottom,
     insert_top,
+    terminal_simplex,
     top,
 )
 from cyclictri.verification import (
@@ -113,3 +115,20 @@ def test_s0_monotone():
 def test_brute_force_candidate_guard():
     with pytest.raises(ValueError):
         brute_force_triangulations(7, 2, max_candidates=10)
+
+
+def test_s0_monotone_witness_is_first_in_key_order(monkeypatch):
+    # the triangulations of C(6,2) in a chain that scrambles their key order,
+    # so membership of the terminal simplex is not monotone along it, and
+    # the first violating element has several violating elements above it
+    s1 = build_s1(6, 2)
+    keys = s1.keys()
+    link = [(5 * i) % len(keys) for i in range(len(keys))]
+    chain = FinitePoset(keys, [sum(1 << j for j in range(len(keys))
+                                   if link[j] >= link[i]) for i in range(len(keys))])
+    chain.data.update(s1.data)
+    monkeypatch.setattr(verification, "_poset", lambda n, d, order, cap=None: chain)
+    s0 = terminal_simplex(6, 2)
+    want = next((a, b) for a in keys for b in keys if chain.le_keys(a, b)
+                and s0 in chain.data[a] and s0 not in chain.data[b])
+    assert verify_s0_monotone(6, 2) == {"pass": False, "witness": want}
