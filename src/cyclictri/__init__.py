@@ -18,7 +18,7 @@ from .topology import (HomologyResult, SimplicialComplex, complex_from_maximal,
                        webb_reduction_check)
 from .baues import (Subdivision, baues_poset, dissection_oracle_d2,
                     interval_to_subdivision, make_subdivision, phi,
-                    refinement_leq, refines, validate_subdivision)
+                    refinement_leq, validate_subdivision)
 from .verification import (brute_force_triangulations, connecting_a,
                            connecting_b, find_connecting_set,
                            verify_connecting_set, verify_s0_monotone,
@@ -43,7 +43,7 @@ __all__ = [
     "suspension_compare", "webb_reduction_check",
     "Subdivision", "baues_poset", "dissection_oracle_d2",
     "interval_to_subdivision", "make_subdivision", "phi", "refinement_leq",
-    "refines", "validate_subdivision",
+    "validate_subdivision",
     "brute_force_triangulations", "connecting_a", "connecting_b",
     "find_connecting_set", "verify_connecting_set", "verify_s0_monotone",
     "verify_suspension",

@@ -14,7 +14,8 @@ import json
 from itertools import combinations
 
 from . import geometry, simplices, triangulations as tri
-from .posets import FinitePoset, _interval_coatomic, build_s2, interval_poset
+from .posets import (FinitePoset, _interval_coatomic, build_s2,
+                     compare_relations, interval_poset)
 
 
 class Subdivision:
@@ -94,6 +95,7 @@ def validate_subdivision(cells, n, d):
                                  "cell needs at least %d distinct vertices" % (d + 1))
         if c[0] < 1 or c[-1] > n:
             return tri.Violation("cell-size", c, "vertex label out of range")
+    faces = [_cell_faces(c, d) for c in cells]
     for a, b in combinations(range(len(cells)), 2):
         ca, cb = set(cells[a]), set(cells[b])
         if ca <= cb or cb <= ca:
@@ -102,21 +104,17 @@ def validate_subdivision(cells, n, d):
         w = ca & cb
         if not w:
             continue
-        for c in (cells[a], cells[b]):
-            if not any(w <= f for f in _cell_faces(c, d)):
+        for k in (a, b):
+            if not any(w <= f for f in faces[k]):
                 return tri.Violation(
                     "face-to-face", (cells[a], cells[b]),
-                    "shared vertices do not span a face of cell %s" % (c,))
-    glued = set()
-    for c in cells:
-        glued.update(cell_bottom(c, d))
-    v = tri.validate(glued, n, d)
+                    "shared vertices do not span a face of cell %s" % (cells[k],))
+    bottoms = [s for c in cells for s in cell_bottom(c, d)]
+    v = tri.validate(set(bottoms), n, d)
     if v is not None:
         return tri.Violation("refinement", v.witness,
                              "glued cell triangulations fail: %s" % v.message)
-    total = 0
-    for c in cells:
-        total += sum(geometry.normalized_volume(s, d) for s in cell_bottom(c, d))
+    total = sum(geometry.normalized_volume(s, d) for s in bottoms)
     if total != geometry.cyclic_volume(n, d):
         return tri.Violation("coverage", cells,
                              "cell volumes sum to %d, hull needs %d" %
@@ -129,11 +127,6 @@ def make_subdivision(n, d, cells):
     if v is not None:
         raise ValueError("invalid subdivision: %s (%s)" % (v.message, v.rule))
     return Subdivision(n, d, cells)
-
-
-def refines(t, delta):
-    """Does every simplex of the triangulation sit inside some cell?"""
-    return all(any(set(s) <= set(c) for c in delta.cells) for s in t)
 
 
 def refinement_leq(d1, d2):
@@ -159,7 +152,8 @@ def phi(delta):
     for c in delta.cells:
         low.update(cell_bottom(c, delta.d))
         high.update(cell_top(c, delta.d))
-    t_low = tri.make_triangulation(low, delta.n, delta.d)
+    # validate_subdivision has just checked the glued bottoms
+    t_low = tri.Triangulation(delta.n, delta.d, low)
     t_high = tri.make_triangulation(high, delta.n, delta.d)
     if tri.submersion_mask(t_low) & ~tri.submersion_mask(t_high):
         raise AssertionError("glued bottom is not below glued top")
@@ -169,12 +163,13 @@ def phi(delta):
     return t_low, t_high
 
 
-def interval_to_subdivision(t_low, t_high, s2=None, check_coatomic=True):
+def interval_to_subdivision(t_low, t_high, s2=None):
     """Recover the subdivision whose refinements are exactly [t_low, t_high].
 
-    Components of the graph on t_high's simplices, joined when they share a
-    wall that is not a face of t_low, become the cells.  Rejects non-coatomic
-    intervals, for which no such subdivision exists.
+    Components of the graph on t_high's simplices, joined across each wall
+    that is not a face of t_low, become the cells.  Rejects non-coatomic
+    intervals, for which no such subdivision exists; phi validates the
+    cells on the way back.
     """
     n, d = t_high.n, t_high.d
     if d > 3:
@@ -188,13 +183,10 @@ def interval_to_subdivision(t_low, t_high, s2=None, check_coatomic=True):
         raise ValueError("endpoints are not ordered")
     if i == s2.bottom() and j == s2.top():
         raise ValueError("improper interval")
-    if check_coatomic and not _interval_coatomic(s2, i, j):
+    if not _interval_coatomic(s2, i, j):
         raise ValueError("interval is not coatomic")
-    walls_low = set()
-    for s in t_low:
-        for f in combinations(s, d):
-            walls_low.add(f)
-    members = sorted(t_high)
+    walls_low = {f for s in t_low for f in combinations(s, d)}
+    members = t_high.simplices
     parent = list(range(len(members)))
 
     def find(x):
@@ -203,10 +195,11 @@ def interval_to_subdivision(t_low, t_high, s2=None, check_coatomic=True):
             x = parent[x]
         return x
 
-    for a, b in combinations(range(len(members)), 2):
-        shared = tuple(sorted(set(members[a]) & set(members[b])))
-        if len(shared) == d and shared not in walls_low:
-            parent[find(a)] = find(b)
+    beside = {}     # wall of t_high that t_low lacks -> a member holding it
+    for k, s in enumerate(members):
+        for f in combinations(s, d):
+            if f not in walls_low:
+                parent[find(beside.setdefault(f, k))] = find(k)
     comps = {}
     for k, s in enumerate(members):
         comps.setdefault(find(k), set()).update(s)
@@ -217,7 +210,7 @@ def interval_to_subdivision(t_low, t_high, s2=None, check_coatomic=True):
         used = {v for s in t_low for v in s}
         cells = [tuple(sorted(set(c) | {v for v in used if c[0] < v < c[-1]}))
                  for c in cells]
-    delta = make_subdivision(n, d, cells)
+    delta = Subdivision(n, d, cells)
     back = phi(delta)
     if back != (t_low, t_high):
         raise AssertionError("interval does not come from a subdivision: "
@@ -229,7 +222,9 @@ def baues_poset(n, d, cap=None):
     """Proper polytopal subdivisions of C(n, d), ordered by refinement.
 
     Built from the proper coatomic intervals of the height order; the
-    refinement order is checked against interval inclusion pair by pair.
+    refinement order must equal interval inclusion.  The refinement row of
+    a subdivision is the AND, over its cells, of the mask of subdivisions
+    having a cell that contains that cell.
     """
     if d > 3:
         raise ValueError("subdivision poset implemented for d <= 3 only")
@@ -238,21 +233,36 @@ def baues_poset(n, d, cap=None):
     deltas = []
     for key in coat.elements:
         i, j = coat.data[key]
-        t_low = s2.data[s2.elements[i]]
-        t_high = s2.data[s2.elements[j]]
-        deltas.append(interval_to_subdivision(t_low, t_high, s2, check_coatomic=False))
+        deltas.append(interval_to_subdivision(s2.data[s2.elements[i]],
+                                              s2.data[s2.elements[j]], s2))
     keys = [delta.key() for delta in deltas]
     if len(set(keys)) != len(keys):
         raise AssertionError("interval map is not injective")
+    # cells as vertex masks; has[c]: the positions of the subdivisions with
+    # cell c, inside[c]: those with a cell containing c
+    cells = [[sum(1 << v for v in c) for c in delta.cells] for delta in deltas]
+    has = {}
+    for x, row in enumerate(cells):
+        for c in row:
+            has[c] = has.get(c, 0) | 1 << x
+    inside = {c: 0 for c in has}
+    for c in inside:
+        for big, where in has.items():
+            if c & ~big == 0:
+                inside[c] |= where
+    rows = []
+    for row in cells:
+        m = -1
+        for c in row:
+            m &= inside[c]
+        rows.append(m)
     # the subdivisions take the positions of their intervals
-    by_key = sorted(range(len(keys)), key=keys.__getitem__)
-    for a in by_key:
-        for b in by_key:
-            if refinement_leq(deltas[a], deltas[b]) != coat.le(a, b):
-                raise AssertionError(
-                    "refinement disagrees with interval inclusion: %s vs %s"
-                    % (keys[a], keys[b]))
-    p = FinitePoset._native(keys, coat.up, coat.down, by_key)
+    p = FinitePoset._native(keys, coat.up, coat.down,
+                            sorted(range(len(keys)), key=keys.__getitem__))
+    diff = compare_relations(p, FinitePoset(keys, rows))
+    if diff is not None:
+        raise AssertionError("refinement disagrees with interval inclusion: "
+                             "%s vs %s" % diff["pair"])
     for key, delta in zip(keys, deltas):
         p.data[key] = delta
     return p

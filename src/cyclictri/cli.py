@@ -11,9 +11,9 @@ import sys
 
 from . import baues as baues_mod
 from . import topology, triangulations as tri, verification
-from .posets import (ResourceBudgetError, build_s1, build_s2, compare_relations,
-                     enumerate_triangulations, flip_cover_discrepancies,
-                     flip_step_edges)
+from .posets import (ResourceBudgetError, build_order, build_s1, build_s2,
+                     compare_relations, enumerate_triangulations,
+                     flip_cover_discrepancies, flip_step_edges)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -34,19 +34,17 @@ def _positive_int(text):
 
 def _emit(text, args):
     if getattr(args, "output", None):
-        with open(args.output, "w") as fh:
-            fh.write(text)
+        try:
+            with open(args.output, "w") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise ValueError("cannot write %s: %s" % (args.output, exc.strerror))
     else:
         sys.stdout.write(text)
 
 
 def _json(doc):
     return json.dumps(doc, separators=(",", ":"), sort_keys=True) + "\n"
-
-
-def _order_poset(args):
-    build = build_s1 if args.order == "s1" else build_s2
-    return build(args.n, args.d, args.cap)
 
 
 def _check_nd(args):
@@ -67,7 +65,7 @@ def cmd_enumerate(args):
 
 def cmd_poset(args):
     _check_nd(args)
-    p = _order_poset(args)
+    p = build_order(args.order, args.n, args.d, args.cap)
     print("%s(%d,%d): %d elements, %d cover relations"
           % (args.order, args.n, args.d, len(p.elements), len(p.covers())))
     _emit(p.to_dot() if args.format == "dot" else p.to_json() + "\n", args)
@@ -90,7 +88,7 @@ def cmd_compare_orders(args):
 
 def cmd_check_lattice(args):
     _check_nd(args)
-    p = _order_poset(args)
+    p = build_order(args.order, args.n, args.d, args.cap)
     w = p.is_lattice()
     if w is True:
         print("%s(%d,%d) is a lattice" % (args.order, args.n, args.d))
@@ -104,7 +102,7 @@ def cmd_check_lattice(args):
 
 def cmd_mobius(args):
     _check_nd(args)
-    p = _order_poset(args)
+    p = build_order(args.order, args.n, args.d, args.cap)
     mu = p.mobius_bottom_top()
     k = args.n - args.d - 3
     expected = -1 if k % 2 else 1
@@ -115,7 +113,7 @@ def cmd_mobius(args):
 
 def cmd_sphere(args):
     _check_nd(args)
-    p = _order_poset(args)
+    p = build_order(args.order, args.n, args.d, args.cap)
     k = args.k if args.k is not None else args.n - args.d - 3
     report = topology.sphere_certificate(p.proper_part(), k, args.budget)
     verdict = "PASS" if report["pass"] else "FAIL"
@@ -224,9 +222,9 @@ def build_parser():
         p.add_argument("--n", type=int, required=True)
         p.add_argument("--d", type=int, required=True)
         p.add_argument("--cap", type=_positive_int, default=None,
-                       help="enumeration cap (default 10^6 or CYCLICTRI_ENUM_CAP)")
+                       help="enumeration cap (default 10^6)")
         p.add_argument("--budget", type=_positive_int, default=None,
-                       help="face budget (default 2*10^6 or CYCLICTRI_FACE_BUDGET)")
+                       help="face budget (default 2*10^6)")
         p.add_argument("--output", default=None, help="write artifact here")
         p.add_argument("--format", choices=("json", "dot"), default="json")
         p.set_defaults(func=func)

@@ -11,19 +11,11 @@ sorted order for S1 and S2, only at export: JSON, DOT, covers and witnesses.
 """
 
 import json
-import os
 from itertools import combinations
 
 from . import triangulations as tri
 from .simplices import bits
 from .triangulations import DEFAULT_ENUM_CAP, ResourceBudgetError
-
-
-def _enum_cap(cap):
-    if cap is not None:
-        return cap
-    env = os.environ.get("CYCLICTRI_ENUM_CAP")
-    return int(env) if env else DEFAULT_ENUM_CAP
 
 
 class FinitePoset:
@@ -223,22 +215,6 @@ class FinitePoset:
             raise ValueError("poset is not bounded")
         return self.mobius(0, len(self.elements) - 1)
 
-    def adjoin_bounds(self):
-        """Add fresh global bottom/top elements (for Hall-style checks)."""
-        n = len(self.elements)
-        bot, topk = "_bottom_", "_top_"
-        while bot in self.index:
-            bot += "_"
-        while topk in self.index:
-            topk += "_"
-        full = (1 << (n + 2)) - 1
-        tbit = 1 << (n + 1)
-        return FinitePoset._native(
-            [bot] + list(self.elements) + [topk],
-            [full] + [(u << 1) | tbit for u in self.up] + [tbit],
-            [1] + [(d << 1) | 1 for d in self.down] + [full],
-            [0] + [x + 1 for x in self.by_key] + [n + 1])
-
     def keys(self):
         """The element keys in key order."""
         return [self.elements[x] for x in self.by_key]
@@ -339,7 +315,8 @@ def enumerate_triangulations(n, d, cap=None):
     list sorted by canonical key; also records the flip step edges."""
     key = (n, d)
     got = _enum_cache.get(key)
-    cap = _enum_cap(cap)
+    if cap is None:
+        cap = DEFAULT_ENUM_CAP
     if got is None:
         tab = tri.table(n, d)
         start = tab.mask(tab.bottom.simplices)
@@ -390,9 +367,9 @@ def flip_step_edges(n, d, cap=None):
 def build_s1(n, d, cap=None):
     """Flip order: reflexive-transitive closure of single upward flips."""
     key = (n, d)
+    ts = enumerate_triangulations(n, d, cap)    # the cap holds on a cache hit too
     p = _s1_cache.get(key)
     if p is None:
-        ts = enumerate_triangulations(n, d, cap)
         edges = [(i, j) for i, j, _ in flip_step_edges(n, d, cap)]
         p = FinitePoset.from_edges([t.key() for t in ts], edges)
         for t in ts:
@@ -414,9 +391,9 @@ def build_s2(n, d, cap=None):
     the complements over the cells x lacks.  Containment is reflexive and
     transitive; it is antisymmetric iff the masks are pairwise distinct."""
     key = (n, d)
+    ts = enumerate_triangulations(n, d, cap)    # the cap holds on a cache hit too
     p = _s2_cache.get(key)
     if p is None:
-        ts = enumerate_triangulations(n, d, cap)
         keys = [t.key() for t in ts]
         masks = [tri.submersion_mask(t) for t in ts]
         first = {}
@@ -461,6 +438,15 @@ def build_s2(n, d, cap=None):
     return p
 
 
+def build_order(order, n, d, cap=None):
+    """The flip order ("s1") or the height order ("s2") of C(n, d)."""
+    if order == "s1":
+        return build_s1(n, d, cap)
+    if order == "s2":
+        return build_s2(n, d, cap)
+    raise ValueError("order must be s1 or s2, got %r" % (order,))
+
+
 def compare_relations(p, q):
     """None if the two posets are the same relation on the same keys, else a
     dict naming the first divergent ordered pair, in the key order of p.
@@ -500,31 +486,29 @@ def flip_cover_discrepancies(n, d, cap=None):
 def interval_poset(p, variant="all"):
     """Poset of intervals [x, y] of p ordered by inclusion.
 
-    variant: all | proper | proper_atomic | proper_coatomic.  The atomic and
-    coatomic variants need p to be a lattice (meets and joins are used).
+    variant: all | proper | proper_coatomic.  The coatomic variant needs p
+    to be a lattice (meets are used).
     Intervals sit in order of size, a linear extension of inclusion, and
     their relation is built by columns: [x, y] <= [v, w] iff v <= x and
     y <= w, so the intervals above [x, y] are those with their low end in
     down[x] and their high end in up[y].
     """
-    if variant not in ("all", "proper", "proper_atomic", "proper_coatomic"):
+    if variant not in ("all", "proper", "proper_coatomic"):
         raise ValueError("unknown interval variant %r" % (variant,))
     n = len(p.elements)
     b, t = p.bottom(), p.top()
     if variant != "all" and (b is None or t is None):
         raise ValueError("proper variants need a bounded poset")
-    if variant in ("proper_atomic", "proper_coatomic"):
+    if variant == "proper_coatomic":
         w = p.is_lattice()
         if w is not True:
-            raise ValueError("atomic/coatomic intervals need a lattice: %r" % (w,))
+            raise ValueError("coatomic intervals need a lattice: %r" % (w,))
     pairs = []
     for x in range(n):
         pairs.extend((x, y) for y in bits(p.up[x]))
     if variant != "all":
         pairs = [(x, y) for x, y in pairs if not (x == b and y == t)]
-    if variant == "proper_atomic":
-        pairs = [xy for xy in pairs if _interval_atomic(p, *xy)]
-    elif variant == "proper_coatomic":
+    if variant == "proper_coatomic":
         pairs = [xy for xy in pairs if _interval_coatomic(p, *xy)]
     pairs.sort(key=lambda xy: (p.up[xy[0]] & p.down[xy[1]]).bit_count())
     low = [0] * n
@@ -555,26 +539,6 @@ def interval_poset(p, variant="all"):
     for key, xy in zip(keys, pairs):
         q.data[key] = xy
     return q
-
-
-def _interval_covers_of_bottom(p, i, j):
-    inner = p.up[i] & p.down[j]
-    atoms = []
-    for k in bits(inner & ~(1 << i)):
-        between = p.up[i] & p.down[k] & ~(1 << i) & ~(1 << k)
-        if between & inner == 0:
-            atoms.append(k)
-    return atoms
-
-
-def _interval_atomic(p, i, j):
-    atoms = _interval_covers_of_bottom(p, i, j)
-    cur = None
-    for a in atoms:
-        cur = a if cur is None else p.join(cur, a)
-        if cur is None:
-            return False
-    return (cur if cur is not None else i) == j
 
 
 def _interval_coatomic(p, i, j):

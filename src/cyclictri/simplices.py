@@ -128,18 +128,3 @@ def zig_zag_admissible(s1, s2, d):
             best2 = n2
     return max(best1, best2) <= d + 1
 
-
-def precedes(s, sp):
-    """Immediate below-ness: s and sp share a facet that is upper in s and
-    lower in sp (so sp sits just above s across their common wall)."""
-    s = simplex(s)
-    sp = simplex(sp)
-    if len(s) != len(sp):
-        return False
-    shared = set(s) & set(sp)
-    if len(shared) != len(s) - 1:
-        return False
-    lo_s, up_s = facet_split(s)
-    lo_p, _ = facet_split(sp)
-    f = tuple(sorted(shared))
-    return f in up_s and f in lo_p

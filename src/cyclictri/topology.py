@@ -13,20 +13,12 @@ homology reduced and gives the empty complex H~_{-1} = Z.
 """
 
 import json
-import os
 from collections import deque
 from math import gcd
 
 from .posets import ResourceBudgetError, _mobius_values, bits
 
 DEFAULT_FACE_BUDGET = 2 * 10 ** 6
-
-
-def _face_budget(budget):
-    if budget is not None:
-        return budget
-    env = os.environ.get("CYCLICTRI_FACE_BUDGET")
-    return int(env) if env else DEFAULT_FACE_BUDGET
 
 
 class SimplicialComplex:
@@ -106,7 +98,8 @@ def order_complex(p, budget=None):
     """All chains of the poset as a simplicial complex on element indices.
     Raises before building anything when the face count crosses the
     budget, naming the dimension that blew up."""
-    budget = _face_budget(budget)
+    if budget is None:
+        budget = DEFAULT_FACE_BUDGET
     total = 0
     for size, count in enumerate(chain_counts(p)):
         total += count

@@ -105,7 +105,7 @@ def test_criterion_04_stasheff_tamari_spheres():
 
 def test_criterion_05_baues_spheres():
     bad = []
-    for n, d in [(4, 2), (5, 2), (6, 2), (5, 3), (6, 3),
+    for n, d in [(4, 2), (5, 2), (6, 2), (7, 2), (5, 3), (6, 3), (7, 3), (8, 3),
                  (3, 1), (4, 1), (5, 1), (6, 1), (7, 1)]:
         bp = baues_poset(n, d)
         cert = sphere_certificate(bp, n - d - 2)

@@ -8,6 +8,7 @@ minus the trivial dissection: 2, 10, 44, 196).
 
 import pytest
 
+from cyclictri import baues
 from cyclictri.baues import (
     Subdivision,
     baues_poset,
@@ -19,11 +20,10 @@ from cyclictri.baues import (
     make_subdivision,
     phi,
     refinement_leq,
-    refines,
     validate_subdivision,
 )
-from cyclictri.posets import _interval_coatomic, build_s2, interval_poset
-from cyclictri.triangulations import bottom, top
+from cyclictri.posets import (FinitePoset, ResourceBudgetError,
+                              _interval_coatomic, build_s2, interval_poset)
 
 
 @pytest.mark.parametrize("n,want", [(4, 2), (5, 10), (6, 44), (7, 196)])
@@ -68,12 +68,6 @@ def test_subdivision_key_roundtrip():
 def test_cell_bottom_top_relabel():
     assert cell_bottom((2, 4, 5, 7), 2) == ((2, 4, 5), (2, 5, 7))
     assert cell_top((2, 4, 5, 7), 2) == ((2, 4, 7), (4, 5, 7))
-
-
-def test_refines():
-    delta = make_subdivision(5, 2, [(1, 2, 3, 4), (1, 4, 5)])
-    assert refines(bottom(5, 2), delta)
-    assert not refines(top(5, 2), delta)
 
 
 def test_refinement_leq_is_cellwise_containment():
@@ -162,6 +156,51 @@ def test_baues_poset_matches_oracle_as_posets():
     for a in oracle:
         for b in oracle:
             assert refinement_leq(a, b) == bp.le_keys(a.key(), b.key())
+    # the pairwise reference against the built order, beyond the oracle
+    for n, d in [(7, 2), (6, 3), (7, 3)]:
+        bp = baues_poset(n, d)
+        deltas = [bp.data[k] for k in bp.keys()]
+        bad = [(a.key(), b.key()) for a in deltas for b in deltas
+               if refinement_leq(a, b) != bp.le_keys(a.key(), b.key())]
+        assert bad == []
+
+
+def test_baues_poset_validates_each_subdivision_once(monkeypatch):
+    calls = []
+    real = baues.validate_subdivision
+
+    def counting(cells, n, d):
+        calls.append(cells)
+        return real(cells, n, d)
+
+    monkeypatch.setattr(baues, "validate_subdivision", counting)
+    assert len(baues_poset(7, 2)) == 196
+    assert len(calls) == 196
+
+
+def test_refinement_mismatch_names_first_pair_in_key_order(monkeypatch):
+    # interval inclusion made discrete, so every strict refinement disagrees
+    def discrete(p, variant):
+        q = interval_poset(p, variant)
+        flat = FinitePoset(q.keys(), [1 << i for i in range(len(q))])
+        flat.data.update(q.data)
+        return flat
+
+    monkeypatch.setattr(baues, "interval_poset", discrete)
+    oracle = dissection_oracle_d2(6)    # sorted by key
+    a, b = next((a, b) for a in oracle for b in oracle
+                if a != b and refinement_leq(a, b))
+    with pytest.raises(AssertionError) as e:
+        baues_poset(6, 2)
+    assert str(e.value) == ("refinement disagrees with interval inclusion: "
+                            "%s vs %s" % (a.key(), b.key()))
+
+
+def test_baues_poset_cap_when_cached():
+    assert len(build_s2(7, 3)) == 25
+    with pytest.raises(ResourceBudgetError) as e:
+        baues_poset(7, 3, cap=5)
+    assert e.value.kind == "enum_cap"
 
 
 def test_baues_52_is_ten_cycle():

@@ -237,3 +237,11 @@ def test_output_file(tmp_path, capsys):
     assert code == 0
     doc = json.loads(target.read_text())
     assert doc["count"] == 5
+
+
+def test_output_unwritable_exit_code(tmp_path, capsys):
+    target = tmp_path / "missing" / "out.json"
+    code, _, err = run(capsys, "enumerate", "--n", "5", "--d", "2",
+                       "--output", str(target))
+    assert code == 3
+    assert err.startswith("error: ") and err.count("\n") == 1

@@ -102,14 +102,6 @@ def test_proper_part():
     assert q.le_keys("{1}", "{1,2}")
 
 
-def test_adjoin_bounds():
-    p = _poset(["a", "b"], [])  # antichain
-    q = p.adjoin_bounds()
-    assert len(q) == 4
-    assert q.is_bounded()
-    assert q.mobius_bottom_top() == 1  # 2-element antichain interval
-
-
 def test_positions_are_a_linear_extension():
     for p in (_poset(*M_POSET), boolean_lattice(3), build_s1(7, 3), build_s2(7, 3)):
         for x in range(len(p)):
@@ -164,6 +156,14 @@ def test_enumeration_cap_fields_when_cached():
     assert str(err) == "enumeration cap 5 exceeded at C(6, 2)"
 
 
+@pytest.mark.parametrize("build", [build_s1, build_s2])
+def test_order_builders_cap_when_cached(build):
+    assert len(build(7, 3)) == 25
+    with pytest.raises(ResourceBudgetError) as e:
+        build(7, 3, cap=5)
+    assert (e.value.kind, e.value.limit, e.value.reached) == ("enum_cap", 5, 25)
+
+
 def test_s1_s2_small_equal():
     for n, d in [(5, 2), (6, 2), (7, 2), (6, 3)]:
         s1 = build_s1(n, d)
@@ -211,10 +211,8 @@ def test_interval_poset_counts_b2():
     b2 = boolean_lattice(2)
     assert len(interval_poset(b2, "all")) == 9
     assert len(interval_poset(b2, "proper")) == 8
-    # proper atomic intervals: joins of atoms sitting above the interval low
-    atomic = interval_poset(b2, "proper_atomic")
-    coatomic = interval_poset(b2, "proper_coatomic")
-    assert len(atomic) == len(coatomic)  # B2 is self-dual
+    # every proper interval of B2 has at most one coatom, so all are coatomic
+    assert len(interval_poset(b2, "proper_coatomic")) == 8
 
 
 def test_interval_poset_order_is_containment():

@@ -17,7 +17,6 @@ from cyclictri.simplices import (
     facet_split,
     gale_facets,
     gap_parity,
-    precedes,
     simplex,
     zig_zag_admissible,
 )
@@ -177,11 +176,6 @@ def test_zig_zag_symmetric_and_monotone(data, d):
     assert a == zig_zag_admissible(s2, s1, d)
     if a:
         assert zig_zag_admissible(s1, s2, d + 1)
-
-
-def test_precedes_hand_cases():
-    assert precedes((1, 2, 3), (1, 3, 4))
-    assert not precedes((1, 2, 3), (2, 3, 4))
 
 
 def test_simplex_normalizes():

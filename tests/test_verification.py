@@ -127,7 +127,7 @@ def test_s0_monotone_witness_is_first_in_key_order(monkeypatch):
     chain = FinitePoset(keys, [sum(1 << j for j in range(len(keys))
                                    if link[j] >= link[i]) for i in range(len(keys))])
     chain.data.update(s1.data)
-    monkeypatch.setattr(verification, "_poset", lambda n, d, order, cap=None: chain)
+    monkeypatch.setattr(verification, "build_order", lambda order, n, d, cap=None: chain)
     s0 = terminal_simplex(6, 2)
     want = next((a, b) for a in keys for b in keys if chain.le_keys(a, b)
                 and s0 in chain.data[a] and s0 not in chain.data[b])
