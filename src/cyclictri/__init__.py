@@ -21,8 +21,8 @@ from .baues import (Subdivision, baues_poset, dissection_oracle_d2,
                     refinement_leq, validate_subdivision)
 from .verification import (brute_force_triangulations, connecting_a,
                            connecting_b, find_connecting_set,
-                           verify_connecting_set, verify_s0_monotone,
-                           verify_suspension)
+                           verify_connecting_set, verify_connecting_sets,
+                           verify_s0_monotone, verify_suspension)
 
 __version__ = "0.1.0"
 
@@ -45,7 +45,7 @@ __all__ = [
     "interval_to_subdivision", "make_subdivision", "phi", "refinement_leq",
     "validate_subdivision",
     "brute_force_triangulations", "connecting_a", "connecting_b",
-    "find_connecting_set", "verify_connecting_set", "verify_s0_monotone",
-    "verify_suspension",
+    "find_connecting_set", "verify_connecting_set", "verify_connecting_sets",
+    "verify_s0_monotone", "verify_suspension",
     "__version__",
 ]

@@ -35,8 +35,8 @@ def moment_point(i, d):
 
 
 def _det(rows):
-    """Exact determinant of a square matrix of ints/Fractions (fraction-free
-    for int input via Bareiss)."""
+    """Exact determinant of a square int matrix, fraction-free by Bareiss:
+    each update divides exactly by the previous pivot."""
     n = len(rows)
     m = [list(r) for r in rows]
     if any(len(r) != n for r in m):
@@ -54,9 +54,7 @@ def _det(rows):
                 return 0
         for r in range(k + 1, n):
             for c in range(k + 1, n):
-                m[r][c] = (m[r][c] * m[k][k] - m[r][k] * m[k][c]) / prev \
-                    if isinstance(prev, Fraction) or isinstance(m[r][c], Fraction) \
-                    else (m[r][c] * m[k][k] - m[r][k] * m[k][c]) // prev
+                m[r][c] = (m[r][c] * m[k][k] - m[r][k] * m[k][c]) // prev
         prev = m[k][k]
     return sign * m[-1][-1]
 

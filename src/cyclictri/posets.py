@@ -224,8 +224,8 @@ class FinitePoset:
                            "covers": [[i, j] for i, j in self.covers()]},
                           separators=(",", ":"))
 
-    def to_dot(self, name="poset"):
-        lines = ["digraph %s {" % name]
+    def to_dot(self):
+        lines = ["digraph poset {"]
         for i, e in enumerate(self.keys()):
             lines.append('  n%d [label="%s"];' % (i, _dot_escape(str(e))))
         for i, j in self.covers():

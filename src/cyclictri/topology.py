@@ -24,20 +24,13 @@ DEFAULT_FACE_BUDGET = 2 * 10 ** 6
 class SimplicialComplex:
     """Explicit face list graded by dimension (including the empty face).
 
-    faces_by_dim maps dim -> sorted list of vertex-index tuples; vertices are
-    0..n_vertices-1 and labels, when given, name them for reports.
+    faces_by_dim maps dim -> sorted list of vertex-index tuples.
     """
 
-    def __init__(self, faces_by_dim, n_vertices, labels=None):
+    def __init__(self, faces_by_dim):
         self.faces_by_dim = {k: sorted(v) for k, v in faces_by_dim.items() if v}
         if -1 not in self.faces_by_dim:
             self.faces_by_dim[-1] = [()]
-        self.n_vertices = n_vertices
-        self.labels = labels
-
-    @property
-    def dim(self):
-        return max(self.faces_by_dim)
 
     def counts(self):
         """Face counts per dimension, empty face included at -1."""
@@ -66,7 +59,7 @@ def complex_from_maximal(faces):
         by_dim.setdefault(len(f) - 1, []).append(f)
         for i in range(len(f)):
             stack.append(f[:i] + f[i + 1:])
-    return SimplicialComplex(by_dim, len(verts), labels=verts)
+    return SimplicialComplex(by_dim)
 
 
 def chain_counts(p):
@@ -117,7 +110,7 @@ def order_complex(p, budget=None):
         by_dim.setdefault(len(f) - 1, []).append(f)
         for y in succ[f[-1]]:
             stack.append(f + (y,))
-    return SimplicialComplex(by_dim, n, labels=list(p.elements))
+    return SimplicialComplex(by_dim)
 
 
 # ---------------------------------------------------------------------------

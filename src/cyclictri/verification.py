@@ -8,7 +8,7 @@ from collections import deque
 from itertools import combinations
 
 from . import geometry, simplices, triangulations as tri
-from .posets import bits, build_order
+from .posets import bits, build_order, enumerate_triangulations
 
 
 def verify_suspension(n, d, order="s1", cap=None):
@@ -104,11 +104,9 @@ def verify_suspension(n, d, order="s1", cap=None):
     return report
 
 
-def find_connecting_set(t, t2, order="s1"):
+def find_connecting_set(t, t2):
     """Union of the flip simplices along a shortest increasing-flip path from
     t to t2, or None when t2 is not reachable (t is not below t2)."""
-    if order != "s1":
-        raise ValueError("connecting sets witness the flip order only")
     if (t.n, t.d) != (t2.n, t2.d):
         raise ValueError("triangulations on different polytopes")
     if t == t2:
@@ -191,6 +189,24 @@ def connecting_b(t):
     n = t.n
     return frozenset(tuple(sorted(set(s) | {n}))
                      for s in t if n - 1 in s and n not in s)
+
+
+def verify_connecting_sets(n, d, cap=None):
+    """Check A~ as the witness for i(f(t)) <= t and B~ for t <= j(f(t)), for
+    every triangulation t of C(n, d).  Returns the number of triangulations
+    and the failures, each with t's key, the set ("A" or "B") and the report
+    of verify_connecting_set."""
+    ts = enumerate_triangulations(n, d, cap)
+    failures = []
+    for t in ts:
+        f_t = tri.contract_last(t)
+        ra = verify_connecting_set(tri.insert_bottom(f_t), t, connecting_a(t))
+        rb = verify_connecting_set(t, tri.insert_top(f_t), connecting_b(t))
+        if not ra["pass"]:
+            failures.append({"t": t.key(), "set": "A", "report": ra})
+        if not rb["pass"]:
+            failures.append({"t": t.key(), "set": "B", "report": rb})
+    return len(ts), failures
 
 
 def verify_s0_monotone(n, d, order="s1", cap=None):

@@ -26,12 +26,9 @@ from cyclictri.topology import (
     suspension_compare,
     webb_reduction_check,
 )
-from cyclictri.triangulations import contract_last, insert_bottom, insert_top
 from cyclictri.verification import (
     brute_force_triangulations,
-    connecting_a,
-    connecting_b,
-    verify_connecting_set,
+    verify_connecting_sets,
     verify_suspension,
 )
 
@@ -171,14 +168,8 @@ def test_criterion_08_connecting_sets():
     bad = []
     for d in (1, 2, 3):
         for n in range(d + 2, 8):
-            for t in enumerate_triangulations(n, d):
-                f = contract_last(t)
-                ra = verify_connecting_set(insert_bottom(f), t, connecting_a(t))
-                rb = verify_connecting_set(t, insert_top(f), connecting_b(t))
-                if not ra["pass"]:
-                    bad.append((t.key(), "A", ra["condition"]))
-                if not rb["pass"]:
-                    bad.append((t.key(), "B", rb["condition"]))
+            _, failures = verify_connecting_sets(n, d)
+            bad += [(f["t"], f["set"], f["report"]["condition"]) for f in failures]
     _verdict(8, "connecting sets A~ and B~ for n <= 7, d <= 3", bad)
 
 

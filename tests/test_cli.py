@@ -1,9 +1,11 @@
 """Command line interface: exit codes, determinism, output formats."""
 
+import argparse
 import hashlib
 import importlib.util
 import json
 import os
+import re
 import subprocess
 import sys
 
@@ -222,10 +224,11 @@ def test_domain_error_exit_code(capsys, argv):
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
-@pytest.mark.parametrize("flag", ["--cap", "--budget"])
+@pytest.mark.parametrize("flag", ["--cap", "--budget", "--max-candidates"])
 @pytest.mark.parametrize("value", ["-1", "0"])
 def test_nonpositive_limit_exit_code(capsys, flag, value):
-    code, _, err = run(capsys, "sphere", "--n", "6", "--d", "2", flag, value)
+    command = "oracle-crosscheck" if flag == "--max-candidates" else "sphere"
+    code, _, err = run(capsys, command, "--n", "6", "--d", "2", flag, value)
     assert code == 3
     assert "positive integer" in err
 
@@ -245,3 +248,88 @@ def test_output_unwritable_exit_code(tmp_path, capsys):
                        "--output", str(target))
     assert code == 3
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+# The options each subcommand takes beyond --n, --d and --cap.
+OPTIONS = {
+    "enumerate": {"--output"},
+    "poset": {"--order", "--output", "--format"},
+    "compare-orders": set(),
+    "check-lattice": {"--order"},
+    "mobius": {"--order"},
+    "sphere": {"--order", "--budget", "--output", "--k"},
+    "baues": {"--budget", "--output", "--format", "--certificate"},
+    "verify-suspension": {"--order", "--output"},
+    "verify-connecting": set(),
+    "oracle-crosscheck": {"--max-candidates"},
+    "flip-graph": {"--output", "--format"},
+}
+SHARED = {"--order": "s1", "--budget": "5", "--output": "f", "--format": "dot"}
+
+
+def _subparsers():
+    parser = cli.build_parser()
+    return next(a for a in parser._actions
+                if isinstance(a, argparse._SubParsersAction)).choices
+
+
+def test_subcommand_options_pinned():
+    got = {name: {s for a in p._actions for s in a.option_strings} - {"-h", "--help"}
+           for name, p in _subparsers().items()}
+    assert got == {name: {"--n", "--d", "--cap"} | opts for name, opts in OPTIONS.items()}
+
+
+@pytest.mark.parametrize("command,flag", [
+    (command, flag) for command, opts in OPTIONS.items()
+    for flag in SHARED if flag not in opts])
+def test_removed_option_exit_code(tmp_path, monkeypatch, capsys, command, flag):
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run(capsys, command, "--n", "6", "--d", "2", flag, SHARED[flag])
+    assert code == 3 and out == ""
+    assert err.count("error:") == 1 and "unrecognized arguments" in err
+    assert not (tmp_path / "f").exists()
+
+
+@pytest.mark.parametrize("argv,expected", [
+    ("enumerate --n 5 --d 2 --output missing/x", 3),
+    ("flip-graph --n 5 --d 2 --output missing/x", 3),
+    ("baues --n 5 --d 2 --certificate --output missing/x", 3),
+    ("baues --n 7 --d 2 --certificate --budget 10", 2),
+])
+def test_failed_run_leaves_stdout_empty(tmp_path, monkeypatch, capsys, argv, expected):
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run(capsys, *argv.split())
+    assert code == expected and out == ""
+    assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv", [
+    "enumerate --n 5 --d 2",
+    "poset --n 5 --d 2 --format dot",
+    "sphere --n 6 --d 2 --k 2",
+    "baues --n 5 --d 2 --certificate",
+    "verify-suspension --n 6 --d 2 --order s1",
+    "flip-graph --n 5 --d 2 --format dot",
+])
+def test_output_file_is_the_stdout_payload(tmp_path, capsys, argv):
+    plain_code, plain, _ = run(capsys, *argv.split())
+    target = tmp_path / "payload"
+    code, out, _ = run(capsys, *argv.split(), "--output", str(target))
+    assert code == plain_code
+    assert out.encode() + target.read_bytes() == plain.encode()
+    assert out and target.read_bytes()
+
+
+def test_readme_examples_parse():
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    with open(os.path.join(root, "README.md")) as fh:
+        readme = fh.read()
+    section = readme.split("## Command line", 1)[1].split("\n## ", 1)[0]
+    block = re.search(r"```sh\n(.*?)```", section, re.S).group(1)
+    documented = set()
+    for line in block.splitlines():
+        argv = line.split("#", 1)[0].split()
+        if argv[:1] == ["cyclictri"]:
+            args = cli.build_parser().parse_args(argv[1:])
+            documented.add(args.command)
+    assert documented == set(OPTIONS)
