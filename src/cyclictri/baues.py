@@ -147,14 +147,17 @@ def phi(delta):
         raise ValueError("invalid subdivision: %s" % (v.message,))
     if not delta.is_proper():
         raise ValueError("trivial subdivision maps to the improper interval")
-    low = set()
-    high = set()
+    tab = tri.table(delta.n, delta.d)
+    low = high = 0
     for c in delta.cells:
-        low.update(cell_bottom(c, delta.d))
-        high.update(cell_top(c, delta.d))
+        low |= tab.mask(cell_bottom(c, delta.d))
+        high |= tab.mask(cell_top(c, delta.d))
     # validate_subdivision has just checked the glued bottoms
-    t_low = tri.Triangulation(delta.n, delta.d, low)
-    t_high = tri.make_triangulation(high, delta.n, delta.d)
+    t_low = tab.triangulation(low)
+    v = tab.violation(high)
+    if v is not None:
+        raise ValueError("invalid triangulation (%s): %s" % (v.rule, v.message))
+    t_high = tab.triangulation(high)
     if tri.submersion_mask(t_low) & ~tri.submersion_mask(t_high):
         raise AssertionError("glued bottom is not below glued top")
     if t_low == tri.bottom(delta.n, delta.d) and \

@@ -5,12 +5,15 @@ invocation.  Exit codes: 0 success or reported finding, 1 refuted claim,
 2 resource budget exceeded, 3 invalid arguments.
 
 Each handler returns (exit code, report lines, payload or None) and prints
-nothing; `main` checks the arguments and does all the output, so a run that
+nothing; `main` checks the arguments, including that the --output path can
+be written, before the handler runs, and does all the output, so a run that
 ends in exit 2 or 3 leaves stdout empty.
 """
 
 import argparse
+import errno
 import json
+import os
 import sys
 
 from . import baues as baues_mod
@@ -38,6 +41,24 @@ def _positive_int(text):
 
 def _json(doc):
     return json.dumps(doc, separators=(",", ":"), sort_keys=True) + "\n"
+
+
+def _check_output(path):
+    """Raise ValueError unless path names a file that can be written: its
+    directory exists and is writable, and it is not itself a directory."""
+    parent = os.path.dirname(os.path.abspath(path))
+    if os.path.isdir(path):
+        code = errno.EISDIR
+    elif not os.path.exists(parent):
+        code = errno.ENOENT
+    elif not os.path.isdir(parent):
+        code = errno.ENOTDIR
+    elif not os.access(parent, os.W_OK) or \
+            (os.path.exists(path) and not os.access(path, os.W_OK)):
+        code = errno.EACCES
+    else:
+        return
+    raise ValueError("cannot write %s: %s" % (path, os.strerror(code)))
 
 
 def _poset_payload(p, fmt):
@@ -214,6 +235,8 @@ def main(argv=None):
     try:
         if args.d < 1 or args.n <= args.d:
             raise ValueError("need n > d >= 1")
+        if getattr(args, "output", None):
+            _check_output(args.output)
         code, lines, payload = args.func(args)
         if payload is not None and args.output:
             try:

@@ -311,7 +311,8 @@ _s2_cache = {}
 
 def enumerate_triangulations(n, d, cap=None):
     """All triangulations of C(n, d), by breadth-first search along upward
-    flips from the bottom element.  Every result is validated.  Returns a
+    flips from the bottom element.  Every result is validated, as a mask,
+    before it becomes a Triangulation.  Returns a
     list sorted by canonical key; also records the flip step edges."""
     key = (n, d)
     got = _enum_cache.get(key)
@@ -335,11 +336,11 @@ def enumerate_triangulations(n, d, cap=None):
                     j = seen[nxt] = len(masks)
                     masks.append(nxt)
                 edges.append((i, j, cand))
-        ts = [tab.triangulation(t) for t in masks]
-        for t in ts:
-            v = tri.validate(t, n, d)
+        for t in masks:
+            v = tab.violation(t)
             if v is not None:
                 raise AssertionError("enumerated an invalid triangulation: %s" % (v,))
+        ts = [tab.triangulation(t) for t in masks]
         if tab.mask(tab.top.simplices) not in seen:
             raise AssertionError("flip search failed to reach the top element")
         order = sorted(range(len(ts)), key=lambda i: ts[i].key())

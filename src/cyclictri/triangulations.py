@@ -4,24 +4,28 @@ flips, the vertex contraction/insertion maps, and submersion sets.
 Validation and flips run on one lookup table per (n, d), `table(n, d)`: the
 d-simplices of [n] are numbered in lexicographic order, so a set of them is
 an int mask and an increasing flip is `t & low == low -> (t ^ low) | up`
-(the bitset design of TOPCOM; Rambau, ICMS 2002)."""
+(the bitset design of TOPCOM; Rambau, ICMS 2002).  Validation reads masks
+too: each simplex's row holds its conflict mask (the zig-zag rule, as ANDs
+of masks of the simplices with a label in a gap), its volume, and the masks
+of its facets and labels, so a mask is checked by ANDs, an integer sum and
+three saturating facet counters; members and facets are walked one by one
+only to name the witness of a failure."""
 
 import json
 from bisect import bisect_left
-from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain, combinations, product
+from itertools import combinations, product
 from math import comb
 
 from . import geometry
-from .simplices import (LOWER, bits, facet_split, gale_facets, simplex,
-                        zig_zag_admissible)
+from .simplices import LOWER, bits, facet_split, gale_facets, simplex
 
 DEFAULT_ENUM_CAP = 10 ** 6
 
 _table_cache = {}
 _intertwining_cache = {}
+_simplex_text = {}      # simplex -> its JSON text "[a,b,c]"
 
 
 class ResourceBudgetError(RuntimeError):
@@ -99,12 +103,20 @@ class Triangulation:
         return "Triangulation(%d, %d, %s)" % (self.n, self.d, list(self.simplices))
 
     def key(self):
-        """Canonical JSON form; byte-stable identity for posets and exports."""
+        """Canonical JSON form; byte-stable identity for posets and exports.
+
+        The bytes are those of json.dumps({"n": n, "d": d, "simplices":
+        [list(s) for s in simplices]}, separators=(",", ":")), joined from
+        one cached "[a,b,c]" string per simplex."""
         if self._key is None:
-            self._key = json.dumps(
-                {"n": self.n, "d": self.d,
-                 "simplices": [list(s) for s in self.simplices]},
-                separators=(",", ":"))
+            parts = []
+            for s in self.simplices:
+                text = _simplex_text.get(s)
+                if text is None:
+                    text = _simplex_text[s] = "[%s]" % ",".join(map(str, s))
+                parts.append(text)
+            self._key = '{"n":%d,"d":%d,"simplices":[%s]}' % (
+                self.n, self.d, ",".join(parts))
         return self._key
 
     @staticmethod
@@ -117,8 +129,9 @@ class _Table:
     """The d-simplices of [n] in lexicographic order, bit i of a mask
     standing for simplices[i], with what validation and flips need of each:
     its row and its extensions, both filled in on first use, so only the
-    simplices that occur cost anything.  The hull volume and the boundary
-    are computed once, on the first validation.
+    simplices that occur cost anything.  The gap masks the rows are built
+    from, the hull volume, the numbering of the d-subsets of [n] (the
+    facets) and the boundary are computed once, on first use.
     """
 
     def __init__(self, n, d):
@@ -145,6 +158,16 @@ class _Table:
     def boundary(self):
         return gale_facets(self.n, self.d)
 
+    @cached_property
+    def facet_index(self):
+        """Lexicographic numbering of the d-subsets of [n]."""
+        return {f: k for k, f in enumerate(combinations(range(1, self.n + 1), self.d))}
+
+    @cached_property
+    def boundary_mask(self):
+        index = self.facet_index
+        return sum(1 << index[f] for f in self.boundary)
+
     def mask(self, members):
         """Mask of distinct d-simplices of [n]."""
         m = 0
@@ -157,61 +180,121 @@ class _Table:
         return Triangulation._canonical(
             self.n, self.d, tuple(self.simplices[i] for i in bits(mask)))
 
+    @cached_property
+    def gaps(self):
+        """gaps[lo][hi]: the mask of the simplices with a label strictly
+        between lo and hi, for 0 <= lo < hi <= n + 1."""
+        n = self.n
+        has = [0] * (n + 1)
+        for i, s in enumerate(self.simplices):
+            for v in s:
+                has[v] |= 1 << i
+        gaps = []
+        for lo in range(n + 1):
+            row, m = {}, 0
+            for hi in range(lo + 1, n + 2):
+                row[hi] = m
+                if hi <= n:
+                    m |= has[hi]
+            gaps.append(row)
+        return gaps
+
     def row(self, i):
-        """(conflicts, volume, facets) of simplices[i]: the mask of the later
-        simplices it is not zig-zag admissible with, its normalized volume,
-        and its facets in the order the wall check counts them."""
+        """(conflicts, volume, facets, labels) of simplices[i]: the mask of
+        the later simplices it is not zig-zag admissible with, its
+        normalized volume, the mask of its facets over facet_index and the
+        mask of its labels (bit v for label v).
+
+        Two simplices meet improperly iff some x_1 < ... < x_{d+2} has its
+        odd positions in one and its even positions in the other.  For each
+        half h of such a sequence inside simplices[i], the simplices holding
+        the other half are those with a label in each gap h leaves for it:
+        the AND of their gap masks."""
         got = self._rows[i]
         if got is None:
-            s, d = self.simplices[i], self.d
+            s, n, d = self.simplices[i], self.n, self.d
+            gaps = self.gaps
             conflicts = 0
-            for j in range(i + 1, len(self.simplices)):
-                if not zig_zag_admissible(s, self.simplices[j], d):
-                    conflicts |= 1 << j
+            for odd in (True, False):
+                # h takes the odd positions, or the even ones; the other half
+                # goes one label to a gap: between h's labels, before the
+                # first when h is even, after the last when it is the longer
+                k = (d + 3) // 2 if odd else (d + 2) // 2
+                head = () if odd else (0,)
+                tail = (n + 1,) if (d % 2 == 0) == odd else ()
+                for h in combinations(s, k):
+                    w = head + h + tail
+                    m = -1
+                    for lo, hi in zip(w, w[1:]):
+                        m &= gaps[lo][hi]
+                    conflicts |= m
+            conflicts = conflicts >> (i + 1) << (i + 1)
+            index = self.facet_index
             got = self._rows[i] = (
                 conflicts, geometry.normalized_volume(s, d),
-                tuple(s[:k] + s[k + 1:] for k in range(d + 1)))
+                sum(1 << index[f] for f in _facets(s)), sum(1 << v for v in s))
         return got
 
-    def violation(self, members):
-        """validate's checks after shape and emptiness, for distinct
-        d-simplices of [n] in lexicographic order."""
-        idx = [self.index[s] for s in members]
-        rows = [self.row(i) for i in idx]
-        mask = sum(1 << i for i in idx)
-        for i, (conflicts, _, _) in zip(idx, rows):
-            bad = mask & conflicts
+    def violation(self, mask):
+        """validate's checks after shape and emptiness, for the mask of a
+        set of d-simplices of [n]: admissibility, volume, walls, labels.
+
+        Walls are counted by three saturating facet masks (covered at least
+        once, twice, three times); the first bad wall is then named by
+        walking the members in lexicographic order and their facets in row
+        order, as a count of facets in that order would meet it."""
+        rows = self._rows
+        vol = once = twice = thrice = labels = 0
+        for i in bits(mask):
+            row = rows[i] or self.row(i)
+            bad = mask & row[0]
             if bad:
                 j = (bad & -bad).bit_length() - 1
                 return Violation("admissible", (self.simplices[i], self.simplices[j]),
                                  "members intersect improperly")
+            vol += row[1]
+            facets = row[2]
+            thrice |= twice & facets
+            twice |= once & facets
+            once |= facets
+            labels |= row[3]
 
-        vol = sum(vol for _, vol, _ in rows)
         if vol != self.hull:
             return Violation("volume", (vol, self.hull),
                              "simplex volumes sum to %s, hull has %s" % (vol, self.hull))
 
-        boundary = self.boundary
-        seen = Counter(chain.from_iterable(facets for _, _, facets in rows))
-        for f, c in seen.items():
-            if c == 2:
-                if f in boundary:
-                    return Violation("wall", f, "hull facet covered twice")
-            elif c == 1:
-                if f not in boundary:
-                    return Violation("wall", f, "interior wall covered once")
-            else:
-                return Violation("wall", f, "wall covered %d times" % c)
-        for f in boundary:
-            if seen.get(f) != 1:
-                return Violation("wall", f, "hull facet not covered")
+        boundary = self.boundary_mask
+        bad = thrice | (twice & boundary) | (once & ~twice & ~boundary)
+        if bad:
+            return self._wall_violation(mask, bad)
+        if boundary & ~once:
+            index = self.facet_index
+            f = next(f for f in self.boundary if not (once >> index[f]) & 1)
+            return Violation("wall", f, "hull facet not covered")
 
-        used = set(chain.from_iterable(members))
-        extreme = set(range(1, self.n + 1)) if self.d >= 2 else {1, self.n}
-        missing = extreme - used
+        extreme = (1 << (self.n + 1)) - 2 if self.d >= 2 else 2 | 1 << self.n
+        missing = extreme & ~labels
         if missing:
-            return Violation("labels", min(missing), "extreme label unused")
+            return Violation("labels", (missing & -missing).bit_length() - 1,
+                             "extreme label unused")
         return None
+
+    def _wall_violation(self, mask, bad):
+        """The wall violation of the first facet in bad that the members of
+        mask meet, walked in lexicographic order, facets in row order."""
+        index = self.facet_index
+        members = [(self.simplices[i], self.row(i)[2]) for i in bits(mask)]
+        for s, _ in members:
+            for f in _facets(s):
+                k = index[f]
+                if (bad >> k) & 1:
+                    c = sum((facets >> k) & 1 for _, facets in members)
+                    if c == 2:
+                        return Violation("wall", f, "hull facet covered twice")
+                    if c == 1:
+                        return Violation("wall", f, "interior wall covered once")
+                    return Violation("wall", f, "wall covered %d times" % c)
+        raise AssertionError("a bad wall that no member has")
 
     def extensions(self, i):
         """(cand, low, up) for each (d+2)-set cand = simplices[i] + (v,) with
@@ -243,6 +326,11 @@ class _Table:
             raise ValueError("%r is not a (d+2)-set of [%d]" % (cand, self.n))
         _, low, up = self.extensions(i)[cand[-1] - cand[-2] - 1]
         return low, up
+
+
+def _facets(s):
+    """The facets of a simplex, dropping its labels first to last."""
+    return [s[:k] + s[k + 1:] for k in range(len(s))]
 
 
 def table(n, d):
@@ -280,7 +368,8 @@ def validate(simplices, n, d):
         return Violation("shape", simplices, str(e))
     if not t.simplices:
         return Violation("empty", t, "no simplices")
-    return table(n, d).violation(t.simplices)
+    tab = table(n, d)
+    return tab.violation(tab.mask(t.simplices))
 
 
 def make_triangulation(simplices, n, d):
@@ -329,21 +418,19 @@ def contract_last(t):
     n, d = t.n, t.d
     if n < d + 2:
         raise ValueError("nothing to contract")
-    out = set()
-    for s in t:
-        if s[-1] != n:
-            out.add(s)
-        elif n - 1 not in s:
-            out.add(tuple(sorted(s[:-1] + (n - 1,))))
-    return Triangulation(n - 1, d, out)
+    # a member ending in n but avoiding n-1 slides to s[:-1] + (n-1,),
+    # still sorted
+    out = {s if s[-1] != n else s[:-1] + (n - 1,)
+           for s in t.simplices if s[-1] != n or s[-2] != n - 1}
+    return Triangulation._canonical(n - 1, d, tuple(sorted(out)))
 
 
 def insert_bottom(t):
     """Extend a triangulation of C(n-1, d) to C(n, d) by coning the new last
     vertex from below (adds the star of n in bottom(n, d))."""
     n = t.n + 1
-    star = [s for s in bottom(n, t.d) if s[-1] == n]
-    return Triangulation(n, t.d, set(t.simplices) | set(star))
+    star = tuple(s for s in bottom(n, t.d) if s[-1] == n)
+    return Triangulation._canonical(n, t.d, tuple(sorted(t.simplices + star)))
 
 
 def insert_top(t):
@@ -351,16 +438,10 @@ def insert_top(t):
     vertex and capping with the top star of {n-1, n}."""
     n = t.n + 1
     d = t.d
-    out = set()
-    for s in t:
-        if n - 1 in s:
-            out.add(tuple(sorted(set(s) - {n - 1} | {n})))
-        else:
-            out.add(s)
-    for s in top(n, d):
-        if n - 1 in s and n in s:
-            out.add(s)
-    return Triangulation(n, d, out)
+    # n-1 is the last label of the members holding it; they move to n
+    out = [s if s[-1] != n - 1 else s[:-1] + (n,) for s in t.simplices]
+    out.extend(s for s in top(n, d) if s[-2:] == (n - 1, n))
+    return Triangulation._canonical(n, d, tuple(sorted(out)))
 
 
 def terminal_simplex(n, d):

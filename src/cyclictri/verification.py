@@ -2,6 +2,14 @@
 supposed to satisfy: the suspension-map hypotheses, connecting sets of
 (d+1)-simplices witnessing flip-order comparability, monotonicity of the
 terminal simplex, and a brute-force enumeration oracle.
+
+The checks read masks.  The suspension maps are position lists between the
+two posets, and a map is checked monotone on the covers of its source only.
+A connecting set is checked on the triangulation tables: pairwise
+admissibility by the conflict rows of table(n, d+1), the face conditions by
+the lower/upper facet masks of its members in table(n, d) and a two-level
+count of the faces they cover.  Members and faces are walked one by one only
+to name the witness of a failure.
 """
 
 from collections import deque
@@ -22,86 +30,87 @@ def verify_suspension(n, d, order="s1", cap=None):
         raise ValueError("need n > d+2 so the smaller poset is nontrivial")
     p = build_order(order, n, d, cap)
     q = build_order(order, n - 1, d, cap)
-    # witnesses are the first in key order: elements listed in key order,
-    # the first of a position mask picked by key rank
-    p_elems = [p.data[k] for k in p.keys()]
-    q_elems = [q.data[k] for k in q.keys()]
-    f_of = {t.key(): tri.contract_last(t) for t in p_elems}
-    i_of = {t.key(): tri.insert_bottom(t) for t in q_elems}
-    j_of = {t.key(): tri.insert_top(t) for t in q_elems}
+    # triangulations and the three maps by position: f from p to q, i and
+    # j from q to p.  Witnesses are the first in key order: elements are
+    # walked by by_key, and the first of a position mask picked by key rank.
+    p_ts = [p.data[k] for k in p.elements]
+    q_ts = [q.data[k] for k in q.elements]
+    p_at = {t: x for x, t in enumerate(p_ts)}
+    q_at = {t: x for x, t in enumerate(q_ts)}
+    i_ts = [tri.insert_bottom(t) for t in q_ts]
+    j_ts = [tri.insert_top(t) for t in q_ts]
+    f = [q_at[tri.contract_last(t)] for t in p_ts]
+    i = [p_at[t] for t in i_ts]
+    j = [p_at[t] for t in j_ts]
     report = {"n": n, "d": d, "order": order}
 
     def entry(name, witness):
         report[name] = {"pass": witness is None, "witness": witness}
 
-    green = {t.key() for t in p_elems if tri.color(t) == tri.GREEN}
-    red_mask = sum(1 << x for x, k in enumerate(p.elements) if k not in green)
+    green = [tri.color(t) == tri.GREEN for t in p_ts]
+    red_mask = sum(1 << x for x, g in enumerate(green) if not g)
     w = None
     for a in p.by_key:
-        bad = p.down[a] & red_mask if p.elements[a] in green else 0
+        bad = p.down[a] & red_mask if green[a] else 0
         if bad:
             w = (p.elements[min(bits(bad), key=p.rank.__getitem__)], p.elements[a])
             break
     entry("green_ideal", w)
 
-    w = next((t.key() for t in q_elems
-              if tri.contract_last(i_of[t.key()]) != t), None)
+    w = next((q.elements[y] for y in q.by_key
+              if tri.contract_last(i_ts[y]) != q_ts[y]), None)
     entry("f_i_identity", w)
-    w = next((t.key() for t in q_elems
-              if tri.contract_last(j_of[t.key()]) != t), None)
+    w = next((q.elements[y] for y in q.by_key
+              if tri.contract_last(j_ts[y]) != q_ts[y]), None)
     entry("f_j_identity", w)
 
-    w = next((t.key() for t in q_elems
-              if tri.color(i_of[t.key()]) != tri.GREEN), None)
+    w = next((q.elements[y] for y in q.by_key
+              if tri.color(i_ts[y]) != tri.GREEN), None)
     if w is None:
-        w = next((t.key() for t in q_elems
-                  if tri.color(j_of[t.key()]) != tri.RED), None)
+        w = next((q.elements[y] for y in q.by_key
+                  if tri.color(j_ts[y]) != tri.RED), None)
     entry("image_colors", w)
 
-    w = None
-    for t in p_elems:
-        low = i_of[f_of[t.key()].key()]
-        high = j_of[f_of[t.key()].key()]
-        if not p.le_keys(low.key(), t.key()) or not p.le_keys(t.key(), high.key()):
-            w = t.key()
-            break
+    w = next((p.elements[x] for x in p.by_key
+              if not p.le(i[f[x]], x) or not p.le(x, j[f[x]])), None)
     entry("sandwich", w)
 
-    bot_p, top_p = tri.bottom(n, d), tri.top(n, d)
-    bot_q, top_q = tri.bottom(n - 1, d), tri.top(n - 1, d)
-    w = next((t.key() for t in p_elems
-              if f_of[t.key()] == bot_q and t != bot_p and t.key() in green), None)
+    bot_p, top_p = p_at[tri.bottom(n, d)], p_at[tri.top(n, d)]
+    bot_q, top_q = q_at[tri.bottom(n - 1, d)], q_at[tri.top(n - 1, d)]
+    w = next((p.elements[x] for x in p.by_key
+              if f[x] == bot_q and x != bot_p and green[x]), None)
     entry("fiber_bottom", w)
-    w = next((t.key() for t in p_elems
-              if f_of[t.key()] == top_q and t != top_p and t.key() not in green),
-             None)
+    w = next((p.elements[x] for x in p.by_key
+              if f[x] == top_q and x != top_p and not green[x]), None)
     entry("fiber_top", w)
 
     # order preservation of the three maps, checked because the interval
     # conditions above only make sense for monotone data
-    w = None
-    for a in p.by_key:
-        fa = f_of[p.elements[a]].key()
-        bad = [b for b in bits(p.up[a] & ~(1 << a))
-               if not q.le_keys(fa, f_of[p.elements[b]].key())]
-        if bad:
-            w = (p.elements[a], p.elements[min(bad, key=p.rank.__getitem__)])
-            break
-    entry("f_monotone", w)
-    for name, mapping in (("i_monotone", i_of), ("j_monotone", j_of)):
-        w = None
-        for a in q.by_key:
-            ma = mapping[q.elements[a]].key()
-            bad = [b for b in bits(q.up[a] & ~(1 << a))
-                   if not p.le_keys(ma, mapping[q.elements[b]].key())]
-            if bad:
-                w = (q.elements[a], q.elements[min(bad, key=q.rank.__getitem__)])
-                break
-        entry(name, w)
+    entry("f_monotone", _monotone_witness(p, q, f))
+    entry("i_monotone", _monotone_witness(q, p, i))
+    entry("j_monotone", _monotone_witness(q, p, j))
 
     report["pass"] = all(v["pass"] for k, v in report.items()
                          if isinstance(v, dict))
     return report
+
+
+def _monotone_witness(src, dst, image):
+    """None if the map x -> image[x] from the positions of src to those of
+    dst preserves the order, else the first pair (x, y) of src keys with
+    x <= y but image[x] not <= image[y]: x first in key order, then y.
+
+    dst is transitive, so the map is monotone iff every cover of src maps
+    to a related pair; only a failing cover costs the scan of all pairs."""
+    order, le = src.by_key, dst.le
+    if all(le(image[order[a]], image[order[b]]) for a, b in src.covers()):
+        return None
+    for x in order:
+        row = dst.up[image[x]]
+        bad = [y for y in bits(src.up[x] & ~(1 << x)) if not (row >> image[y]) & 1]
+        if bad:
+            return (src.elements[x], src.elements[min(bad, key=src.rank.__getitem__)])
+    raise AssertionError("a cover fails but every pair holds")
 
 
 def find_connecting_set(t, t2):
@@ -133,45 +142,59 @@ def find_connecting_set(t, t2):
 
 def verify_connecting_set(t, t2, tilde):
     """Check the six conditions making a set of (d+1)-simplices a witness
-    for t <= t2 in the flip order; returns the first failure if any."""
-    d = t.d
-    tilde = sorted(tuple(sorted(s)) for s in tilde)
+    for t <= t2 in the flip order; returns the first failure if any.
+
+    The members, taken in lexicographic order, must be (i) pairwise
+    admissible in dimension d+1; each lower facet of a member must be a
+    facet of another member or (ii) a member of t, each upper facet (iii)
+    one of t2; each member of t not in t2 must be (iv) a lower facet of a
+    member, each member of t2 not in t (v) an upper one; and (vi) none of
+    those is a facet of two members."""
+    n, d = t.n, t.d
+    if (t2.n, t2.d) != (n, d):
+        raise ValueError("triangulations on different polytopes")
+    tilde = sorted({tuple(sorted(s)) for s in tilde})
     for s in tilde:
         if len(s) != d + 2 or len(set(s)) != d + 2:
             raise ValueError("connecting sets consist of (d+2)-vertex simplices")
+        if s[0] < 1 or s[-1] > n:
+            raise ValueError("member %r has a label outside 1..%d" % (s, n))
     result = {"pass": True, "condition": None, "witness": None}
 
     def fail(cond, witness):
         result.update({"pass": False, "condition": cond, "witness": witness})
         return result
 
-    for a, b in combinations(tilde, 2):
-        if not simplices.zig_zag_admissible(a, b, d + 1):
-            return fail("i", (a, b))
-    in_t, in_t2 = set(t.simplices), set(t2.simplices)
-    splits = [simplices.facet_split(s) for s in tilde]
-    for s, (lower, upper) in zip(tilde, splits):
-        for face in lower:
-            if not any(set(face) < set(o) for o in tilde if o != s) \
-                    and face not in in_t:
-                return fail("ii", (s, face))
-        for face in upper:
-            if not any(set(face) < set(o) for o in tilde if o != s) \
-                    and face not in in_t2:
-                return fail("iii", (s, face))
-    only_t = in_t - in_t2
-    only_t2 = in_t2 - in_t
-    lowers = set().union(*(lower for lower, _ in splits))
-    uppers = set().union(*(upper for _, upper in splits))
-    for face in sorted(only_t):
-        if face not in lowers:
-            return fail("iv", face)
-    for face in sorted(only_t2):
-        if face not in uppers:
-            return fail("v", face)
-    for face in sorted(only_t | only_t2):
-        if sum(1 for s in tilde if set(face) < set(s)) > 1:
-            return fail("vi", face)
+    if tilde:
+        big = tri.table(n, d + 1)
+        members = [big.index[s] for s in tilde]
+        mask = sum(1 << k for k in members)
+        for a, k in zip(tilde, members):
+            bad = mask & big.row(k)[0]
+            if bad:
+                return fail("i", (a, big.simplices[(bad & -bad).bit_length() - 1]))
+
+    tab = tri.table(n, d)
+    splits = [tab.split(s) for s in tilde]
+    once = twice = lowers = uppers = 0      # twice: facets of two members
+    for low, up in splits:
+        twice |= once & (low | up)
+        once |= low | up
+        lowers |= low
+        uppers |= up
+    in_t, in_t2 = tab.mask(t.simplices), tab.mask(t2.simplices)
+    for s, (low, up) in zip(tilde, splits):
+        for cond, faces, own, end in (("ii", low, 0, in_t), ("iii", up, 1, in_t2)):
+            bad = faces & ~twice & ~end
+            if bad:
+                # the first such face as facet_split lists them
+                return fail(cond, (s, next(f for f in simplices.facet_split(s)[own]
+                                           if (bad >> tab.index[f]) & 1)))
+    only_t, only_t2 = in_t & ~in_t2, in_t2 & ~in_t
+    for cond, bad in (("iv", only_t & ~lowers), ("v", only_t2 & ~uppers),
+                      ("vi", (only_t | only_t2) & twice)):
+        if bad:
+            return fail(cond, tab.simplices[(bad & -bad).bit_length() - 1])
     return result
 
 
@@ -179,16 +202,15 @@ def connecting_a(t):
     """The witness set for i(f(t)) <= t: members containing the last vertex
     but not the second-to-last, widened by the second-to-last."""
     n = t.n
-    return frozenset(tuple(sorted(set(s) | {n - 1}))
-                     for s in t if n in s and n - 1 not in s)
+    return frozenset(s[:-1] + (n - 1, n) for s in t.simplices
+                     if s[-1] == n and s[-2] != n - 1)
 
 
 def connecting_b(t):
     """The witness set for t <= j(f(t)): members containing the
     second-to-last vertex but not the last, widened by the last."""
     n = t.n
-    return frozenset(tuple(sorted(set(s) | {n}))
-                     for s in t if n - 1 in s and n not in s)
+    return frozenset(s + (n,) for s in t.simplices if s[-1] == n - 1)
 
 
 def verify_connecting_sets(n, d, cap=None):

@@ -303,6 +303,26 @@ def test_failed_run_leaves_stdout_empty(tmp_path, monkeypatch, capsys, argv, exp
     assert err.count("\n") == 1
 
 
+@pytest.mark.parametrize("target,reason", [
+    ("missing/x", "No such file or directory"),
+    ("file/x", "Not a directory"),
+    (".", "Is a directory"),
+])
+def test_unwritable_output_stops_before_the_handler(tmp_path, monkeypatch, capsys,
+                                                    target, reason):
+    # the path is checked before any work: the handler must not run
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "file").write_text("")
+
+    def handler(args):
+        pytest.fail("the handler ran before the output path was checked")
+
+    monkeypatch.setattr(cli, "cmd_baues", handler)
+    code, out, err = run(capsys, "baues", "--n", "9", "--d", "2", "--output", target)
+    assert code == 3 and out == ""
+    assert err == "error: cannot write %s: %s\n" % (target, reason)
+
+
 @pytest.mark.parametrize("argv", [
     "enumerate --n 5 --d 2",
     "poset --n 5 --d 2 --format dot",

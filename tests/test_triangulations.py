@@ -1,5 +1,7 @@
 """Triangulations of C(n,d): construction, validation, flips, maps."""
 
+import json
+import random
 from itertools import combinations
 
 import pytest
@@ -84,6 +86,14 @@ def test_triangulation_key_roundtrip():
     s = t.key()
     assert Triangulation.from_json(s) == t
     assert isinstance(s, str) and '"n":7' in s.replace(" ", "")
+
+
+@pytest.mark.parametrize("n,d", [(6, 1), (8, 2), (8, 3), (11, 8)])
+def test_triangulation_key_is_compact_json(n, d):
+    for t in _all_triangulations(n, d):
+        assert t.key() == json.dumps({"n": n, "d": d,
+                                      "simplices": [list(s) for s in t.simplices]},
+                                     separators=(",", ":"))
 
 
 def test_increasing_flips_from_bottom_c52():
@@ -194,13 +204,14 @@ def _all_triangulations(n, d):
 # The per-(n, d) table against the definitions it is built from.
 
 def _reference_validate(simplices, n, d):
-    """validate's checks in their plain pairwise form, as a reference."""
+    """validate's checks in their plain pairwise form, as a reference:
+    (rule, witness, message) of the first violation, or None."""
     try:
         t = Triangulation(n, d, simplices)
-    except ValueError:
-        return ("shape", simplices)
+    except ValueError as e:
+        return ("shape", simplices, str(e))
     if not t.simplices:
-        return ("empty", t)
+        return ("empty", t, "no simplices")
     return _reference_checks(t.simplices, n, d)
 
 
@@ -210,12 +221,12 @@ def _reference_checks(members, n, d, hull=None):
     for i, a in enumerate(members):
         for b in members[i + 1:]:
             if not zig_zag_admissible(a, b, d):
-                return ("admissible", (a, b))
+                return ("admissible", (a, b), "members intersect improperly")
     vol = sum(normalized_volume(s, d) for s in members)
     if hull is None:
         hull = cyclic_volume(n, d)
     if vol != hull:
-        return ("volume", (vol, hull))
+        return ("volume", (vol, hull), "simplex volumes sum to %s, hull has %s" % (vol, hull))
     boundary = gale_facets(n, d)
     seen = {}
     for s in members:
@@ -223,23 +234,27 @@ def _reference_checks(members, n, d, hull=None):
             f = s[:j] + s[j + 1:]
             seen[f] = seen.get(f, 0) + 1
     for f, c in seen.items():
-        if (c == 2 and f in boundary) or (c == 1 and f not in boundary) or c > 2:
-            return ("wall", f)
+        if c == 2 and f in boundary:
+            return ("wall", f, "hull facet covered twice")
+        if c == 1 and f not in boundary:
+            return ("wall", f, "interior wall covered once")
+        if c > 2:
+            return ("wall", f, "wall covered %d times" % c)
     for f in boundary:
         if seen.get(f) != 1:
-            return ("wall", f)
+            return ("wall", f, "hull facet not covered")
     used = {v for s in members for v in s}
     missing = (set(range(1, n + 1)) if d >= 2 else {1, n}) - used
     if missing:
-        return ("labels", min(missing))
+        return ("labels", min(missing), "extreme label unused")
     return None
 
 
 def _rule_witness(v):
-    return None if v is None else (v.rule, v.witness)
+    return None if v is None else (v.rule, v.witness, v.message)
 
 
-@pytest.mark.parametrize("n,d", [(7, 2), (8, 3), (9, 4), (9, 5)])
+@pytest.mark.parametrize("n,d", [(7, 2), (8, 3), (9, 4), (9, 5), (8, 1), (8, 6), (10, 4)])
 def test_table_rows_match_zig_zag(n, d):
     tab = table(n, d)
     for i, a in enumerate(tab.simplices):
@@ -297,12 +312,50 @@ def test_table_wall_check_matches_reference():
                 tab.hull = vol
                 want = _reference_checks(members, n, d, hull=vol)
                 assert want[0] == "wall"
-                assert _rule_witness(tab.violation(members)) == want
+                assert _rule_witness(tab.violation(tab.mask(members))) == want
         # nothing covered: the first hull facet is the witness
         tab.hull = 0
         want = _reference_checks((), n, d, hull=0)
-        assert want == ("wall", next(iter(gale_facets(n, d))))
-        assert _rule_witness(tab.violation(())) == want
+        assert want == ("wall", next(iter(gale_facets(n, d))), "hull facet not covered")
+        assert _rule_witness(tab.violation(0)) == want
+
+
+@pytest.mark.parametrize("n,d", [(7, 2), (8, 3), (9, 4), (8, 1), (7, 5)])
+def test_mask_validator_matches_reference_on_random_and_perturbed_sets(n, d):
+    # random subsets of the d-simplices, and triangulations with one or two
+    # table bits flipped; validate and the table's mask check must both
+    # give the reference's rule, witness and message.  A set failing on
+    # volume is checked again against its own volume as the hull, which
+    # reaches the wall and label checks.
+    rng = random.Random(9000 + 10 * n + d)
+    tab = table(n, d)
+    free = _Table(n, d)
+    size = len(tab.simplices)
+    ts = _all_triangulations(n, d)
+    longest = max(len(t) for t in ts)
+    masks = []
+    for _ in range(120):
+        k = rng.randint(1, min(size, longest + 2))
+        masks.append(sum(1 << i for i in rng.sample(range(size), k)))
+    for t in rng.sample(ts, min(40, len(ts))):
+        m = tab.mask(t.simplices)
+        for flips in (1, 2):
+            for _ in range(3):
+                masks.append(m ^ sum(1 << i for i in rng.sample(range(size), flips)))
+    rules = set()
+    for m in masks:
+        members = [tab.simplices[i] for i in bits(m)]
+        want = _reference_validate(members, n, d)
+        assert _rule_witness(validate(members, n, d)) == want, members
+        if m:
+            assert _rule_witness(tab.violation(m)) == want, members
+        rules.add(want and want[0])
+        if want is not None and want[0] == "volume":
+            free.hull = want[1][0]
+            want = _reference_checks(members, n, d, hull=free.hull)
+            assert _rule_witness(free.violation(m)) == want, members
+            rules.add(want and want[0])
+    assert {"admissible", "volume", "wall"} <= rules
 
 
 def _reference_flips(t):

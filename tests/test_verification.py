@@ -4,19 +4,27 @@ brute_force_triangulations is the independent enumerator: it never
 flips, it just packs admissible simplices until the volume is exact.
 """
 
+import random
+from itertools import combinations
+
 import pytest
 
 from cyclictri import verification
-from cyclictri.posets import FinitePoset, build_s1, enumerate_triangulations
+from cyclictri.posets import FinitePoset, build_order, build_s1, enumerate_triangulations
+from cyclictri.simplices import bits, facet_split, zig_zag_admissible
 from cyclictri.triangulations import (
+    Triangulation,
+    apply_flip,
     bottom,
     contract_last,
+    increasing_flips,
     insert_bottom,
     insert_top,
     terminal_simplex,
     top,
 )
 from cyclictri.verification import (
+    _monotone_witness,
     brute_force_triangulations,
     connecting_a,
     connecting_b,
@@ -132,3 +140,124 @@ def test_s0_monotone_witness_is_first_in_key_order(monkeypatch):
     want = next((a, b) for a in keys for b in keys if chain.le_keys(a, b)
                 and s0 in chain.data[a] and s0 not in chain.data[b])
     assert verify_s0_monotone(6, 2) == {"pass": False, "witness": want}
+
+
+def _reference_connecting_set(t, t2, tilde):
+    """The six connecting-set conditions checked pairwise on tuples."""
+    d = t.d
+    tilde = sorted(tuple(sorted(s)) for s in tilde)
+
+    def fail(cond, witness):
+        return {"pass": False, "condition": cond, "witness": witness}
+
+    for a, b in combinations(tilde, 2):
+        if not zig_zag_admissible(a, b, d + 1):
+            return fail("i", (a, b))
+    in_t, in_t2 = set(t.simplices), set(t2.simplices)
+    splits = [facet_split(s) for s in tilde]
+    for s, (lower, upper) in zip(tilde, splits):
+        for face in lower:
+            if not any(set(face) < set(o) for o in tilde if o != s) \
+                    and face not in in_t:
+                return fail("ii", (s, face))
+        for face in upper:
+            if not any(set(face) < set(o) for o in tilde if o != s) \
+                    and face not in in_t2:
+                return fail("iii", (s, face))
+    only_t = in_t - in_t2
+    only_t2 = in_t2 - in_t
+    lowers = set().union(*(lower for lower, _ in splits))
+    uppers = set().union(*(upper for _, upper in splits))
+    for face in sorted(only_t):
+        if face not in lowers:
+            return fail("iv", face)
+    for face in sorted(only_t2):
+        if face not in uppers:
+            return fail("v", face)
+    for face in sorted(only_t | only_t2):
+        if sum(1 for s in tilde if set(face) < set(s)) > 1:
+            return fail("vi", face)
+    return {"pass": True, "condition": None, "witness": None}
+
+
+@pytest.mark.parametrize("n,d", [(7, 2), (8, 2), (8, 3), (7, 4)])
+def test_connecting_set_matches_pairwise_reference(n, d):
+    # the A and B sets of sampled triangulations and single flips, which
+    # pass, and the same sets with a member dropped, added or swapped, the
+    # flips reversed, and random sets, which mostly fail
+    rng = random.Random(900 + 10 * n + d)
+    ts = enumerate_triangulations(n, d)
+    cands = list(combinations(range(1, n + 1), d + 2))
+    cases = []
+    for t in rng.sample(ts, min(30, len(ts))):
+        f = contract_last(t)
+        cases.append((insert_bottom(f), t, connecting_a(t)))
+        cases.append((t, insert_top(f), connecting_b(t)))
+        for cand in increasing_flips(t)[:2]:
+            t2 = apply_flip(t, cand)
+            cases.append((t, t2, {cand}))
+            cases.append((t2, t, {cand}))
+            for cand2 in increasing_flips(t2)[:2]:
+                t3 = apply_flip(t2, cand2)
+                cases.extend((t, t3, tilde) for tilde in ({cand}, {cand2}, {cand, cand2}))
+    for t, t2, tilde in list(cases):
+        tilde = sorted(tilde)
+        if tilde:
+            k = rng.randrange(len(tilde))
+            cases.append((t, t2, tilde[:k] + tilde[k + 1:]))
+            cases.append((t, t2, tilde[:k] + [rng.choice(cands)] + tilde[k + 1:]))
+        cases.append((t, t2, tilde + [rng.choice(cands)]))
+    for _ in range(60):
+        cases.append((rng.choice(ts), rng.choice(ts),
+                      rng.sample(cands, rng.randint(1, 4))))
+    # sets of simplices that are not triangulations reach v and vi: two
+    # members sharing a facet, which only one end holds, and one member
+    # with an extra face at the upper end
+    faces = list(combinations(range(1, n + 1), d + 1))
+    for a, b in combinations(cands, 2):
+        shared = tuple(sorted(set(a) & set(b)))
+        if len(shared) == d + 1 and zig_zag_admissible(a, b, d + 1):
+            (la, ua), (lb, ub) = facet_split(a), facet_split(b)
+            cases.append((Triangulation(n, d, la | lb),
+                          Triangulation(n, d, (ua | ub) - {shared}), {a, b}))
+            cases.append((Triangulation(n, d, la), Triangulation(n, d, ua | {rng.choice(faces)}),
+                          {a}))
+    seen = set()
+    for t, t2, tilde in cases:
+        tilde = frozenset(tilde)
+        want = _reference_connecting_set(t, t2, tilde)
+        assert verify_connecting_set(t, t2, tilde) == want, (t, t2, sorted(tilde))
+        seen.add(want["condition"])
+    assert seen == {None, "i", "ii", "iii", "iv", "v", "vi"}
+
+
+def _reference_monotone(src, dst, image):
+    """First pair x <= y of src, in key order, with image[x] not <=
+    image[y] in dst, by testing every related pair."""
+    for x in src.by_key:
+        for y in sorted(bits(src.up[x]), key=src.rank.__getitem__):
+            if not dst.le(image[x], image[y]):
+                return (src.elements[x], src.elements[y])
+    return None
+
+
+@pytest.mark.parametrize("order", ["s1", "s2"])
+@pytest.mark.parametrize("n,d", [(7, 2), (7, 3)])
+def test_monotone_helper_matches_pair_scan(n, d, order):
+    # the contraction map is monotone; with two images swapped it is not,
+    # and the covers-first check must name the pair the full scan finds first
+    p, q = build_order(order, n, d), build_order(order, n - 1, d)
+    q_at = {q.data[k]: y for y, k in enumerate(q.elements)}
+    f = [q_at[contract_last(p.data[k])] for k in p.elements]
+    assert _monotone_witness(p, q, f) is None
+    assert _reference_monotone(p, q, f) is None
+    rng = random.Random(90 + n + d)
+    broken = 0
+    for _ in range(20):
+        a, b = rng.sample(range(len(f)), 2)
+        g = list(f)
+        g[a], g[b] = g[b], g[a]
+        want = _reference_monotone(p, q, g)
+        assert _monotone_witness(p, q, g) == want
+        broken += want is not None
+    assert broken
