@@ -13,7 +13,7 @@ force the cell hulls to meet face to face.
 import json
 from itertools import combinations
 
-from . import geometry, simplices, triangulations as tri
+from . import simplices, triangulations as tri
 from .posets import (FinitePoset, _interval_coatomic, build_s2,
                      compare_relations, interval_poset)
 
@@ -109,16 +109,20 @@ def validate_subdivision(cells, n, d):
                 return tri.Violation(
                     "face-to-face", (cells[a], cells[b]),
                     "shared vertices do not span a face of cell %s" % (cells[k],))
-    bottoms = [s for c in cells for s in cell_bottom(c, d)]
-    v = tri.validate(set(bottoms), n, d)
+    tab = tri.table(n, d)
+    bottoms = [tab.mask(cell_bottom(c, d)) for c in cells]
+    glued = 0
+    for m in bottoms:
+        glued |= m
+    v = tab.violation(glued)
     if v is not None:
         return tri.Violation("refinement", v.witness,
                              "glued cell triangulations fail: %s" % v.message)
-    total = sum(geometry.normalized_volume(s, d) for s in bottoms)
-    if total != geometry.cyclic_volume(n, d):
+    total = sum(tab.row(i)[1] for m in bottoms for i in simplices.bits(m))
+    if total != tab.hull:
         return tri.Violation("coverage", cells,
                              "cell volumes sum to %d, hull needs %d" %
-                             (total, geometry.cyclic_volume(n, d)))
+                             (total, tab.hull))
     return None
 
 

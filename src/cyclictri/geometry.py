@@ -1,18 +1,20 @@
 """Exact geometry on the moment curve.
 
-Every computation in here is over int / fractions.Fraction; there are no
-floats anywhere.  The production path uses only the exact volumes.  The rest
-is the oracle side that tests check the combinatorial rules against: an
-exact two-phase simplex solver (Bland's rule, so termination is
+There are no floats anywhere.  The production path is integer only: the
+normalized volumes and the hull of C(n, d) (its facets found by orientation
+signs) are Vandermonde determinants, computed by one fraction-free Bareiss
+elimination, `_det`.  The rest is the oracle side that tests check the
+combinatorial rules against, and the only place `fractions.Fraction`
+appears: an exact two-phase simplex solver (Bland's rule, so termination is
 unconditional) and cached per-simplex data (lift functionals, barycentric
-halfspace systems) that turn relative-height and submersion queries into
-very small LPs.
+halfspace systems, solved by Cramer's rule over `_det`) that turn
+relative-height and submersion queries into very small LPs.
 """
 
 from fractions import Fraction
 from itertools import combinations
 
-from .simplices import simplex, LOWER, UPPER
+from .simplices import simplex
 
 BELOW = "below"
 ABOVE = "above"
@@ -79,39 +81,40 @@ def normalized_volume(s, d):
 
 
 def cyclic_volume(n, d):
-    """Normalized volume of C(n, d), via the fan over the geometric facets
-    not containing vertex 1 (independent of the gap-parity rule)."""
+    """Normalized volume of C(n, d), via the fan from vertex 1 over the hull
+    facets that avoid it (independent of the gap-parity rule).
+
+    A d-set F of {2..n} is a facet iff the orientation det[(1, m(f)) for f
+    in F; (1, m(v))] has one nonzero sign over every other label v; a zero
+    means "not a facet".  Its absolute value at v = 1 is the volume of the
+    fan's simplex (1,) + F."""
     key = ("hull", n, d)
     v = _volume_cache.get(key)
     if v is not None:
         return v
+    points = [None] + [(1,) + moment_point(i, d) for i in range(1, n + 1)]
     total = 0
-    labels = tuple(range(1, n + 1))
-    for face in combinations(labels, d):
-        if 1 in face:
+    for face in combinations(range(2, n + 1), d):
+        rows = [points[f] for f in face]
+        apex = _det(rows + [points[1]])
+        if apex == 0:
             continue
-        if facet_class_geometric(face, labels, d) is not None:
-            total += normalized_volume((1,) + face, d)
+        if all(_det(rows + [points[v]]) * apex > 0
+               for v in range(2, n + 1) if v not in face):
+            total += abs(apex)
     _volume_cache[key] = total
     return total
 
 
 def _solve_linear(a_rows, rhs):
-    """Solve A x = rhs exactly; A square nonsingular.  Returns list[Fraction]."""
-    n = len(a_rows)
-    m = [[Fraction(x) for x in row] + [Fraction(b)] for row, b in zip(a_rows, rhs)]
-    for col in range(n):
-        piv = next((r for r in range(col, n) if m[r][col] != 0), None)
-        if piv is None:
-            raise ValueError("singular system")
-        m[col], m[piv] = m[piv], m[col]
-        pv = m[col][col]
-        m[col] = [x / pv for x in m[col]]
-        for r in range(n):
-            if r != col and m[r][col] != 0:
-                f = m[r][col]
-                m[r] = [x - f * y for x, y in zip(m[r], m[col])]
-    return [m[r][n] for r in range(n)]
+    """Solve A x = rhs for a square nonsingular int matrix A by Cramer's
+    rule over _det.  Returns list[Fraction]."""
+    den = _det(a_rows)
+    if den == 0:
+        raise ValueError("singular system")
+    return [Fraction(_det([list(row[:k]) + [b] + list(row[k + 1:])
+                           for row, b in zip(a_rows, rhs)]), den)
+            for k in range(len(a_rows))]
 
 
 class AffineFunctional:
@@ -457,45 +460,7 @@ def submerged(sigma, members, d):
 
 
 # ---------------------------------------------------------------------------
-# Hull-side oracles (independent of the gap-parity rule).
-
-def facet_class_geometric(face, vertices, d):
-    """Classify via exact hull sides: lower iff every other vertex lies
-    strictly above aff(face) in the last coordinate."""
-    face = simplex(face)
-    vertices = tuple(sorted(set(vertices)))
-    if len(face) != d or not set(face) <= set(vertices):
-        raise ValueError("need a d-subset of the vertex set")
-    if d == 1:
-        f = face[0]
-        above = [v > f for v in vertices if v != f]
-        if all(above):
-            return LOWER
-        if not any(above):
-            return UPPER
-        return None
-    # aff(face) as a graph over the first d-1 coordinates (never vertical on
-    # the moment curve)
-    rows = [list(moment_point(v, d)[:d - 1]) + [1] for v in face]
-    rhs = [moment_point(v, d)[d - 1] for v in face]
-    sol = _solve_linear(rows, rhs)
-    ell = AffineFunctional(sol[:d - 1], sol[d - 1])
-    saw_above = saw_below = False
-    for v in vertices:
-        if v in face:
-            continue
-        p = moment_point(v, d)
-        gap = p[d - 1] - ell(p[:d - 1])
-        if gap > 0:
-            saw_above = True
-        elif gap < 0:
-            saw_below = True
-        else:
-            return None  # degenerate; cannot happen on the moment curve
-        if saw_above and saw_below:
-            return None
-    return LOWER if saw_above else UPPER
-
+# Intersection oracle (independent of the zig-zag rule).
 
 def admissible_geometric(s1, s2, d):
     """Exact test that conv(s1) n conv(s2) equals the hull of the shared

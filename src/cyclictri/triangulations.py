@@ -13,7 +13,7 @@ only to name the witness of a failure."""
 
 import json
 from bisect import bisect_left
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import cached_property
 from itertools import combinations, product
 from math import comb
@@ -42,11 +42,7 @@ class ResourceBudgetError(RuntimeError):
         self.where = where
 
 
-@dataclass(frozen=True)
-class Violation:
-    rule: str
-    witness: object
-    message: str
+Violation = namedtuple("Violation", "rule witness message")
 
 
 class Triangulation:

@@ -159,6 +159,18 @@ def test_size_guard_exits_before_any_work():
     assert "budget" in proc.stderr
 
 
+def test_cli_import_stays_light():
+    # dataclasses pulls inspect, ast, dis and tokenize into every CLI process
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    code = ("import sys, cyclictri.cli; "
+            "print(sorted(m for m in ('dataclasses', 'inspect') if m in sys.modules))")
+    proc = subprocess.run([sys.executable, "-c", code],
+                          capture_output=True, text=True, env=env, timeout=30)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
 @pytest.mark.parametrize("argv,digest", [
     ("enumerate --n 8 --d 3",
      "4235f8fe974c66d5d65afa014823f4228f4c0d8a91e7cc7372a0c5f5b376a385"),

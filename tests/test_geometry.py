@@ -15,12 +15,15 @@ import pytest
 from scipy.optimize import linprog
 from scipy.spatial import ConvexHull
 
+from cyclictri import geometry
 from cyclictri.geometry import (
     BELOW,
     ABOVE,
     EQUAL,
     INCOMPARABLE,
     CROSSING,
+    _det,
+    _solve_linear,
     cyclic_volume,
     exact_lp,
     lift_functional,
@@ -146,9 +149,41 @@ def test_cyclic_volume_matches_scipy_hull():
 
 
 def test_cyclic_volume_is_triangulation_sum():
-    for n, d in [(5, 2), (6, 2), (6, 3), (7, 3), (7, 4)]:
+    # d = 1, n = d + 1 (the hull is one simplex) and d up to 6 included
+    for n, d in [(2, 1), (5, 1), (3, 2), (5, 2), (6, 2), (5, 4), (6, 3), (7, 3),
+                 (7, 4), (11, 4), (6, 5), (8, 5), (9, 5), (7, 6), (9, 6)]:
         for t in (bottom(n, d), top(n, d)):
             assert sum(normalized_volume(s, d) for s in t.simplices) == cyclic_volume(n, d)
+
+
+def test_cyclic_volume_needs_no_fractions(monkeypatch):
+    def no_fraction(*args):
+        raise AssertionError("Fraction used on the hull-volume path")
+    monkeypatch.setattr(geometry, "Fraction", no_fraction)
+    geometry.clear_caches()
+    assert cyclic_volume(10, 4) == sum(normalized_volume(s, 4)
+                                       for s in bottom(10, 4).simplices)
+
+
+def test_solve_linear_is_exact():
+    rng = random.Random(1968)
+    solved = 0
+    for k in range(1, 8):
+        for _ in range(12):
+            a = [[rng.randint(-9, 9) for _ in range(k)] for _ in range(k)]
+            rhs = [rng.randint(-20, 20) for _ in range(k)]
+            if _det(a) == 0:
+                continue
+            x = _solve_linear(a, rhs)
+            assert all(isinstance(v, Fraction) for v in x)
+            assert [sum(c * v for c, v in zip(row, x)) for row in a] == rhs
+            solved += 1
+        # a repeated row makes the system singular
+        a = [[rng.randint(-9, 9) for _ in range(k)] for _ in range(k - 1)]
+        a.append(list(a[0]) if a else [0])
+        with pytest.raises(ValueError, match="singular system"):
+            _solve_linear(a, [1] * k)
+    assert solved > 60
 
 
 def test_lift_functional_hand_cases():

@@ -11,6 +11,7 @@ from cyclictri.simplices import bits, facet_split, gale_facets, zig_zag_admissib
 from cyclictri.triangulations import (
     ResourceBudgetError,
     Triangulation,
+    Violation,
     _Table,
     apply_flip,
     bottom,
@@ -79,6 +80,12 @@ def test_validate_violations():
     v = validate([(1, 2, 3), (1, 3, 4), (1, 3, 4)], 4, 2)
     assert v is not None
     assert validate([(1, 2, 3), (1, 3, 4)], 4, 2) is None
+
+
+def test_violation_repr_pinned():
+    v = Violation("wall", (1, 3), "hull facet not covered")
+    assert repr(v) == "Violation(rule='wall', witness=(1, 3), message='hull facet not covered')"
+    assert (v.rule, v.witness, v.message) == ("wall", (1, 3), "hull facet not covered")
 
 
 def test_triangulation_key_roundtrip():
