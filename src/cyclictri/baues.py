@@ -7,7 +7,8 @@ pairwise meet in a common face (combinatorially: their intersection lies in a
 facet of each cell, and cells are simplicial so any such subset spans a
 face), the glued bottom triangulations of the cells form a triangulation of
 the whole polytope, and cell volumes sum to the hull volume.  Together these
-force the cell hulls to meet face to face.
+force the cell hulls to meet face to face.  The polygon-dissection oracle and
+the pairwise refinement test the tests check against are in `oracles`.
 """
 
 import json
@@ -131,13 +132,6 @@ def make_subdivision(n, d, cells):
     if v is not None:
         raise ValueError("invalid subdivision: %s (%s)" % (v.message, v.rule))
     return Subdivision(n, d, cells)
-
-
-def refinement_leq(d1, d2):
-    """d1 refines d2: every cell of d1 is contained in a cell of d2."""
-    if (d1.n, d1.d) != (d2.n, d2.d):
-        raise ValueError("subdivisions live on different polytopes")
-    return all(any(set(a) <= set(b) for b in d2.cells) for a in d1.cells)
 
 
 def phi(delta):
@@ -273,56 +267,6 @@ def baues_poset(n, d, cap=None):
     for key, delta in zip(keys, deltas):
         p.data[key] = delta
     return p
-
-
-def _diagonals(n):
-    return [(i, j) for i in range(1, n + 1) for j in range(i + 2, n + 1)
-            if not (i == 1 and j == n)]
-
-
-def _crosses(a, b):
-    return (a[0] < b[0] < a[1] < b[1]) or (b[0] < a[0] < b[1] < a[1])
-
-
-def _regions(cycle, diags):
-    if not diags:
-        return [tuple(sorted(cycle))]
-    (a, b) = diags[0]
-    ia, ib = cycle.index(a), cycle.index(b)
-    if ia > ib:
-        ia, ib = ib, ia
-    side1 = cycle[ia:ib + 1]
-    side2 = cycle[ib:] + cycle[:ia + 1]
-    rest = diags[1:]
-    d1 = [d for d in rest if set(d) <= set(side1)]
-    d2 = [d for d in rest if set(d) <= set(side2)]
-    if len(d1) + len(d2) != len(rest):
-        raise AssertionError("crossing diagonals in a noncrossing set")
-    return _regions(side1, d1) + _regions(side2, d2)
-
-
-def dissection_oracle_d2(n):
-    """All proper subdivisions of a convex n-gon, generated independently as
-    nonempty noncrossing diagonal sets split into regions."""
-    if n < 4:
-        raise ValueError("need at least a quadrilateral")
-    diags = _diagonals(n)
-    out = []
-
-    def grow(chosen, start):
-        if chosen:
-            cells = _regions(list(range(1, n + 1)), chosen)
-            out.append(Subdivision(n, 2, cells))
-        for k in range(start, len(diags)):
-            cand = diags[k]
-            if all(not _crosses(cand, c) for c in chosen):
-                grow(chosen + [cand], k + 1)
-
-    grow([], 0)
-    uniq = {s.key(): s for s in out}
-    if len(uniq) != len(out):
-        raise AssertionError("oracle generated a subdivision twice")
-    return sorted(uniq.values(), key=lambda s: s.key())
 
 
 def interval_product_check(n, d, cap=None):

@@ -158,9 +158,9 @@ def cmd_verify_connecting(args):
 
 
 def cmd_oracle_crosscheck(args):
+    from . import oracles   # the only subcommand that needs a reference implementation
     ours = enumerate_triangulations(args.n, args.d, args.cap)
-    oracle = verification.brute_force_triangulations(args.n, args.d,
-                                                     args.max_candidates)
+    oracle = oracles.brute_force_triangulations(args.n, args.d, args.max_candidates)
     same = [t.key() for t in ours] == [t.key() for t in oracle]
     line = "flip search found %d, brute force found %d: %s" % (
         len(ours), len(oracle), "agree" if same else "DISAGREE")

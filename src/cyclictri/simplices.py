@@ -4,7 +4,7 @@ Vertices of C(n, d) are the integer labels 1..n sitting on the moment curve;
 everything in this module is pure bookkeeping on sorted label tuples, plus
 one helper for the int bitmasks that index sets of them.  The geometric
 meaning of each predicate is pinned down by the exact-arithmetic oracles in
-`geometry` and the agreement tests between the two routes.
+`oracles` and the agreement tests between the two routes.
 """
 
 from itertools import combinations
@@ -105,26 +105,3 @@ def facet_split(s):
         facet = s[:j] + s[j + 1:]
         (lower if (k - j) % 2 == 0 else upper).add(facet)
     return frozenset(lower), frozenset(upper)
-
-
-def zig_zag_admissible(s1, s2, d):
-    """Whether two simplices intersect in a common (possibly empty) face
-    when realized on the moment curve in dimension d.
-
-    True iff there is no alternating path x_1 < ... < x_{d+2} whose odd
-    positions lie in one simplex and even positions in the other.  A label
-    present in both simplices may play either role.  Computed by a two-lane
-    longest-alternating-path scan over the merged labels.
-    """
-    a = frozenset(s1)
-    b = frozenset(s2)
-    best1 = best2 = 0  # longest path ending in lane 1 / lane 2
-    for x in sorted(a | b):
-        n1 = best2 + 1 if x in a else 0
-        n2 = best1 + 1 if x in b else 0
-        if n1 > best1:
-            best1 = n1
-        if n2 > best2:
-            best2 = n2
-    return max(best1, best2) <= d + 1
-

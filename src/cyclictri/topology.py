@@ -9,7 +9,8 @@ chains of the unreduced poset, so it stays an independent cross-check of the
 core's Betti numbers and of the Mobius function.
 
 The empty face is kept as a dimension -1 simplex throughout, which makes all
-homology reduced and gives the empty complex H~_{-1} = Z.
+homology reduced and gives the empty complex H~_{-1} = Z.  The tests build
+complexes from their facets with `oracles.complex_from_maximal`.
 """
 
 import json
@@ -39,27 +40,6 @@ class SimplicialComplex:
     def euler_reduced(self):
         c = self.counts()
         return sum((-1) ** k * c[k] for k in c if k >= 0) - 1
-
-
-def complex_from_maximal(faces):
-    """Close a list of vertex-tuples under subsets (test helper and oracle)."""
-    verts = sorted({v for f in faces for v in f})
-    ind = {v: i for i, v in enumerate(verts)}
-    seen = set()
-    by_dim = {}
-    stack = [tuple(sorted(ind[v] for v in f)) for f in faces]
-    for f in stack:
-        if len(f) != len(set(f)):
-            raise ValueError("repeated vertex in face %r" % (f,))
-    while stack:
-        f = stack.pop()
-        if f in seen:
-            continue
-        seen.add(f)
-        by_dim.setdefault(len(f) - 1, []).append(f)
-        for i in range(len(f)):
-            stack.append(f[:i] + f[i + 1:])
-    return SimplicialComplex(by_dim)
 
 
 def chain_counts(p):

@@ -1,5 +1,5 @@
 """Triangulations of C(n, d): the value type, validity checking, bistellar
-flips, the vertex contraction/insertion maps, and submersion sets.
+flips, the vertex contraction/insertion maps, and submersion masks.
 
 Validation and flips run on one lookup table per (n, d), `table(n, d)`: the
 d-simplices of [n] are numbered in lexicographic order, so a set of them is
@@ -507,17 +507,3 @@ def submersion_mask(t):
     for b in faces:
         deny |= masks[b]
     return ((1 << len(cells)) - 1) & ~deny
-
-
-def submersion_set(t, i):
-    """The i-simplices whose lifts lie weakly under the section of t: by the
-    intertwining rule at the middle dimension, by exact LPs otherwise."""
-    n, d = t.n, t.d
-    if not 0 <= i <= d:
-        raise ValueError("submersion dimension out of range")
-    if i == _middle(d):
-        cells, _ = _intertwining_masks(n, d)
-        m = submersion_mask(t)
-        return frozenset(c for j, c in enumerate(cells) if (m >> j) & 1)
-    cells = combinations(range(1, n + 1), i + 1)
-    return frozenset(c for c in cells if geometry.submerged(c, t.simplices, d))

@@ -1,7 +1,7 @@
 """Mechanical checks of the structural facts the flip and height orders are
 supposed to satisfy: the suspension-map hypotheses, connecting sets of
-(d+1)-simplices witnessing flip-order comparability, monotonicity of the
-terminal simplex, and a brute-force enumeration oracle.
+(d+1)-simplices witnessing flip-order comparability, and monotonicity of the
+terminal simplex.
 
 The checks read masks.  The suspension maps are position lists between the
 two posets, and a map is checked monotone on the covers of its source only.
@@ -13,9 +13,8 @@ to name the witness of a failure.
 """
 
 from collections import deque
-from itertools import combinations
 
-from . import geometry, simplices, triangulations as tri
+from . import simplices, triangulations as tri
 from .posets import bits, build_order, enumerate_triangulations
 
 
@@ -246,32 +245,3 @@ def verify_s0_monotone(n, d, order="s1", cap=None):
             b = min(bits(bad), key=p.rank.__getitem__)
             return {"pass": False, "witness": (p.elements[a], p.elements[b])}
     return {"pass": True, "witness": None}
-
-
-def brute_force_triangulations(n, d, max_candidates=25):
-    """Independent enumeration oracle: depth-first search for sets of
-    pairwise-admissible d-simplices with exact total volume, validating each
-    hit.  Guarded, since the search is exponential in the candidate count."""
-    cands = list(combinations(range(1, n + 1), d + 1))
-    if len(cands) > max_candidates:
-        raise ValueError("%d candidate simplices exceed the guard %d"
-                         % (len(cands), max_candidates))
-    vols = [geometry.normalized_volume(s, d) for s in cands]
-    target = geometry.cyclic_volume(n, d)
-    ok = [[simplices.zig_zag_admissible(a, b, d) for b in cands] for a in cands]
-    found = []
-
-    def grow(start, chosen, remaining):
-        if remaining == 0:
-            if tri.validate(chosen, n, d) is None:
-                found.append(tri.make_triangulation(chosen, n, d))
-            return
-        for k in range(start, len(cands)):
-            if vols[k] <= remaining and all(ok[k][j] for j in chosen_idx):
-                chosen_idx.append(k)
-                grow(k + 1, chosen + [cands[k]], remaining - vols[k])
-                chosen_idx.pop()
-
-    chosen_idx = []
-    grow(0, [], target)
-    return tuple(sorted(found, key=lambda t: t.key()))

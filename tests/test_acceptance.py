@@ -6,11 +6,10 @@ Everything here is exact arithmetic; there are no tolerances to tune.
 
 import json
 
-from cyclictri.baues import (
-    baues_poset,
+from cyclictri.baues import baues_poset, interval_to_subdivision, phi
+from cyclictri.oracles import (
+    brute_force_triangulations,
     dissection_oracle_d2,
-    interval_to_subdivision,
-    phi,
     refinement_leq,
 )
 from cyclictri.posets import (
@@ -26,11 +25,7 @@ from cyclictri.topology import (
     suspension_compare,
     webb_reduction_check,
 )
-from cyclictri.verification import (
-    brute_force_triangulations,
-    verify_connecting_sets,
-    verify_suspension,
-)
+from cyclictri.verification import verify_connecting_sets, verify_suspension
 
 CATALOG = [(n, d) for d in range(1, 7) for n in range(d + 2, 10)]
 

@@ -14,14 +14,13 @@ from cyclictri.baues import (
     baues_poset,
     cell_bottom,
     cell_top,
-    dissection_oracle_d2,
     interval_product_check,
     interval_to_subdivision,
     make_subdivision,
     phi,
-    refinement_leq,
     validate_subdivision,
 )
+from cyclictri.oracles import dissection_oracle_d2, refinement_leq
 from cyclictri.posets import (FinitePoset, ResourceBudgetError,
                               _interval_coatomic, build_s2, interval_poset)
 

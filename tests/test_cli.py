@@ -160,11 +160,13 @@ def test_size_guard_exits_before_any_work():
 
 
 def test_cli_import_stays_light():
-    # dataclasses pulls inspect, ast, dis and tokenize into every CLI process
+    # dataclasses pulls inspect, ast, dis and tokenize into every CLI process;
+    # fractions (which loads decimal) and the oracles are for oracle-crosscheck only
     src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
     env = dict(os.environ, PYTHONPATH=src)
+    modules = ('dataclasses', 'inspect', 'fractions', 'decimal', 'cyclictri.oracles')
     code = ("import sys, cyclictri.cli; "
-            "print(sorted(m for m in ('dataclasses', 'inspect') if m in sys.modules))")
+            "print(sorted(m for m in %r if m in sys.modules))" % (modules,))
     proc = subprocess.run([sys.executable, "-c", code],
                           capture_output=True, text=True, env=env, timeout=30)
     assert proc.returncode == 0, proc.stderr

@@ -1,4 +1,5 @@
-"""Exact rational geometry checked against floating-point references.
+"""Exact geometry and the exact LP oracle checked against floating-point
+references.
 
 scipy.optimize.linprog is the oracle for the simplex solver; numpy's
 determinant and scipy's ConvexHull are the oracles for volumes.  All
@@ -6,7 +7,10 @@ comparisons cross an exact/float boundary, so they use tolerances.
 """
 
 import math
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 from itertools import combinations
 
@@ -15,20 +19,16 @@ import pytest
 from scipy.optimize import linprog
 from scipy.spatial import ConvexHull
 
-from cyclictri import geometry
-from cyclictri.geometry import (
+from cyclictri.geometry import _det, cyclic_volume, moment_point, normalized_volume
+from cyclictri.oracles import (
     BELOW,
     ABOVE,
     EQUAL,
     INCOMPARABLE,
     CROSSING,
-    _det,
     _solve_linear,
-    cyclic_volume,
     exact_lp,
     lift_functional,
-    moment_point,
-    normalized_volume,
     relative_height,
     submerged,
 )
@@ -83,30 +83,71 @@ def _scipy_solve(sense, obj, cons, nonneg):
     return "optimal", sign * res.fun
 
 
+def _check_against_scipy(sense, obj, cons, nonneg):
+    """Status and value as scipy has them, the point exactly feasible.
+    Returns whether the LP was optimal."""
+    got = exact_lp(sense, obj, cons, nonneg=nonneg)
+    want_status, want_value = _scipy_solve(sense, obj, cons, nonneg)
+    assert got.status == want_status, (sense, obj, cons, nonneg)
+    if want_status != "optimal":
+        return False
+    assert abs(float(got.value) - want_value) < 1e-7
+    # returned point must satisfy every constraint exactly
+    pt = got.point
+    assert all(isinstance(x, Fraction) for x in pt)
+    assert got.value == sum(c * x for c, x in zip(obj, pt))
+    for coeffs, rel, rhs in cons:
+        lhs = sum(c * x for c, x in zip(coeffs, pt))
+        if rel == "<=":
+            assert lhs <= rhs
+        elif rel == ">=":
+            assert lhs >= rhs
+        else:
+            assert lhs == rhs
+    if nonneg:
+        assert all(x >= 0 for x in pt)
+    return True
+
+
 def test_exact_lp_against_scipy_fuzz():
     rng = random.Random(20240817)
     checked = 0
     for _ in range(120):
-        sense, obj, cons, nonneg = _random_lp(rng)
-        got = exact_lp(sense, obj, cons, nonneg=nonneg)
-        want_status, want_value = _scipy_solve(sense, obj, cons, nonneg)
-        assert got.status == want_status, (sense, obj, cons, nonneg)
-        if want_status == "optimal":
-            assert abs(float(got.value) - want_value) < 1e-7
-            # returned point must satisfy every constraint exactly
-            pt = got.point
-            for coeffs, rel, rhs in cons:
-                lhs = sum(c * x for c, x in zip(coeffs, pt))
-                if rel == "<=":
-                    assert lhs <= rhs
-                elif rel == ">=":
-                    assert lhs >= rhs
-                else:
-                    assert lhs == rhs
-            if nonneg:
-                assert all(x >= 0 for x in pt)
-            checked += 1
+        checked += _check_against_scipy(*_random_lp(rng))
     assert checked > 25  # the generator must not produce only degenerate LPs
+
+
+def _fraction(rng):
+    return Fraction(rng.randint(-9, 9), rng.randint(1, 6))
+
+
+def test_exact_lp_fractional_and_repeated_rows_against_scipy():
+    # fractional coefficients and right-hand sides exercise the row scaling;
+    # an equality row repeated (possibly rescaled) keeps a zero-valued
+    # artificial in the basis after phase 1, which has to be driven out.
+    # Most right-hand sides are set so a point x0 of the box is feasible.
+    rng = random.Random(1968)
+    checked = 0
+    for _ in range(150):
+        nvar = rng.randint(1, 4)
+        x0 = [Fraction(rng.randint(0, 6), rng.randint(1, 3)) for _ in range(nvar)]
+        cons = []
+        for rel in [rng.choice(["<=", ">=", "=="]) for _ in range(rng.randint(1, 4))] + ["=="]:
+            coeffs = [_fraction(rng) for _ in range(nvar)]
+            at_x0 = sum(c * x for c, x in zip(coeffs, x0))
+            gap = abs(_fraction(rng)) * {"<=": 1, ">=": -1, "==": 0}[rel]
+            cons.append((coeffs, rel, at_x0 + gap if rng.random() < 0.8 else _fraction(rng)))
+        k = rng.choice([1, 2, Fraction(1, 3), Fraction(-5, 2)])
+        coeffs, _, rhs = cons[-1]
+        cons.append(([k * c for c in coeffs], "==", k * rhs))
+        rng.shuffle(cons)
+        for j in range(nvar):   # a box, so most of these are bounded
+            cons.append(([Fraction(int(i == j)) for i in range(nvar)], "<=",
+                         x0[j] + Fraction(rng.randint(0, 9), rng.randint(1, 3))))
+        obj = [_fraction(rng) for _ in range(nvar)]
+        nonneg = rng.random() < 0.7
+        checked += _check_against_scipy(rng.choice(["min", "max"]), obj, cons, nonneg)
+    assert checked > 75
 
 
 def test_exact_lp_statuses():
@@ -156,11 +197,15 @@ def test_cyclic_volume_is_triangulation_sum():
             assert sum(normalized_volume(s, d) for s in t.simplices) == cyclic_volume(n, d)
 
 
-def test_cyclic_volume_needs_no_fractions(monkeypatch):
-    def no_fraction(*args):
-        raise AssertionError("Fraction used on the hull-volume path")
-    monkeypatch.setattr(geometry, "Fraction", no_fraction)
-    geometry.clear_caches()
+def test_cyclic_volume_needs_no_fractions():
+    # the hull volume, computed in a fresh process, loads no fractions module
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    code = ("import sys; from cyclictri.geometry import cyclic_volume; cyclic_volume(10, 4); "
+            "print(sorted(m for m in ('fractions', 'decimal') if m in sys.modules))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=src), timeout=30)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
     assert cyclic_volume(10, 4) == sum(normalized_volume(s, 4)
                                        for s in bottom(10, 4).simplices)
 

@@ -12,13 +12,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cyclictri.oracles import admissible_geometric, zig_zag_admissible
 from cyclictri.simplices import (
     facet_class,
     facet_split,
     gale_facets,
     gap_parity,
     simplex,
-    zig_zag_admissible,
 )
 
 
@@ -144,8 +144,6 @@ def test_zig_zag_hand_cases():
 @pytest.mark.parametrize("n,d", [(5, 2), (6, 2), (6, 3)])
 def test_zig_zag_geometry_agreement_lower_faces(n, d):
     # agreement must also hold for faces below full dimension
-    from cyclictri.geometry import admissible_geometric
-
     faces = [f for k in range(1, d + 2) for f in combinations(range(1, n + 1), k)]
     for s1 in faces:
         for s2 in faces:
@@ -155,8 +153,6 @@ def test_zig_zag_geometry_agreement_lower_faces(n, d):
 @pytest.mark.parametrize("n,d", [(6, 1), (6, 2), (7, 2), (7, 3), (8, 4)])
 def test_zig_zag_agrees_with_geometry(n, d):
     # combinatorial DP vs exact intersection testing, exhaustive
-    from cyclictri.geometry import admissible_geometric
-
     for s1 in combinations(range(1, n + 1), d + 1):
         for s2 in combinations(range(1, n + 1), d + 1):
             assert zig_zag_admissible(s1, s2, d) == admissible_geometric(s1, s2, d), (s1, s2)

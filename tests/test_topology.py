@@ -11,6 +11,7 @@ import itertools
 import pytest
 
 from cyclictri.baues import baues_poset
+from cyclictri.oracles import complex_from_maximal
 from cyclictri.posets import (
     FinitePoset,
     ResourceBudgetError,
@@ -19,7 +20,6 @@ from cyclictri.posets import (
 )
 from cyclictri.topology import (
     chain_counts,
-    complex_from_maximal,
     homology,
     order_complex,
     poset_core,

@@ -6,8 +6,9 @@ from itertools import combinations
 
 import pytest
 
-from cyclictri.geometry import cyclic_volume, normalized_volume, submerged
-from cyclictri.simplices import bits, facet_split, gale_facets, zig_zag_admissible
+from cyclictri.geometry import cyclic_volume, normalized_volume
+from cyclictri.oracles import submersion_set, zig_zag_admissible
+from cyclictri.simplices import bits, facet_split, gale_facets
 from cyclictri.triangulations import (
     ResourceBudgetError,
     Triangulation,
@@ -21,7 +22,7 @@ from cyclictri.triangulations import (
     insert_bottom,
     insert_top,
     make_triangulation,
-    submersion_set,
+    submersion_mask,
     table,
     terminal_simplex,
     top,
@@ -177,21 +178,16 @@ def test_contract_last_drops_to_smaller_polytope():
     assert validate(t.simplices, 5, 2) is None
 
 
-def _lp_submersion_set(t, i):
-    return frozenset(c for c in combinations(range(1, t.n + 1), i + 1)
-                     if submerged(c, t.simplices, t.d))
-
-
 def test_submersion_set_rule_matches_lp():
-    # the intertwining rule at the middle dimension vs exact rational LPs
+    # the intertwining rule at the middle dimension vs exact rational LPs;
+    # the mask's bits index the middle cells in lexicographic order
     for n, d in [(4, 1), (6, 1), (5, 2), (6, 2), (6, 3), (7, 4), (8, 4),
                  (7, 5), (8, 5), (8, 6), (9, 7)]:
         mid = (d + 1) // 2
+        cells = list(combinations(range(1, n + 1), mid + 1))
         for t in _all_triangulations(n, d):
-            assert submersion_set(t, mid) == _lp_submersion_set(t, mid), t.key()
-    # any other dimension stays on the LP route
-    t = bottom(7, 4)
-    assert submersion_set(t, 1) == _lp_submersion_set(t, 1)
+            decoded = frozenset(cells[j] for j in bits(submersion_mask(t)))
+            assert decoded == submersion_set(t, mid), t.key()
 
 
 def test_submersion_set_monotone_under_flip():

@@ -11,7 +11,8 @@ import pytest
 
 from cyclictri import verification
 from cyclictri.posets import FinitePoset, build_order, build_s1, enumerate_triangulations
-from cyclictri.simplices import bits, facet_split, zig_zag_admissible
+from cyclictri.oracles import brute_force_triangulations, zig_zag_admissible
+from cyclictri.simplices import bits, facet_split
 from cyclictri.triangulations import (
     Triangulation,
     apply_flip,
@@ -25,7 +26,6 @@ from cyclictri.triangulations import (
 )
 from cyclictri.verification import (
     _monotone_witness,
-    brute_force_triangulations,
     connecting_a,
     connecting_b,
     find_connecting_set,
