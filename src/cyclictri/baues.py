@@ -81,27 +81,34 @@ def _cell_faces(labels, d):
 def validate_subdivision(cells, n, d):
     """None when the cells form a polytopal subdivision of C(n, d), else the
     first violation found."""
+    return _checked_subdivision(cells, n, d)[0]
+
+
+def _checked_subdivision(cells, n, d):
+    """(violation, glued): validate_subdivision's verdict, and the table
+    mask of the glued cell bottoms once the checks reach them (else
+    None)."""
     if isinstance(cells, Subdivision):
         if (cells.n, cells.d) != (n, d):
-            return tri.Violation("shape", cells, "ambient (n, d) mismatch")
+            return tri.Violation("shape", cells, "ambient (n, d) mismatch"), None
         cells = cells.cells
     cells = [tuple(sorted(c)) for c in cells]
     if not cells:
-        return tri.Violation("shape", (), "no cells")
+        return tri.Violation("shape", (), "no cells"), None
     if len(set(cells)) != len(cells):
-        return tri.Violation("shape", cells, "repeated cell")
+        return tri.Violation("shape", cells, "repeated cell"), None
     for c in cells:
         if len(set(c)) != len(c) or len(c) < d + 1:
             return tri.Violation("cell-size", c,
-                                 "cell needs at least %d distinct vertices" % (d + 1))
+                                 "cell needs at least %d distinct vertices" % (d + 1)), None
         if c[0] < 1 or c[-1] > n:
-            return tri.Violation("cell-size", c, "vertex label out of range")
+            return tri.Violation("cell-size", c, "vertex label out of range"), None
     faces = [_cell_faces(c, d) for c in cells]
     for a, b in combinations(range(len(cells)), 2):
         ca, cb = set(cells[a]), set(cells[b])
         if ca <= cb or cb <= ca:
             return tri.Violation("nesting", (cells[a], cells[b]),
-                                 "one cell contains another")
+                                 "one cell contains another"), None
         w = ca & cb
         if not w:
             continue
@@ -109,7 +116,7 @@ def validate_subdivision(cells, n, d):
             if not any(w <= f for f in faces[k]):
                 return tri.Violation(
                     "face-to-face", (cells[a], cells[b]),
-                    "shared vertices do not span a face of cell %s" % (cells[k],))
+                    "shared vertices do not span a face of cell %s" % (cells[k],)), None
     tab = tri.table(n, d)
     bottoms = [tab.mask(cell_bottom(c, d)) for c in cells]
     glued = 0
@@ -118,13 +125,13 @@ def validate_subdivision(cells, n, d):
     v = tab.violation(glued)
     if v is not None:
         return tri.Violation("refinement", v.witness,
-                             "glued cell triangulations fail: %s" % v.message)
+                             "glued cell triangulations fail: %s" % v.message), glued
     total = sum(tab.row(i)[1] for m in bottoms for i in simplices.bits(m))
     if total != tab.hull:
         return tri.Violation("coverage", cells,
                              "cell volumes sum to %d, hull needs %d" %
-                             (total, tab.hull))
-    return None
+                             (total, tab.hull)), glued
+    return None, glued
 
 
 def make_subdivision(n, d, cells):
@@ -140,17 +147,16 @@ def phi(delta):
     of dimension at most 3."""
     if delta.d > 3:
         raise ValueError("interval map implemented for d <= 3 only")
-    v = validate_subdivision(delta, delta.n, delta.d)
+    v, low = _checked_subdivision(delta, delta.n, delta.d)
     if v is not None:
         raise ValueError("invalid subdivision: %s" % (v.message,))
     if not delta.is_proper():
         raise ValueError("trivial subdivision maps to the improper interval")
     tab = tri.table(delta.n, delta.d)
-    low = high = 0
+    high = 0
     for c in delta.cells:
-        low |= tab.mask(cell_bottom(c, delta.d))
         high |= tab.mask(cell_top(c, delta.d))
-    # validate_subdivision has just checked the glued bottoms
+    # the check has just validated the glued bottoms
     t_low = tab.triangulation(low)
     v = tab.violation(high)
     if v is not None:

@@ -17,6 +17,9 @@ Each oracle reaches its answer by a route independent of the rule it checks:
 - `dissection_oracle_d2` generates the subdivisions of a polygon as
   noncrossing diagonal sets, and `refinement_leq` is the pairwise refinement
   test behind the Baues poset's mask rows;
+- `lattice_witness_all_pairs` tests the meet and the join of every pair of
+  a poset in key order, the scan `FinitePoset.is_lattice` replaces by the
+  cover-pair lemma and bulk rows;
 - `complex_from_maximal` closes a list of faces under subsets.
 """
 
@@ -529,6 +532,27 @@ def refinement_leq(d1, d2):
     if (d1.n, d1.d) != (d2.n, d2.d):
         raise ValueError("subdivisions live on different polytopes")
     return all(any(set(a) <= set(b) for b in d2.cells) for a in d1.cells)
+
+
+def lattice_witness_all_pairs(p):
+    """True, or a witness dict naming the first pair of the finite poset p,
+    in key order, lacking a meet or a join: the meet and the join of every
+    pair are tested, the meet first."""
+    up, down = p.up, p.down
+    order = p.by_key
+    for r, x in enumerate(order):
+        dx = down[x]
+        ux = up[x]
+        for y in order[r + 1:]:
+            lows = dx & down[y]
+            if not lows or down[lows.bit_length() - 1] != lows:
+                return {"pair": (p.elements[x], p.elements[y]),
+                        "missing": "meet"}
+            ups = ux & up[y]
+            if not ups or up[(ups & -ups).bit_length() - 1] != ups:
+                return {"pair": (p.elements[x], p.elements[y]),
+                        "missing": "join"}
+    return True
 
 
 def complex_from_maximal(faces):

@@ -8,6 +8,12 @@ over positions.  Closure, covers, meets and joins, Mobius values and
 restriction then read the masks directly (the top set bit of a down-set is
 the only candidate for its maximum).  Keys are mapped to their own order, the
 sorted order for S1 and S2, only at export: JSON, DOT, covers and witnesses.
+
+The lattice verdict on a bounded poset is one join test per pair of upper
+covers of a common element (Bjorner-Edelman-Ziegler 1990, Lemma 2.1); a
+refutation scans pairs in key order, with the small side of each row, meets
+or joins, settled in bulk.  Enumeration walks the members of each flip-search
+mask once, for its flips, its validation and its member tuple.
 """
 
 import json
@@ -95,18 +101,22 @@ class FinitePoset:
         """Transitive reduction as a sorted list of key-order index pairs
         (i covered by j)."""
         if self._covers is None:
-            out = []
-            rank, up = self.rank, self.up
-            for x, ux in enumerate(up):
-                # the lowest position left above x is a cover of x, and
-                # nothing above that cover is one
-                rest = ux & ~(1 << x)
-                while rest:
-                    y = (rest & -rest).bit_length() - 1
-                    out.append((rank[x], rank[y]))
-                    rest &= ~up[y]
-            self._covers = sorted(out)
+            rank = self.rank
+            self._covers = sorted((rank[x], rank[y]) for x in range(len(self.up))
+                                  for y in self._upper_covers(x))
         return self._covers
+
+    def _upper_covers(self, x):
+        """The positions covering x, lowest first: the lowest position left
+        above x is a cover of x, and nothing above that cover is one."""
+        up = self.up
+        rest = up[x] & ~(1 << x)
+        out = []
+        while rest:
+            y = (rest & -rest).bit_length() - 1
+            out.append(y)
+            rest &= ~up[y]
+        return out
 
     def bottom(self):
         n = len(self.elements)
@@ -181,22 +191,71 @@ class FinitePoset:
 
     def is_lattice(self):
         """True, or a witness dict naming the first pair, in key order,
-        lacking a meet or a join."""
-        up, down = self.up, self.down
-        order = self.by_key
-        for r, x in enumerate(order):
-            dx = down[x]
-            ux = up[x]
-            for y in order[r + 1:]:
-                lows = dx & down[y]
-                if not lows or down[lows.bit_length() - 1] != lows:
-                    return {"pair": (self.elements[x], self.elements[y]),
-                            "missing": "meet"}
-                ups = ux & up[y]
-                if not ups or up[(ups & -ups).bit_length() - 1] != ups:
-                    return {"pair": (self.elements[x], self.elements[y]),
-                            "missing": "join"}
+        lacking a meet or a join.
+
+        A finite bounded poset is a lattice iff any two upper covers of a
+        common element have a join (Bjorner-Edelman-Ziegler, DCG 5 (1990),
+        Lemma 2.1), so a lattice is certified by one join test per such
+        pair.  Otherwise the key-order scan of _lattice_witness finds the
+        witness."""
+        if self.is_bounded() and self._cover_joins():
+            return True
+        return self._lattice_witness()
+
+    def _cover_joins(self):
+        """Whether every two upper covers of a common element have a join."""
+        up = self.up
+        for x in range(len(up)):
+            for a, b in combinations(self._upper_covers(x), 2):
+                ups = up[a] & up[b]     # not empty: the poset is bounded
+                if up[(ups & -ups).bit_length() - 1] != ups:
+                    return False
         return True
+
+    def _lattice_witness(self):
+        """The first pair (x, y), x before y in key order, lacking a meet or,
+        failing that, a join, as a witness dict; True if there is none.
+
+        A row x whose down-set has k members, k * k <= n, settles all its
+        meets at once (_joinable, k * k mask operations instead of n pair
+        tests), and likewise its joins when the up-set is that small; only
+        the other side is tested pair by pair."""
+        up, down, order, rank = self.up, self.down, self.by_key, self.rank
+        n = len(order)
+        full = (1 << n) - 1
+        for r, x in enumerate(order):
+            dx, ux = down[x], up[x]
+            # masks of the positions with a meet (a join) with x, or None
+            # where that side is tested pair by pair
+            meets = _joinable(dx, down, up) if dx.bit_count() ** 2 <= n else None
+            joins = _joinable(ux, up, down) if ux.bit_count() ** 2 <= n else None
+            # every y before x in key order passed with x in its own row, so
+            # bad holds only later positions
+            bad = 0
+            if meets is not None:
+                bad |= full & ~meets
+            if joins is not None:
+                bad |= full & ~joins
+            stop = n    # the key-order index of the first y a bulk side rejects
+            if bad:
+                stop = min(rank[y] for y, bit in enumerate(bin(bad)[:1:-1]) if bit == "1")
+            if meets is None or joins is None:
+                for y in order[r + 1:stop]:
+                    if meets is None:
+                        lows = dx & down[y]
+                        if not lows or down[lows.bit_length() - 1] != lows:
+                            return self._witness(x, y, "meet")
+                    if joins is None:
+                        ups = ux & up[y]
+                        if not ups or up[(ups & -ups).bit_length() - 1] != ups:
+                            return self._witness(x, y, "join")
+            if stop < n:
+                y = order[stop]
+                return self._witness(x, y, "meet" if self.meet(x, y) is None else "join")
+        return True
+
+    def _witness(self, x, y, missing):
+        return {"pair": (self.elements[x], self.elements[y]), "missing": missing}
 
     def mobius(self, x, y):
         """Mobius function of the interval [x, y]."""
@@ -232,6 +291,21 @@ class FinitePoset:
             lines.append("  n%d -> n%d;" % (i, j))
         lines.append("}")
         return "\n".join(lines) + "\n"
+
+
+def _joinable(row, same, other):
+    """For row = up[x], same = up and other = down: the mask of the
+    positions y that have a join with x.  The join of x and y is the member
+    m of row with same[m] = row & same[y], so the y joined at m are other[m]
+    minus other[w] for each member w of row outside same[m].  With row =
+    down[x], same = down and other = up, the same masks give the meets."""
+    out = 0
+    for m in bits(row):
+        cut = 0
+        for w in bits(row & ~same[m]):
+            cut |= other[w]
+        out |= other[m] & ~cut
+    return out
 
 
 def _mobius_values(rows, base):
@@ -311,8 +385,9 @@ _s2_cache = {}
 
 def enumerate_triangulations(n, d, cap=None):
     """All triangulations of C(n, d), by breadth-first search along upward
-    flips from the bottom element.  Every result is validated, as a mask,
-    before it becomes a Triangulation.  Returns a
+    flips from the bottom element.  One walk over the members of each mask
+    gives its increasing flips, its validation sums and its member tuple;
+    every mask is validated before it becomes a Triangulation.  Returns a
     list sorted by canonical key; also records the flip step edges."""
     key = (n, d)
     got = _enum_cache.get(key)
@@ -324,8 +399,15 @@ def enumerate_triangulations(n, d, cap=None):
         seen = {start: 0}
         masks = [start]
         edges = []
+        ts = []
         for i, t in enumerate(masks):   # masks grows: the BFS queue
-            for cand, low, up in tab.flips(t):
+            flips = []
+            members, sums = tab._accumulate(t, flips)
+            v = tab._judge(t, sums)
+            if v is not None:
+                raise AssertionError("enumerated an invalid triangulation: %s" % (v,))
+            ts.append(tri.Triangulation._canonical(n, d, members))
+            for cand, low, up in flips:
                 nxt = (t ^ low) | up
                 j = seen.get(nxt)
                 if j is None:
@@ -336,11 +418,6 @@ def enumerate_triangulations(n, d, cap=None):
                     j = seen[nxt] = len(masks)
                     masks.append(nxt)
                 edges.append((i, j, cand))
-        for t in masks:
-            v = tab.violation(t)
-            if v is not None:
-                raise AssertionError("enumerated an invalid triangulation: %s" % (v,))
-        ts = [tab.triangulation(t) for t in masks]
         if tab.mask(tab.top.simplices) not in seen:
             raise AssertionError("flip search failed to reach the top element")
         order = sorted(range(len(ts)), key=lambda i: ts[i].key())

@@ -8,8 +8,11 @@ an int mask and an increasing flip is `t & low == low -> (t ^ low) | up`
 too: each simplex's row holds its conflict mask (the zig-zag rule, as ANDs
 of masks of the simplices with a label in a gap), its volume, and the masks
 of its facets and labels, so a mask is checked by ANDs, an integer sum and
-three saturating facet counters; members and facets are walked one by one
-only to name the witness of a failure."""
+three saturating facet counters.  The check is two steps: one walk over the
+members accumulates these sums (and, for the flip search, the increasing
+flips and the member tuple on the same walk), then a judge reads them.
+Members and facets are walked again only to name the witness of a
+failure."""
 
 import json
 from bisect import bisect_left
@@ -233,27 +236,57 @@ class _Table:
 
     def violation(self, mask):
         """validate's checks after shape and emptiness, for the mask of a
-        set of d-simplices of [n]: admissibility, volume, walls, labels.
+        set of d-simplices of [n]: admissibility, volume, walls, labels."""
+        return self._judge(mask, self._accumulate(mask)[1])
 
-        Walls are counted by three saturating facet masks (covered at least
-        once, twice, three times); the first bad wall is then named by
-        walking the members in lexicographic order and their facets in row
-        order, as a count of facets in that order would meet it."""
-        rows = self._rows
+    def _accumulate(self, mask, flips=None):
+        """One walk over the members of a mask, in lexicographic order:
+        (members, sums), members the tuple of its simplices and sums what
+        _judge reads.  When flips is a list, each increasing flip (cand,
+        low, up) is appended to it on the way, in lexicographic order of
+        cand, as flips() lists them.
+
+        sums is (clash, volume, once, twice, thrice, labels): clash the
+        first member meeting a later one improperly (the walk stops there)
+        or None, then the volume sum, three saturating facet masks (facets
+        covered at least once, twice, three times) and the OR of the label
+        masks."""
+        rows, exts, simplices = self._rows, self._extensions, self.simplices
+        members = []
+        clash = None
         vol = once = twice = thrice = labels = 0
         for i in bits(mask):
             row = rows[i] or self.row(i)
-            bad = mask & row[0]
-            if bad:
-                j = (bad & -bad).bit_length() - 1
-                return Violation("admissible", (self.simplices[i], self.simplices[j]),
-                                 "members intersect improperly")
+            if mask & row[0]:
+                clash = i
+                break
             vol += row[1]
             facets = row[2]
             thrice |= twice & facets
             twice |= once & facets
             once |= facets
             labels |= row[3]
+            members.append(simplices[i])
+            if flips is not None:
+                ext = exts[i]
+                if ext is None:
+                    ext = self.extensions(i)
+                for f in ext:
+                    if mask & f[1] == f[1]:
+                        flips.append(f)
+        return tuple(members), (clash, vol, once, twice, thrice, labels)
+
+    def _judge(self, mask, sums):
+        """The first violation of a mask given its _accumulate sums, or
+        None.  A bad wall is named by walking the members in lexicographic
+        order and their facets in row order, as a count of facets in that
+        order would meet it."""
+        clash, vol, once, twice, thrice, labels = sums
+        if clash is not None:
+            bad = mask & self._rows[clash][0]
+            j = (bad & -bad).bit_length() - 1
+            return Violation("admissible", (self.simplices[clash], self.simplices[j]),
+                             "members intersect improperly")
 
         if vol != self.hull:
             return Violation("volume", (vol, self.hull),

@@ -72,14 +72,14 @@ def test_criterion_02_order_coincidence():
 def test_criterion_03_lattice_results():
     bad = []
     for d in (1, 2, 3):
-        for n in range(d + 2, 10):
+        for n in range(d + 2, 11):
             if build_s2(n, d).is_lattice() is not True:
                 bad.append((n, d))
     for n, d in ((9, 4), (10, 5)):
         w = build_s2(n, d).is_lattice()
         if w is True or "pair" not in w:
             bad.append((n, d, "expected a witness pair", w))
-    _verdict(3, "lattice for d <= 3 and refuted at (9,4) and (10,5)", bad)
+    _verdict(3, "lattice for d <= 3, n <= 10, and refuted at (9,4) and (10,5)", bad)
 
 
 def test_criterion_04_stasheff_tamari_spheres():

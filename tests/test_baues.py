@@ -165,14 +165,15 @@ def test_baues_poset_matches_oracle_as_posets():
 
 
 def test_baues_poset_validates_each_subdivision_once(monkeypatch):
+    # phi validates through _checked_subdivision, which validate_subdivision wraps
     calls = []
-    real = baues.validate_subdivision
+    real = baues._checked_subdivision
 
     def counting(cells, n, d):
         calls.append(cells)
         return real(cells, n, d)
 
-    monkeypatch.setattr(baues, "validate_subdivision", counting)
+    monkeypatch.setattr(baues, "_checked_subdivision", counting)
     assert len(baues_poset(7, 2)) == 196
     assert len(calls) == 196
 

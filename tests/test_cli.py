@@ -159,6 +159,18 @@ def test_size_guard_exits_before_any_work():
     assert "budget" in proc.stderr
 
 
+def test_check_lattice_s1_10_3_within_a_minute():
+    # 8,477 elements: a lattice certified by joins of cover pairs, where a
+    # meet and join test of every pair takes minutes
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-m", "cyclictri.cli", "check-lattice",
+                           "--order", "s1", "--n", "10", "--d", "3"],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "s1(10,3) is a lattice\n"
+
+
 def test_cli_import_stays_light():
     # dataclasses pulls inspect, ast, dis and tokenize into every CLI process;
     # fractions (which loads decimal) and the oracles are for oracle-crosscheck only

@@ -6,6 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cyclictri.baues import baues_poset
+from cyclictri.oracles import lattice_witness_all_pairs
 from cyclictri.posets import (
     FinitePoset,
     ResourceBudgetError,
@@ -70,6 +72,42 @@ def test_is_lattice_witness():
         (set(w["pair"]) in ({"a", "b"}, {"c", "d"}))
 
 
+BOWTIE = (["a", "b", "c", "d", "0", "1"] + ["e%d" % i for i in range(10)],
+          [("0", "a"), ("0", "b")] + M_POSET[1] + [("c", "1"), ("d", "1")]
+          + [(e, f) for i in range(10) for e, f in (("0", "e%d" % i), ("e%d" % i, "1"))])
+
+# criterion 02's instances of test_acceptance.py
+ORDER_INSTANCES = [(n, d) for d in range(1, 8) for n in range(d + 2, 10)] + [(10, 5)]
+
+
+def _lattice_cases():
+    for n, d in ORDER_INSTANCES:
+        for name, build in (("s1", build_s1), ("s2", build_s2)):
+            yield "%s(%d,%d)" % (name, n, d), lambda b=build, n=n, d=d: b(n, d)
+    for n, d in ((6, 2), (7, 3)):
+        yield "proper intervals of s2(%d,%d)" % (n, d), \
+            lambda n=n, d=d: interval_poset(build_s2(n, d), "proper")
+    # criterion 05's instances
+    for n, d in ((4, 2), (5, 2), (6, 2), (7, 2), (5, 3), (6, 3), (7, 3), (8, 3),
+                 (3, 1), (4, 1), (5, 1), (6, 1), (7, 1)):
+        yield "baues(%d,%d)" % (n, d), lambda n=n, d=d: baues_poset(n, d)
+    yield "M", lambda: _poset(*M_POSET)
+    # a bounded M: the first pair lacks a join, or a meet, in a row whose
+    # up-set, or down-set, has 4 members of 16, so the row is settled in bulk
+    yield "bowtie, join first", lambda: _poset(["a", "c", "b", "d"] + BOWTIE[0][4:],
+                                               BOWTIE[1])
+    yield "bowtie, meet first", lambda: _poset(["c", "d", "a", "b"] + BOWTIE[0][4:],
+                                               BOWTIE[1])
+
+
+@pytest.mark.parametrize("make", [pytest.param(make, id=name)
+                                  for name, make in _lattice_cases()])
+def test_is_lattice_matches_all_pairs_scan(make):
+    # True, or the same first pair with the same missing side
+    p = make()
+    assert p.is_lattice() == lattice_witness_all_pairs(p)
+
+
 def test_meet_join():
     b2 = boolean_lattice(2)
     i1 = b2.index["{1}"]
@@ -129,6 +167,21 @@ def test_enumeration_counts():
     assert len(enumerate_triangulations(7, 3)) == 25
     assert len(enumerate_triangulations(8, 4)) == 40
     assert len(enumerate_triangulations(5, 1)) == 8
+
+
+def test_enumeration_validates_every_mask(monkeypatch):
+    # a wrong volume in one table row must stop the flip search
+    from cyclictri import posets
+    from cyclictri.triangulations import table
+    tab = table(6, 2)
+    i = tab.index[tab.bottom.simplices[0]]
+    conflicts, volume, facets, labels = tab.row(i)
+    rows = list(tab._rows)
+    rows[i] = (conflicts, volume + 1, facets, labels)
+    monkeypatch.setattr(tab, "_rows", rows)
+    monkeypatch.setattr(posets, "_enum_cache", {})
+    with pytest.raises(AssertionError, match="rule='volume'"):
+        enumerate_triangulations(6, 2)
 
 
 def test_enumeration_cap():
