@@ -2,11 +2,12 @@
 subdivision to the interval of triangulations refining it, the inverse
 construction from coatomic intervals, and the refinement poset.
 
-Cells are vertex subsets; a subdivision is valid when cells are large enough,
-pairwise meet in a common face (combinatorially: their intersection lies in a
-facet of each cell, and cells are simplicial so any such subset spans a
-face), the glued bottom triangulations of the cells form a triangulation of
-the whole polytope, and cell volumes sum to the hull volume.  Together these
+Cells are vertex subsets, checked and compared as vertex masks (bit v for
+label v); a subdivision is valid when cells are large enough, pairwise meet
+in a common face (combinatorially: their intersection lies in a facet of
+each cell, and cells are simplicial so any such subset spans a face), the
+glued bottom triangulations of the cells form a triangulation of the whole
+polytope, and cell volumes sum to the hull volume.  Together these
 force the cell hulls to meet face to face.  The polygon-dissection oracle and
 the pairwise refinement test the tests check against are in `oracles`.
 """
@@ -15,8 +16,7 @@ import json
 from itertools import combinations
 
 from . import simplices, triangulations as tri
-from .posets import (FinitePoset, _interval_coatomic, build_s2,
-                     compare_relations, interval_poset)
+from .posets import FinitePoset, _interval_coatomic, build_s2, interval_poset
 
 
 class Subdivision:
@@ -68,16 +68,6 @@ def cell_top(labels, d):
     return _relabel(tri.top(len(labels), d).simplices, labels)
 
 
-def _cell_faces(labels, d):
-    """Vertex sets of the proper faces of the subpolytope on the labels:
-    every subset of a facet (the polytope is simplicial)."""
-    labels = sorted(labels)
-    out = set()
-    for face in simplices.gale_facets(len(labels), d):
-        out.add(frozenset(labels[i - 1] for i in face))
-    return out
-
-
 def validate_subdivision(cells, n, d):
     """None when the cells form a polytopal subdivision of C(n, d), else the
     first violation found."""
@@ -103,17 +93,21 @@ def _checked_subdivision(cells, n, d):
                                  "cell needs at least %d distinct vertices" % (d + 1)), None
         if c[0] < 1 or c[-1] > n:
             return tri.Violation("cell-size", c, "vertex label out of range"), None
-    faces = [_cell_faces(c, d) for c in cells]
+    # each cell and the facets of its subpolytope as vertex masks: the
+    # subpolytope is simplicial, so its proper faces are the subsets of facets
+    masks = [sum(1 << v for v in c) for c in cells]
+    facets = [[sum(1 << c[i - 1] for i in f) for f in simplices.gale_facets(len(c), d)]
+              for c in cells]
     for a, b in combinations(range(len(cells)), 2):
-        ca, cb = set(cells[a]), set(cells[b])
-        if ca <= cb or cb <= ca:
+        ma, mb = masks[a], masks[b]
+        if not ma & ~mb or not mb & ~ma:
             return tri.Violation("nesting", (cells[a], cells[b]),
                                  "one cell contains another"), None
-        w = ca & cb
+        w = ma & mb
         if not w:
             continue
         for k in (a, b):
-            if not any(w <= f for f in faces[k]):
+            if all(w & ~f for f in facets[k]):
                 return tri.Violation(
                     "face-to-face", (cells[a], cells[b]),
                     "shared vertices do not span a face of cell %s" % (cells[k],)), None
@@ -173,11 +167,9 @@ def phi(delta):
 def interval_to_subdivision(t_low, t_high, s2=None):
     """Recover the subdivision whose refinements are exactly [t_low, t_high].
 
-    Components of the graph on t_high's simplices, joined across each wall
-    that is not a face of t_low, become the cells.  Rejects non-coatomic
-    intervals, for which no such subdivision exists; phi validates the
-    cells on the way back.
-    """
+    Rejects endpoints off S2 or unordered, the improper interval and
+    non-coatomic intervals (which no subdivision gives), then runs
+    baues_poset's cell walk."""
     n, d = t_high.n, t_high.d
     if d > 3:
         raise ValueError("interval map implemented for d <= 3 only")
@@ -185,39 +177,48 @@ def interval_to_subdivision(t_low, t_high, s2=None):
         raise ValueError("interval endpoints on different polytopes")
     if s2 is None:
         s2 = build_s2(n, d)
-    i, j = s2.index[t_low.key()], s2.index[t_high.key()]
+    i, j = s2.index.get(t_low.key()), s2.index.get(t_high.key())
+    if i is None or j is None:
+        raise ValueError("interval endpoint is not a triangulation of C(%d, %d)" % (n, d))
     if not s2.le(i, j):
         raise ValueError("endpoints are not ordered")
     if i == s2.bottom() and j == s2.top():
         raise ValueError("improper interval")
     if not _interval_coatomic(s2, i, j):
         raise ValueError("interval is not coatomic")
-    walls_low = {f for s in t_low for f in combinations(s, d)}
-    members = t_high.simplices
-    parent = list(range(len(members)))
+    return _cells_of_interval(s2, i, j)
 
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
 
-    beside = {}     # wall of t_high that t_low lacks -> a member holding it
-    for k, s in enumerate(members):
-        for f in combinations(s, d):
-            if f not in walls_low:
-                parent[find(beside.setdefault(f, k))] = find(k)
-    comps = {}
-    for k, s in enumerate(members):
-        comps.setdefault(find(k), set()).update(s)
-    cells = [tuple(sorted(c)) for c in comps.values()]
+def _cells_of_interval(s2, i, j):
+    """The subdivision of the proper coatomic interval [i, j] of s2
+    (positions), checked by the phi round trip.  Its cells join t_high's
+    members across the walls t_low lacks, on the table rows: t_low's walls
+    are the OR of its members' facet masks, members merge when their masks
+    of walls outside t_low meet, a cell is the OR of their label masks."""
+    t_low, t_high = s2.data[s2.elements[i]], s2.data[s2.elements[j]]
+    n, d = t_high.n, t_high.d
+    tab = tri.table(n, d)
+    walls = used = 0
+    for k in simplices.bits(tab.mask(t_low.simplices)):
+        _, _, facets, labels = tab.row(k)
+        walls |= facets
+        used |= labels
+    comps = []      # (walls outside t_low, labels) of each component so far
+    for k in simplices.bits(tab.mask(t_high.simplices)):
+        _, _, facets, labels = tab.row(k)
+        beside = facets & ~walls
+        joined = [comp for comp in comps if comp[0] & beside]
+        comps = [comp for comp in comps if not comp[0] & beside]
+        for w, other in joined:
+            beside |= w
+            labels |= other
+        comps.append((beside, labels))
+    cells = [labels for _, labels in comps]
     if d == 1:
         # triangulations of a segment may skip interior vertices, so cells
         # must pick up the vertices the fine end uses inside each span
-        used = {v for s in t_low for v in s}
-        cells = [tuple(sorted(set(c) | {v for v in used if c[0] < v < c[-1]}))
-                 for c in cells]
-    delta = Subdivision(n, d, cells)
+        cells = [c | used & ((1 << (c.bit_length() - 1)) - (c & -c)) for c in cells]
+    delta = Subdivision(n, d, [tuple(simplices.bits(c)) for c in cells])
     back = phi(delta)
     if back != (t_low, t_high):
         raise AssertionError("interval does not come from a subdivision: "
@@ -228,20 +229,17 @@ def interval_to_subdivision(t_low, t_high, s2=None):
 def baues_poset(n, d, cap=None):
     """Proper polytopal subdivisions of C(n, d), ordered by refinement.
 
-    Built from the proper coatomic intervals of the height order; the
-    refinement order must equal interval inclusion.  The refinement row of
-    a subdivision is the AND, over its cells, of the mask of subdivisions
-    having a cell that contains that cell.
+    One subdivision per proper coatomic interval of the height order, by
+    the cell walk at the interval's ends; each subdivision takes the
+    position of its interval.  The refinement row of a subdivision is the
+    AND, over its cells, of the mask of subdivisions having a cell that
+    contains that cell, and must equal its row of interval inclusion.
     """
     if d > 3:
         raise ValueError("subdivision poset implemented for d <= 3 only")
     s2 = build_s2(n, d, cap)
     coat = interval_poset(s2, "proper_coatomic")
-    deltas = []
-    for key in coat.elements:
-        i, j = coat.data[key]
-        deltas.append(interval_to_subdivision(s2.data[s2.elements[i]],
-                                              s2.data[s2.elements[j]], s2))
+    deltas = [_cells_of_interval(s2, *coat.data[key]) for key in coat.elements]
     keys = [delta.key() for delta in deltas]
     if len(set(keys)) != len(keys):
         raise AssertionError("interval map is not injective")
@@ -257,19 +255,16 @@ def baues_poset(n, d, cap=None):
         for big, where in has.items():
             if c & ~big == 0:
                 inside[c] |= where
-    rows = []
-    for row in cells:
-        m = -1
-        for c in row:
-            m &= inside[c]
-        rows.append(m)
-    # the subdivisions take the positions of their intervals
     p = FinitePoset._native(keys, coat.up, coat.down,
                             sorted(range(len(keys)), key=keys.__getitem__))
-    diff = compare_relations(p, FinitePoset(keys, rows))
-    if diff is not None:
-        raise AssertionError("refinement disagrees with interval inclusion: "
-                             "%s vs %s" % diff["pair"])
+    for x in p.by_key:
+        m = -1
+        for c in cells[x]:
+            m &= inside[c]
+        bad = m ^ coat.up[x]
+        if bad:
+            raise AssertionError("refinement disagrees with interval inclusion: "
+                                 "%s vs %s" % (keys[x], keys[p.first_in_key_order(bad)]))
     for key, delta in zip(keys, deltas):
         p.data[key] = delta
     return p

@@ -251,9 +251,15 @@ def main(argv=None):
     except ValueError as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 3
-    sys.stdout.write("".join(line + "\n" for line in lines))
-    if payload is not None:
-        sys.stdout.write(payload)
+    try:
+        sys.stdout.write("".join(line + "\n" for line in lines))
+        if payload is not None:
+            sys.stdout.write(payload)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader has gone; with fd 1 on devnull the interpreter's final
+        # flush of what is left in the buffer stays quiet
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
     return code
 
 

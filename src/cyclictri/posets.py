@@ -91,6 +91,12 @@ class FinitePoset:
     def le_keys(self, a, b):
         return self.le(self.index[a], self.index[b])
 
+    def first_in_key_order(self, mask):
+        """The position in a nonempty mask whose key comes first in key
+        order."""
+        return min((y for y, bit in enumerate(bin(mask)[:1:-1]) if bit == "1"),
+                   key=self.rank.__getitem__)
+
     @staticmethod
     def from_edges(elements, edges):
         """Reflexive-transitive closure of a step relation given as key-order
@@ -238,7 +244,7 @@ class FinitePoset:
                 bad |= full & ~joins
             stop = n    # the key-order index of the first y a bulk side rejects
             if bad:
-                stop = min(rank[y] for y, bit in enumerate(bin(bad)[:1:-1]) if bit == "1")
+                stop = rank[self.first_in_key_order(bad)]
             if meets is None or joins is None:
                 for y in order[r + 1:stop]:
                     if meets is None:

@@ -52,7 +52,7 @@ def verify_suspension(n, d, order="s1", cap=None):
     for a in p.by_key:
         bad = p.down[a] & red_mask if green[a] else 0
         if bad:
-            w = (p.elements[min(bits(bad), key=p.rank.__getitem__)], p.elements[a])
+            w = (p.elements[p.first_in_key_order(bad)], p.elements[a])
             break
     entry("green_ideal", w)
 
@@ -242,6 +242,6 @@ def verify_s0_monotone(n, d, order="s1", cap=None):
         else:
             bad = 0 if d % 2 == 0 else p.up[a] & has
         if bad:
-            b = min(bits(bad), key=p.rank.__getitem__)
+            b = p.first_in_key_order(bad)
             return {"pass": False, "witness": (p.elements[a], p.elements[b])}
     return {"pass": True, "witness": None}

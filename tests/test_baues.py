@@ -8,7 +8,7 @@ minus the trivial dissection: 2, 10, 44, 196).
 
 import pytest
 
-from cyclictri import baues
+from cyclictri import baues, posets
 from cyclictri.baues import (
     Subdivision,
     baues_poset,
@@ -23,6 +23,7 @@ from cyclictri.baues import (
 from cyclictri.oracles import dissection_oracle_d2, refinement_leq
 from cyclictri.posets import (FinitePoset, ResourceBudgetError,
                               _interval_coatomic, build_s2, interval_poset)
+from cyclictri.triangulations import Triangulation, top
 
 
 @pytest.mark.parametrize("n,want", [(4, 2), (5, 10), (6, 44), (7, 196)])
@@ -137,6 +138,13 @@ def test_interval_to_subdivision_rejects_non_coatomic():
     pytest.fail("expected a non-coatomic interval in S2(6,2)")
 
 
+def test_interval_to_subdivision_rejects_endpoint_outside_s2():
+    # a valid shape, but not a triangulation of C(6, 2)
+    with pytest.raises(ValueError, match="not a triangulation of C\\(6, 2\\)"):
+        interval_to_subdivision(Triangulation(6, 2, [(1, 2, 3)]), top(6, 2),
+                                build_s2(6, 2))
+
+
 @pytest.mark.parametrize("n,want", [(4, 2), (5, 10), (6, 44)])
 def test_baues_poset_counts_d2(n, want):
     assert len(baues_poset(n, 2)) == want
@@ -176,6 +184,31 @@ def test_baues_poset_validates_each_subdivision_once(monkeypatch):
     monkeypatch.setattr(baues, "_checked_subdivision", counting)
     assert len(baues_poset(7, 2)) == 196
     assert len(calls) == 196
+
+
+def test_baues_poset_tests_each_interval_once(monkeypatch):
+    # interval_poset tests each proper interval for coatomicity, and the
+    # cell walk tests none again; the refinement rows are compared with the
+    # interval rows directly, with no second poset to close
+    s2 = build_s2(7, 2)
+    proper = len(interval_poset(s2, "proper"))
+    calls, closures = [], []
+    real_coatomic, real_closure = posets._interval_coatomic, posets._closure
+
+    def coatomic(p, i, j):
+        calls.append((i, j))
+        return real_coatomic(p, i, j)
+
+    def closure(*args):
+        closures.append(args)
+        return real_closure(*args)
+
+    monkeypatch.setattr(posets, "_interval_coatomic", coatomic)
+    monkeypatch.setattr(baues, "_interval_coatomic", coatomic)
+    monkeypatch.setattr(posets, "_closure", closure)
+    assert len(baues_poset(7, 2)) == 196
+    assert len(calls) == proper == 398
+    assert closures == []
 
 
 def test_refinement_mismatch_names_first_pair_in_key_order(monkeypatch):

@@ -171,6 +171,25 @@ def test_check_lattice_s1_10_3_within_a_minute():
     assert proc.stdout == "s1(10,3) is a lattice\n"
 
 
+def test_closed_stdout_exits_quietly():
+    # about 100 KB of JSON, more than a pipe buffer holds, into a pipe whose
+    # read end is already closed: the handler's exit code, no traceback
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.Popen([sys.executable, "-m", "cyclictri.cli", "baues",
+                             "--n", "8", "--d", "3"],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    proc.stdout.close()
+    try:
+        err = proc.stderr.read()
+        code = proc.wait(timeout=60)
+    finally:
+        proc.kill()
+        proc.stderr.close()
+    assert code == 0, err
+    assert b"Traceback" not in err
+
+
 def test_cli_import_stays_light():
     # dataclasses pulls inspect, ast, dis and tokenize into every CLI process;
     # fractions (which loads decimal) and the oracles are for oracle-crosscheck only
@@ -202,6 +221,12 @@ def test_cli_import_stays_light():
      "5b16ae30be1efb0e41fd8b85f6811a8a5066bd484168787775f49fe41e58f876"),
     ("mobius --order s2 --n 8 --d 3",
      "f0e0d736c0cfe11da9fc33562b26e5bda3713faa379764a0112c57af95fec5e5"),
+    # the Baues cell walk at d = 3 and its d = 1 branch, recorded before the
+    # walk read table rows
+    ("baues --n 8 --d 3 --certificate",
+     "d708148d5a4bff287947a2c40722232c9c50b336829912ba597a6bd54c3069a2"),
+    ("baues --n 7 --d 1 --certificate",
+     "bfdd2215fa436d56ee9102f06a6f5e3447c611fa52906bfc3d5a8ab626fc7f8a"),
 ])
 def test_payload_bytes_pinned(capsys, argv, digest):
     # whole stdout, as printed before the triangulation table existed
