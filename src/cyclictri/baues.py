@@ -13,6 +13,7 @@ the pairwise refinement test the tests check against are in `oracles`.
 """
 
 import json
+from collections import namedtuple
 from itertools import combinations
 
 from . import simplices, triangulations as tri
@@ -68,16 +69,36 @@ def cell_top(labels, d):
     return _relabel(tri.top(len(labels), d).simplices, labels)
 
 
+_Cell = namedtuple("_Cell", "mask facets bottom top volume")
+
+
+def _cell(c, tab, memo):
+    """A cell's vertex mask, the vertex masks of the facets of its
+    subpolytope (simplicial, so its proper faces are the subsets of
+    facets), the table masks of its bottom and top triangulations and its
+    volume: built once per cell, in memo."""
+    got = memo.get(c)
+    if got is None:
+        d = tab.d
+        bottom = tab.mask(cell_bottom(c, d))
+        got = memo[c] = _Cell(
+            sum(1 << v for v in c),
+            [sum(1 << c[i - 1] for i in f) for f in simplices.gale_facets(len(c), d)],
+            bottom, tab.mask(cell_top(c, d)),
+            sum(tab.row(i)[1] for i in simplices.bits(bottom)))
+    return got
+
+
 def validate_subdivision(cells, n, d):
     """None when the cells form a polytopal subdivision of C(n, d), else the
     first violation found."""
-    return _checked_subdivision(cells, n, d)[0]
+    return _checked_subdivision(cells, n, d, {})[0]
 
 
-def _checked_subdivision(cells, n, d):
+def _checked_subdivision(cells, n, d, memo):
     """(violation, glued): validate_subdivision's verdict, and the table
-    mask of the glued cell bottoms once the checks reach them (else
-    None)."""
+    mask of the glued cell bottoms once the checks reach them (else None).
+    memo holds the _cell data of the cells seen so far."""
     if isinstance(cells, Subdivision):
         if (cells.n, cells.d) != (n, d):
             return tri.Violation("shape", cells, "ambient (n, d) mismatch"), None
@@ -93,13 +114,10 @@ def _checked_subdivision(cells, n, d):
                                  "cell needs at least %d distinct vertices" % (d + 1)), None
         if c[0] < 1 or c[-1] > n:
             return tri.Violation("cell-size", c, "vertex label out of range"), None
-    # each cell and the facets of its subpolytope as vertex masks: the
-    # subpolytope is simplicial, so its proper faces are the subsets of facets
-    masks = [sum(1 << v for v in c) for c in cells]
-    facets = [[sum(1 << c[i - 1] for i in f) for f in simplices.gale_facets(len(c), d)]
-              for c in cells]
+    tab = tri.table(n, d)
+    data = [_cell(c, tab, memo) for c in cells]
     for a, b in combinations(range(len(cells)), 2):
-        ma, mb = masks[a], masks[b]
+        ma, mb = data[a].mask, data[b].mask
         if not ma & ~mb or not mb & ~ma:
             return tri.Violation("nesting", (cells[a], cells[b]),
                                  "one cell contains another"), None
@@ -107,20 +125,18 @@ def _checked_subdivision(cells, n, d):
         if not w:
             continue
         for k in (a, b):
-            if all(w & ~f for f in facets[k]):
+            if all(w & ~f for f in data[k].facets):
                 return tri.Violation(
                     "face-to-face", (cells[a], cells[b]),
                     "shared vertices do not span a face of cell %s" % (cells[k],)), None
-    tab = tri.table(n, d)
-    bottoms = [tab.mask(cell_bottom(c, d)) for c in cells]
     glued = 0
-    for m in bottoms:
-        glued |= m
+    for cell in data:
+        glued |= cell.bottom
     v = tab.violation(glued)
     if v is not None:
         return tri.Violation("refinement", v.witness,
                              "glued cell triangulations fail: %s" % v.message), glued
-    total = sum(tab.row(i)[1] for m in bottoms for i in simplices.bits(m))
+    total = sum(cell.volume for cell in data)
     if total != tab.hull:
         return tri.Violation("coverage", cells,
                              "cell volumes sum to %d, hull needs %d" %
@@ -139,9 +155,14 @@ def phi(delta):
     """The interval [T, T'] of triangulations refining the subdivision:
     T glues cell bottoms, T' glues cell tops.  Requires a proper subdivision
     of dimension at most 3."""
+    return _phi(delta, {})
+
+
+def _phi(delta, memo):
+    """phi, with the _cell data of the cells seen so far in memo."""
     if delta.d > 3:
         raise ValueError("interval map implemented for d <= 3 only")
-    v, low = _checked_subdivision(delta, delta.n, delta.d)
+    v, low = _checked_subdivision(delta, delta.n, delta.d, memo)
     if v is not None:
         raise ValueError("invalid subdivision: %s" % (v.message,))
     if not delta.is_proper():
@@ -149,7 +170,7 @@ def phi(delta):
     tab = tri.table(delta.n, delta.d)
     high = 0
     for c in delta.cells:
-        high |= tab.mask(cell_top(c, delta.d))
+        high |= memo[c].top
     # the check has just validated the glued bottoms
     t_low = tab.triangulation(low)
     v = tab.violation(high)
@@ -186,15 +207,16 @@ def interval_to_subdivision(t_low, t_high, s2=None):
         raise ValueError("improper interval")
     if not _interval_coatomic(s2, i, j):
         raise ValueError("interval is not coatomic")
-    return _cells_of_interval(s2, i, j)
+    return _cells_of_interval(s2, i, j, {})
 
 
-def _cells_of_interval(s2, i, j):
+def _cells_of_interval(s2, i, j, memo):
     """The subdivision of the proper coatomic interval [i, j] of s2
-    (positions), checked by the phi round trip.  Its cells join t_high's
-    members across the walls t_low lacks, on the table rows: t_low's walls
-    are the OR of its members' facet masks, members merge when their masks
-    of walls outside t_low meet, a cell is the OR of their label masks."""
+    (positions), checked by the phi round trip (memo as for _phi).  Its
+    cells join t_high's members across the walls t_low lacks, on the table
+    rows: t_low's walls are the OR of its members' facet masks, members
+    merge when their masks of walls outside t_low meet, a cell is the OR of
+    their label masks."""
     t_low, t_high = s2.data[s2.elements[i]], s2.data[s2.elements[j]]
     n, d = t_high.n, t_high.d
     tab = tri.table(n, d)
@@ -219,7 +241,7 @@ def _cells_of_interval(s2, i, j):
         # must pick up the vertices the fine end uses inside each span
         cells = [c | used & ((1 << (c.bit_length() - 1)) - (c & -c)) for c in cells]
     delta = Subdivision(n, d, [tuple(simplices.bits(c)) for c in cells])
-    back = phi(delta)
+    back = _phi(delta, memo)
     if back != (t_low, t_high):
         raise AssertionError("interval does not come from a subdivision: "
                              "round trip gave %s" % (back,))
@@ -239,7 +261,8 @@ def baues_poset(n, d, cap=None):
         raise ValueError("subdivision poset implemented for d <= 3 only")
     s2 = build_s2(n, d, cap)
     coat = interval_poset(s2, "proper_coatomic")
-    deltas = [_cells_of_interval(s2, *coat.data[key]) for key in coat.elements]
+    memo = {}
+    deltas = [_cells_of_interval(s2, *coat.data[key], memo) for key in coat.elements]
     keys = [delta.key() for delta in deltas]
     if len(set(keys)) != len(keys):
         raise AssertionError("interval map is not injective")
@@ -276,9 +299,10 @@ def interval_product_check(n, d, cap=None):
     s2 = build_s2(n, d, cap)
     p = baues_poset(n, d, cap)
     bad = []
+    memo = {}
     for key in p.elements:
         delta = p.data[key]
-        t_low, t_high = phi(delta)
+        t_low, t_high = _phi(delta, memo)
         i, j = s2.index[t_low.key()], s2.index[t_high.key()]
         size = bin(s2.up[i] & s2.down[j]).count("1")
         mu = s2.mobius(i, j)

@@ -17,7 +17,10 @@ mask once, for its flips, its validation and its member tuple.
 """
 
 import json
-from itertools import combinations
+from array import array
+from collections.abc import Mapping, Sequence
+from itertools import combinations, islice
+from types import MappingProxyType
 
 from . import triangulations as tri
 from .simplices import bits
@@ -54,8 +57,8 @@ class FinitePoset:
                 raise ValueError("relation size mismatch")
             if not (up[i] >> i) & 1:
                 raise ValueError("not reflexive at %r" % (elements[i],))
-        self._fill(*_closure(elements, [(i, j) for i in range(n)
-                                        for j in bits(up[i] & ~(1 << i))]))
+        self._fill(*_closure(elements, ((i, j) for i in range(n)
+                                        for j in bits(up[i] & ~(1 << i)))))
         for i, x in enumerate(self.by_key):
             if self.up[x].bit_count() != up[i].bit_count():
                 raise ValueError("not transitive at %r" % (elements[i],))
@@ -100,7 +103,8 @@ class FinitePoset:
     @staticmethod
     def from_edges(elements, edges):
         """Reflexive-transitive closure of a step relation given as key-order
-        index pairs (i, j) meaning elements[i] < elements[j]."""
+        index pairs (i, j) meaning elements[i] < elements[j]; longer tuples
+        starting (i, j) are read the same way."""
         return FinitePoset._native(*_closure(tuple(elements), edges))
 
     def covers(self):
@@ -171,14 +175,32 @@ class FinitePoset:
 
     def proper_part(self):
         """Strip the global bottom and top (both must exist and differ):
-        positions 1 .. n-2."""
+        positions 1 .. n-2.  The rows are read from this order, each shifted
+        down one position with the top's bit masked off, so up, down and
+        index are read-only views sharing this order's storage and data is
+        this order's data, read-only (the two ends' entries included)."""
         if not self.is_bounded():
             raise ValueError("poset is not bounded")
         n = len(self.elements)
         if n == 1:
             raise ValueError("bottom equals top: a one-element order has "
                              "no proper part")
-        return self.restrict(range(1, n - 1))
+        p = FinitePoset.__new__(FinitePoset)
+        p.elements = self.elements[1:n - 1]
+        p.index = _InnerIndex(self.index, n - 2)
+        p.up = _InnerRows(self.up)
+        p.down = _InnerRows(self.down)
+        p.by_key = array("I", [0]) * (n - 2)
+        p.rank = array("I", [0]) * (n - 2)
+        r = 0
+        for x in self.by_key:
+            if 0 < x < n - 1:
+                p.by_key[r] = x - 1
+                p.rank[x - 1] = r
+                r += 1
+        p._covers = None
+        p.data = MappingProxyType(self.data)
+        return p
 
     # The common lower bounds of x and y hold the down-set of each of them,
     # so they have a maximum iff they equal the down-set of their highest
@@ -299,6 +321,57 @@ class FinitePoset:
         return "\n".join(lines) + "\n"
 
 
+class _InnerRows(Sequence):
+    """The rows of a bounded order's proper part, read from the order's own
+    rows: row x is row x + 1 shifted down one position, the top's bit
+    masked off (the bottom's bit is shifted out).  Read-only."""
+
+    __slots__ = ("_rows", "_n", "_mask")
+
+    def __init__(self, rows):
+        self._rows = rows
+        self._n = len(rows) - 2
+        self._mask = (1 << self._n) - 1
+
+    def __len__(self):
+        return self._n
+
+    def __getitem__(self, x):
+        if x < 0:
+            x += self._n
+        if not 0 <= x < self._n:
+            raise IndexError("row index out of range")
+        return (self._rows[x + 1] >> 1) & self._mask
+
+    def __iter__(self):
+        mask = self._mask
+        for row in islice(self._rows, 1, self._n + 1):
+            yield (row >> 1) & mask
+
+
+class _InnerIndex(Mapping):
+    """Key -> position in a bounded order's proper part, read from the
+    order's index: one less, the two ends left out."""
+
+    __slots__ = ("_index", "_n")
+
+    def __init__(self, index, n):
+        self._index = index
+        self._n = n
+
+    def __getitem__(self, key):
+        x = self._index[key] - 1
+        if not 0 <= x < self._n:
+            raise KeyError(key)
+        return x
+
+    def __iter__(self):
+        return (key for key, x in self._index.items() if 0 < x <= self._n)
+
+    def __len__(self):
+        return self._n
+
+
 def _joinable(row, same, other):
     """For row = up[x], same = up and other = down: the mask of the
     positions y that have a join with x.  The join of x and y is the member
@@ -337,14 +410,21 @@ def _mobius_values(rows, base):
 
 def _closure(elements, edges):
     """(elements, up, down, by_key) of the reflexive-transitive closure of
-    step edges (i, j) between key-order indices.  Kahn's algorithm numbers
-    the positions; up is the closure over the steps forwards, down the
-    closure over the same steps backwards."""
+    step edges between key-order indices, each edge a tuple starting (i, j)
+    (the flip edges carry their flip simplex third), read once.  Kahn's
+    algorithm numbers the positions on one successor list per element, and
+    up is pulled over the successors in reverse position order.  The lists
+    are then turned into predecessor lists by position, each successor list
+    dropped once read, and down is pulled over those in position order.
+    Pushing each row into its successors' down rows would need no second
+    list, but it leaves the heap full of freed partial rows, and at S1(11,4)
+    the lattice scan that follows ran about a sixth slower."""
     n = len(elements)
     succ = [[] for _ in range(n)]
     indeg = [0] * n
-    for i, j in edges:
-        succ[i].append(j)
+    for e in edges:
+        j = e[1]
+        succ[e[0]].append(j)
         indeg[j] += 1
     order = [i for i in range(n) if indeg[i] == 0]
     for i in order:     # order grows: the queue
@@ -357,17 +437,17 @@ def _closure(elements, edges):
     pos = [0] * n
     for x, i in enumerate(order):
         pos[i] = x
-    above = [[] for _ in range(n)]
-    below = [[] for _ in range(n)]
-    for i, j in edges:
-        above[pos[i]].append(pos[j])
-        below[pos[j]].append(pos[i])
     up = [0] * n
     for x in range(n - 1, -1, -1):
         m = 1 << x
-        for y in above[x]:
-            m |= up[y]
+        for j in succ[order[x]]:
+            m |= up[pos[j]]
         up[x] = m
+    below = [[] for _ in range(n)]
+    for x, i in enumerate(order):
+        for j in succ[i]:
+            below[pos[j]].append(x)
+        succ[i] = None
     down = [0] * n
     for x in range(n):
         m = 1 << x
@@ -430,8 +510,9 @@ def enumerate_triangulations(n, d, cap=None):
         rank = [0] * len(order)
         for r, i in enumerate(order):
             rank[i] = r
-        got = ([ts[i] for i in order],
-               [(rank[i], rank[j], cand) for i, j, cand in edges])
+        for k, (i, j, cand) in enumerate(edges):    # re-ranked in place
+            edges[k] = (rank[i], rank[j], cand)
+        got = ([ts[i] for i in order], edges)
         _enum_cache[key] = got
     elif len(got[0]) > cap:
         raise ResourceBudgetError(
@@ -454,8 +535,7 @@ def build_s1(n, d, cap=None):
     ts = enumerate_triangulations(n, d, cap)    # the cap holds on a cache hit too
     p = _s1_cache.get(key)
     if p is None:
-        edges = [(i, j) for i, j, _ in flip_step_edges(n, d, cap)]
-        p = FinitePoset.from_edges([t.key() for t in ts], edges)
+        p = FinitePoset.from_edges([t.key() for t in ts], flip_step_edges(n, d, cap))
         for t in ts:
             p.data[t.key()] = t
         if p.bottom() != p.index[tri.bottom(n, d).key()] or \

@@ -17,7 +17,8 @@ import json
 from collections import deque
 from math import gcd
 
-from .posets import ResourceBudgetError, _mobius_values, bits
+from .posets import ResourceBudgetError, _mobius_values
+from .simplices import bit_array, bits
 
 DEFAULT_FACE_BUDGET = 2 * 10 ** 6
 
@@ -49,8 +50,9 @@ def chain_counts(p):
     The chains with top x, by size, are the polynomial f_x(t) = t (1 + sum
     of f_y over y < x), kept as one int with a digit of `width` bits per
     size.  The digits never carry: each is at most the number of chains,
-    which a first pass counts."""
-    below = [list(bits(d & ~(1 << x))) for x, d in enumerate(p.down)]
+    which a first pass counts.  The strict down-sets are kept for both
+    passes as arrays of positions, one word walk per row."""
+    below = [bit_array(d & ~(1 << x)) for x, d in enumerate(p.down)]
     total = []
     for row in below:
         total.append(1 + sum(map(total.__getitem__, row)))

@@ -503,8 +503,9 @@ def _middle(d):
 
 
 def _intertwining_masks(n, d):
-    """Middle cells of [n] and, for each (floor(d/2)+1)-subset B, the bitmask
-    of the cells B denies.
+    """Middle cells of [n], for each (floor(d/2)+1)-subset B the bitmask of
+    the cells B denies, and a dict, filled by submersion_mask, of the cells
+    each d-simplex denies (the OR over its (floor(d/2)+1)-faces).
 
     With k = floor(d/2), B denies the cell s iff b0<s0<b1<...<bk<sk for even
     d, and iff s0<b0<s1<...<bk<s(k+1) for odd d (Oppermann-Thomas 2012;
@@ -523,7 +524,7 @@ def _intertwining_masks(n, d):
             for s in product(*(range(lo + 1, hi) for lo, hi in zip(walls, walls[1:]))):
                 m |= 1 << index[s]
             masks[b] = m
-        got = (cells, masks)
+        got = (cells, masks, {})
         _intertwining_cache[key] = got
     return got
 
@@ -531,12 +532,17 @@ def _intertwining_masks(n, d):
 def submersion_mask(t):
     """Bitmask over the middle cells of [n] (the (ceil(d/2)+1)-subsets, in
     lexicographic order) marking those submerged under t: the cells no
-    (floor(d/2)+1)-vertex face of t denies."""
-    cells, masks = _intertwining_masks(t.n, t.d)
-    faces = set()
-    for s in t:
-        faces.update(combinations(s, t.d // 2 + 1))
+    (floor(d/2)+1)-vertex face of t denies, the complement of the OR of the
+    members' deny masks."""
+    cells, masks, denies = _intertwining_masks(t.n, t.d)
+    k = t.d // 2 + 1
     deny = 0
-    for b in faces:
-        deny |= masks[b]
+    for s in t:
+        m = denies.get(s)
+        if m is None:
+            m = 0
+            for b in combinations(s, k):
+                m |= masks[b]
+            denies[s] = m
+        deny |= m
     return ((1 << len(cells)) - 1) & ~deny

@@ -177,9 +177,9 @@ def test_baues_poset_validates_each_subdivision_once(monkeypatch):
     calls = []
     real = baues._checked_subdivision
 
-    def counting(cells, n, d):
+    def counting(cells, n, d, memo):
         calls.append(cells)
-        return real(cells, n, d)
+        return real(cells, n, d, memo)
 
     monkeypatch.setattr(baues, "_checked_subdivision", counting)
     assert len(baues_poset(7, 2)) == 196

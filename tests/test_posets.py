@@ -1,6 +1,8 @@
 """Finite poset machinery plus the two Stasheff-Tamari constructions."""
 
 import json
+import sys
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -20,6 +22,7 @@ from cyclictri.posets import (
     flip_cover_discrepancies,
     interval_poset,
 )
+from cyclictri.topology import chain_counts, poset_homology
 
 
 def _poset(els, edges):
@@ -138,6 +141,96 @@ def test_proper_part():
     q = b3.proper_part()
     assert len(q) == 6
     assert q.le_keys("{1}", "{1,2}")
+
+
+# the instances of acceptance criterion 02
+CRITERION_02 = [(n, d) for d in range(1, 8) for n in range(d + 2, 10)] + [(10, 5)]
+
+
+@pytest.mark.parametrize("build", [build_s1, build_s2], ids=["s1", "s2"])
+def test_proper_part_matches_restrict(build):
+    # the proper part reads the bounded order's rows; restrict copies them
+    for n, d in CRITERION_02:
+        p = build(n, d)
+        q = p.proper_part()
+        r = p.restrict(range(1, len(p) - 1))
+        assert len(q) == len(r) == len(p) - 2
+        assert list(q.up) == r.up and list(q.down) == r.down
+        assert [q.up[x] for x in range(len(q))] == r.up
+        assert [q.down[x] for x in range(len(q))] == r.down
+        assert q.elements == r.elements
+        assert list(q.by_key) == r.by_key and list(q.rank) == r.rank
+        assert dict(q.index) == r.index
+        assert {k: q.data[k] for k in q.elements} == r.data
+        assert q.covers() == r.covers()
+
+
+def test_proper_part_rows_are_read_only_views():
+    p = build_s1(7, 3)
+    q = p.proper_part()
+    assert q.up[-1] == q.up[len(q) - 1]
+    for bad in (len(q), -len(q) - 1):
+        with pytest.raises(IndexError):
+            q.up[bad]
+    with pytest.raises(TypeError):
+        q.up[0] = 0
+    with pytest.raises(TypeError):
+        q.data[q.elements[0]] = None
+    for end in (p.elements[0], p.elements[-1]):
+        assert end not in q.index
+        with pytest.raises(KeyError):
+            q.index[end]
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
+def test_empty_proper_part(d):
+    # n = d + 2: the two triangulations are the bottom and the top
+    q = build_s1(d + 2, d).proper_part()
+    assert len(q) == 0 and list(q.up) == [] and list(q.down) == []
+    assert q.keys() == [] and q.covers() == [] and dict(q.index) == {}
+    with pytest.raises(IndexError):
+        q.up[0]
+    assert chain_counts(q) == [1]
+    assert poset_homology(q).is_sphere(-1)
+
+
+def test_one_element_order_has_no_proper_part():
+    with pytest.raises(ValueError, match="one-element order"):
+        FinitePoset.from_edges(["x"], []).proper_part()
+
+
+def test_proper_part_shares_the_rows():
+    # the proper part allocates its keys and key order, never rows
+    p = build_s1(9, 3)
+    rows = sum(sys.getsizeof(m) for m in p.up) + sum(sys.getsizeof(m) for m in p.down)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        q = p.proper_part()
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert len(q) == 970
+    assert peak < rows // 10, (peak, rows)
+
+
+def test_build_s1_closes_the_flip_edges_in_place(monkeypatch):
+    # the closure reads the enumeration's edge list and holds one adjacency
+    # list per element at a time, successors and then predecessors; a second
+    # edge list and three adjacency lists took 1.9 MB at (10,4)
+    from cyclictri import posets
+    enumerate_triangulations(10, 4)
+    monkeypatch.setattr(posets, "_s1_cache", {})
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        p = build_s1(10, 4)
+        current, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(p) == 4824
+    assert peak - current < 512 * 1024, (peak, current)
 
 
 def test_positions_are_a_linear_extension():
