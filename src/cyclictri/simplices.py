@@ -2,13 +2,11 @@
 
 Vertices of C(n, d) are the integer labels 1..n sitting on the moment curve;
 everything in this module is pure bookkeeping on sorted label tuples, plus
-two helpers for the int bitmasks that index sets of them.  The geometric
+one helper for the int bitmasks that index sets of them.  The geometric
 meaning of each predicate is pinned down by the exact-arithmetic oracles in
 `oracles` and the agreement tests between the two routes.
 """
 
-import sys
-from array import array
 from itertools import combinations
 from types import MappingProxyType
 
@@ -26,27 +24,6 @@ def bits(m):
         b = m & -m
         yield b.bit_length() - 1
         m ^= b
-
-
-def bit_array(m):
-    """Indices of the set bits of the mask m >= 0, ascending, as an
-    array("I"), walked 64 bits at a time.  Meant for wide rows with many
-    members, such as poset rows: bits() copies the whole mask for each bit
-    it takes off, while this walk copies it once.  On the short, sparse
-    table masks bits() is the faster."""
-    out = array("I")
-    append = out.append
-    words = array("Q", m.to_bytes((m.bit_length() + 63) >> 6 << 3, "little"))
-    if sys.byteorder == "big":
-        words.byteswap()
-    base = -1   # bit_length() counts from 1
-    for w in words:
-        while w:
-            low = w & -w
-            append(base + low.bit_length())
-            w ^= low
-        base += 64
-    return out
 
 
 def simplex(labels):

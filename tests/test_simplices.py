@@ -5,7 +5,6 @@ moment-curve coordinates with Fraction arithmetic.  It shares no code
 with the gap-parity implementation under test.
 """
 
-import random
 from fractions import Fraction
 from itertools import combinations
 
@@ -15,8 +14,6 @@ from hypothesis import strategies as st
 
 from cyclictri.oracles import admissible_geometric, zig_zag_admissible
 from cyclictri.simplices import (
-    bit_array,
-    bits,
     facet_class,
     facet_split,
     gale_facets,
@@ -181,25 +178,3 @@ def test_simplex_normalizes():
     assert simplex([3, 1, 2]) == (1, 2, 3)
     with pytest.raises(ValueError):
         simplex([1, 1, 2])
-
-
-@pytest.mark.parametrize("width", [1, 63, 64, 65, 130, 96426])
-def test_bit_array_matches_bits(width):
-    # the 64-bit word walk against bits(), with the lowest and highest bit of
-    # the row set, on widths on and off a multiple of 64
-    rng = random.Random(width)
-    top = 1 << (width - 1)
-    for density in (0.0, 0.01, 0.5, 1.0):
-        m = 1 | top
-        for b in range(width):
-            if rng.random() < density:
-                m |= 1 << b
-        got = bit_array(m)
-        assert got.typecode == "I"
-        assert list(got) == list(bits(m))
-        assert got[0] == 0 and got[-1] == width - 1
-    assert list(bit_array(top)) == [width - 1]
-
-
-def test_bit_array_of_zero_is_empty():
-    assert len(bit_array(0)) == 0

@@ -10,12 +10,14 @@ import itertools
 
 import pytest
 
+from cyclictri import topology
 from cyclictri.baues import baues_poset
 from cyclictri.oracles import complex_from_maximal
 from cyclictri.posets import (
     FinitePoset,
     ResourceBudgetError,
     boolean_lattice,
+    build_s1,
     build_s2,
 )
 from cyclictri.topology import (
@@ -175,6 +177,65 @@ def test_hall_mobius_equals_reduced_euler():
     for p in (boolean_lattice(3), boolean_lattice(4), build_s2(6, 2)):
         h = poset_homology(p.proper_part())
         assert h.euler == p.mobius_bottom_top()
+
+
+# the instances of acceptance criteria 04 (S1 and S2) and 05 (Baues)
+CATALOG = [(n, d) for d in range(1, 7) for n in range(d + 2, 10)]
+BAUES_INSTANCES = [(4, 2), (5, 2), (6, 2), (7, 2), (5, 3), (6, 3), (7, 3),
+                   (8, 3), (3, 1), (4, 1), (5, 1), (6, 1), (7, 1)]
+
+
+def _chain_euler(p):
+    # the reduced Euler characteristic as the alternating sum of chains
+    return sum((-1) ** (size + 1) * count
+               for size, count in enumerate(chain_counts(p)))
+
+
+@pytest.mark.parametrize("build", [build_s1, build_s2], ids=["S1", "S2"])
+def test_chain_euler_equals_mobius_on_the_catalog(build):
+    # Hall's theorem: the chain sum of the whole proper part is mu(0, 1)
+    bad = []
+    for n, d in CATALOG:
+        p = build(n, d).proper_part()
+        euler = _chain_euler(p)
+        if not euler == topology._hall_mobius(p) == poset_homology(p).euler:
+            bad.append((n, d, euler))
+    assert not bad
+
+
+def test_chain_euler_equals_mobius_on_baues_posets():
+    bad = []
+    for n, d in BAUES_INSTANCES:
+        p = baues_poset(n, d)
+        euler = _chain_euler(p)
+        if not euler == topology._hall_mobius(p) == poset_homology(p).euler:
+            bad.append((n, d, euler))
+    assert not bad
+
+
+def test_poset_homology_rejects_a_wrong_mobius(monkeypatch):
+    # the core's Betti numbers are checked against mu of the whole poset
+    real = topology._hall_mobius
+    monkeypatch.setattr(topology, "_hall_mobius", lambda p: real(p) + 2)
+    with pytest.raises(AssertionError, match="Mobius"):
+        poset_homology(boolean_lattice(3).proper_part())
+
+
+def test_sphere_certificate_counts_chains_of_the_core_only(monkeypatch):
+    # one chain count, the order complex's pre-flight on the 30-element core
+    # (the proper part of B_5), not one on all 970 elements of S1(9,3)
+    sizes = []
+    real = topology.chain_counts
+
+    def counted(p):
+        sizes.append(len(p))
+        return real(p)
+
+    monkeypatch.setattr(topology, "chain_counts", counted)
+    p = build_s1(9, 3).proper_part()
+    assert len(p) == 970
+    assert sphere_certificate(p, 3)["pass"] is True
+    assert sizes == [30]
 
 
 def test_proper_b3_is_s1():
