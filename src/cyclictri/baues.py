@@ -278,13 +278,13 @@ def baues_poset(n, d, cap=None):
         for big, where in has.items():
             if c & ~big == 0:
                 inside[c] |= where
-    p = FinitePoset._native(keys, coat.up, coat.down,
+    p = FinitePoset._native(keys, coat._up, coat.down,
                             sorted(range(len(keys)), key=keys.__getitem__))
     for x in p.by_key:
         m = -1
         for c in cells[x]:
             m &= inside[c]
-        bad = m ^ coat.up[x]
+        bad = m ^ (coat._up[x] << x)
         if bad:
             raise AssertionError("refinement disagrees with interval inclusion: "
                                  "%s vs %s" % (keys[x], keys[p.first_in_key_order(bad)]))

@@ -538,7 +538,7 @@ def lattice_witness_all_pairs(p):
     """True, or a witness dict naming the first pair of the finite poset p,
     in key order, lacking a meet or a join: the meet and the join of every
     pair are tested, the meet first."""
-    up, down = p.up, p.down
+    up, down = list(p.up), p.down
     order = p.by_key
     for r, x in enumerate(order):
         dx = down[x]

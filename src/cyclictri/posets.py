@@ -3,23 +3,28 @@ orders: the flip order (transitive closure of single upward flips) and the
 height order (containment of submersion sets at the middle dimension).
 
 A poset is stored once, in one coordinate system: the positions of a linear
-extension, with the up-set and the down-set of each element as int bitmasks
-over positions.  Closure, covers, meets and joins, Mobius values and
-restriction then read the masks directly (the top set bit of a down-set is
-the only candidate for its maximum).  Keys are mapped to their own order, the
-sorted order for S1 and S2, only at export: JSON, DOT, covers and witnesses.
+extension, with the up-set and the down-set of each element as int bitmasks.
+A down-set is a mask over positions; an up-set is stored from its element's
+own position, bit k of the row of x standing for position x + k, so the row
+of x spans n - x positions and not n, and a dense order's rows take about
+n^2/8 bytes instead of 3n^2/16.  Closure, covers, meets and joins, Mobius
+values and restriction read the stored rows directly (the top set bit of a
+down-set is the only candidate for its maximum, the lowest bit of an up-set
+for its minimum).  Keys are mapped to their own order, the sorted order for
+S1 and S2, only at export: JSON, DOT, covers and witnesses.
 
 The lattice verdict on a bounded poset is one join test per pair of upper
 covers of a common element (Bjorner-Edelman-Ziegler 1990, Lemma 2.1); a
 refutation scans pairs in key order, with the small side of each row, meets
 or joins, settled in bulk.  Enumeration walks the members of each flip-search
-mask once, for its flips, its validation and its member tuple.
+mask once, for its flips, its validation and its member tuple, and records
+the flip edges in flat arrays that the S1 closure reads.
 """
 
 import json
 from array import array
 from collections.abc import Mapping, Sequence
-from itertools import combinations, islice
+from itertools import accumulate, combinations
 from types import MappingProxyType
 
 from . import triangulations as tri
@@ -32,14 +37,17 @@ class FinitePoset:
     positions of a linear extension: x < y in the order implies x < y as
     positions.
 
-    elements[x] is the key at position x and index maps keys back; up[x]
-    and down[x] are the masks of the positions above and below x, both
+    elements[x] is the key at position x and index maps keys back.  down[x]
+    is the mask of the positions below x, and up[x] of those above x, both
     including x, so no bit of up[x] lies below bit x and no bit of down[x]
-    above it.  The keys also have an order of their own, the order they
-    were given in (sorted keys for S1 and S2): by_key lists the positions in
-    key order and rank[x] is the key-order index of position x.  Exports
-    (to_json, to_dot, covers) and every witness use key order; nothing else
-    does.
+    above it.  The up-sets are stored from their own positions, bit k of
+    _up[x] standing for position x + k (up[x] == _up[x] << x); up is a
+    read-only sequence over that storage, and the poset's own code reads
+    _up.  The keys also have an order of their own, the order they were
+    given in (sorted keys for S1 and S2): by_key lists the positions in key
+    order and rank[x] is the key-order index of position x, both
+    array('I').  Exports (to_json, to_dot, covers) and every witness use key
+    order; nothing else does.
     """
 
     def __init__(self, elements, up):
@@ -57,10 +65,10 @@ class FinitePoset:
                 raise ValueError("relation size mismatch")
             if not (up[i] >> i) & 1:
                 raise ValueError("not reflexive at %r" % (elements[i],))
-        self._fill(*_closure(elements, ((i, j) for i in range(n)
-                                        for j in bits(up[i] & ~(1 << i)))))
+        self._fill(*_closure(elements, *_edge_arrays(
+            (i, j) for i in range(n) for j in bits(up[i] & ~(1 << i)))))
         for i, x in enumerate(self.by_key):
-            if self.up[x].bit_count() != up[i].bit_count():
+            if self._up[x].bit_count() != up[i].bit_count():
                 raise ValueError("not transitive at %r" % (elements[i],))
 
     def _fill(self, elements, up, down, by_key):
@@ -68,19 +76,34 @@ class FinitePoset:
         self.index = {e: x for x, e in enumerate(self.elements)}
         if len(self.index) != len(self.elements):
             raise ValueError("repeated element key")
-        self.up = up
-        self.down = down
-        self.by_key = by_key
-        self.rank = [0] * len(by_key)
+        self._set_rows(up, down, 0)
+        self.by_key = array("I", by_key)
+        self.rank = array("I", [0]) * len(by_key)
         for r, x in enumerate(by_key):
             self.rank[x] = r
         self._covers = None
         self.data = {}
 
+    def _set_rows(self, up, down, first):
+        """Rows stored at positions first .. first + len - 1 of the lists up
+        (each from its own position) and down.  With first = 0 the lists are
+        this poset's own rows; a proper part reads its order's lists from
+        first = 1, and every read drops the bits of the positions outside."""
+        n = len(self.elements)
+        self._frame = (up, down, first)
+        self.up = _Rows(up, first, n, "up")
+        if first:
+            self._up = _Rows(up, first, n, "stored")
+            self.down = _Rows(down, first, n, "down")
+        else:
+            self._up = up
+            self.down = down
+
     @classmethod
     def _native(cls, elements, up, down, by_key):
         """A poset given in its own coordinates: elements, up and down by
-        position (a linear extension), by_key the positions in key order."""
+        position (a linear extension), each up-row stored from its own
+        position, by_key the positions in key order."""
         p = cls.__new__(cls)
         p._fill(elements, up, down, by_key)
         return p
@@ -89,7 +112,7 @@ class FinitePoset:
         return len(self.elements)
 
     def le(self, x, y):
-        return (self.up[x] >> y) & 1 == 1
+        return y >= x and (self._up[x] >> (y - x)) & 1 == 1
 
     def le_keys(self, a, b):
         return self.le(self.index[a], self.index[b])
@@ -105,32 +128,36 @@ class FinitePoset:
         """Reflexive-transitive closure of a step relation given as key-order
         index pairs (i, j) meaning elements[i] < elements[j]; longer tuples
         starting (i, j) are read the same way."""
-        return FinitePoset._native(*_closure(tuple(elements), edges))
+        return FinitePoset._native(*_closure(tuple(elements), *_edge_arrays(edges)))
 
     def covers(self):
         """Transitive reduction as a sorted list of key-order index pairs
         (i covered by j)."""
         if self._covers is None:
             rank = self.rank
-            self._covers = sorted((rank[x], rank[y]) for x in range(len(self.up))
+            self._covers = sorted((rank[x], rank[y]) for x in range(len(self.elements))
                                   for y in self._upper_covers(x))
         return self._covers
 
     def _upper_covers(self, x):
         """The positions covering x, lowest first: the lowest position left
-        above x is a cover of x, and nothing above that cover is one."""
-        up = self.up
-        rest = up[x] & ~(1 << x)
+        above x is a cover of x, and nothing above that cover is one.  The
+        positions left are kept from the last cover found, so each step
+        reads that cover's stored row as it is."""
+        up = self._up
+        rest = up[x] >> 1
+        y = x + 1
         out = []
         while rest:
-            y = (rest & -rest).bit_length() - 1
+            k = (rest & -rest).bit_length() - 1
+            y += k
             out.append(y)
-            rest &= ~up[y]
+            rest = (rest >> k) & ~up[y]
         return out
 
     def bottom(self):
         n = len(self.elements)
-        return 0 if n and self.up[0] == (1 << n) - 1 else None
+        return 0 if n and self._up[0] == (1 << n) - 1 else None
 
     def top(self):
         n = len(self.elements)
@@ -142,30 +169,42 @@ class FinitePoset:
     def restrict(self, keep):
         """Induced subposet on the given positions.  Kept elements keep
         their relative positions and key order, so each row is compressed
-        run by run of the kept mask."""
+        run by run of the kept positions, read from the stored rows: the
+        bits of the positions left out, a proper part's ends included, lie
+        outside every run."""
+        up, down, first = self._frame
         kept = sorted(set(keep))
         runs = []       # [first, last, new position of first] per run
         for k, x in enumerate(kept):
+            x += first
             if runs and runs[-1][1] == x - 1:
                 runs[-1][1] = x
             else:
                 runs.append([x, x, k])
         runs = [(start, (1 << (last - start + 1)) - 1, shift)
                 for start, last, shift in runs]
-
-        def squeeze(m):
-            out = 0
-            for start, width, shift in runs:
-                out |= ((m >> start) & width) << shift
-            return out
-
+        new_up, new_down = [], []
+        r = 0           # the run of the kept element
+        for k, x in enumerate(kept):
+            x += first
+            if r + 1 < len(runs) and runs[r + 1][2] == k:
+                r += 1
+            start, width, _ = runs[r]
+            row = up[x]
+            u = row & (width >> (x - start))
+            for start, width, shift in runs[r + 1:]:
+                u |= ((row >> (start - x)) & width) << (shift - k)
+            new_up.append(u)
+            row = down[x]
+            m = 0
+            for start, width, shift in runs[:r + 1]:
+                m |= ((row >> start) & width) << shift
+            new_down.append(m)
         new = [None] * len(self.elements)
         for k, x in enumerate(kept):
             new[x] = k
         sub = FinitePoset._native(
-            [self.elements[x] for x in kept],
-            [squeeze(self.up[x]) for x in kept],
-            [squeeze(self.down[x]) for x in kept],
+            [self.elements[x] for x in kept], new_up, new_down,
             [new[x] for x in self.by_key if new[x] is not None])
         for x in kept:
             k = self.elements[x]
@@ -175,21 +214,22 @@ class FinitePoset:
 
     def proper_part(self):
         """Strip the global bottom and top (both must exist and differ):
-        positions 1 .. n-2.  The rows are read from this order, each shifted
-        down one position with the top's bit masked off, so up, down and
-        index are read-only views sharing this order's storage and data is
-        this order's data, read-only (the two ends' entries included)."""
+        positions 1 .. n-2.  The rows are this order's stored rows, read
+        from position 1 with the two ends' bits dropped on each read, so
+        up, down and index are read-only views sharing this order's storage
+        and data is this order's data, read-only (the two ends' entries
+        included)."""
         if not self.is_bounded():
             raise ValueError("poset is not bounded")
         n = len(self.elements)
         if n == 1:
             raise ValueError("bottom equals top: a one-element order has "
                              "no proper part")
+        up, down, first = self._frame
         p = FinitePoset.__new__(FinitePoset)
         p.elements = self.elements[1:n - 1]
         p.index = _InnerIndex(self.index, n - 2)
-        p.up = _InnerRows(self.up)
-        p.down = _InnerRows(self.down)
+        p._set_rows(up, down, first + 1)
         p.by_key = array("I", [0]) * (n - 2)
         p.rank = array("I", [0]) * (n - 2)
         r = 0
@@ -205,6 +245,8 @@ class FinitePoset:
     # The common lower bounds of x and y hold the down-set of each of them,
     # so they have a maximum iff they equal the down-set of their highest
     # position; likewise for upper bounds, up-sets and the lowest position.
+    # Upper bounds are read from the higher of the two positions: its
+    # stored row, ANDed with the lower one's shifted to it.
 
     def meet(self, x, y):
         """Position of the meet, or None if it does not exist."""
@@ -213,9 +255,12 @@ class FinitePoset:
         return top if lows and self.down[top] == lows else None
 
     def join(self, x, y):
-        ups = self.up[x] & self.up[y]
-        low = (ups & -ups).bit_length() - 1
-        return low if ups and self.up[low] == ups else None
+        up = self._up
+        if x > y:
+            x, y = y, x
+        ups = (up[x] >> (y - x)) & up[y]
+        k = (ups & -ups).bit_length() - 1
+        return y + k if ups and up[y + k] == ups >> k else None
 
     def is_lattice(self):
         """True, or a witness dict naming the first pair, in key order,
@@ -232,11 +277,12 @@ class FinitePoset:
 
     def _cover_joins(self):
         """Whether every two upper covers of a common element have a join."""
-        up = self.up
-        for x in range(len(up)):
-            for a, b in combinations(self._upper_covers(x), 2):
-                ups = up[a] & up[b]     # not empty: the poset is bounded
-                if up[(ups & -ups).bit_length() - 1] != ups:
+        up = self._up
+        for x in range(len(self.elements)):
+            for a, b in combinations(self._upper_covers(x), 2):     # a < b
+                ups = (up[a] >> (b - a)) & up[b]    # not empty: bounded
+                k = (ups & -ups).bit_length() - 1
+                if up[b + k] != ups >> k:
                     return False
         return True
 
@@ -245,18 +291,18 @@ class FinitePoset:
         failing that, a join, as a witness dict; True if there is none.
 
         A row x whose down-set has k members, k * k <= n, settles all its
-        meets at once (_joinable, k * k mask operations instead of n pair
-        tests), and likewise its joins when the up-set is that small; only
-        the other side is tested pair by pair."""
-        up, down, order, rank = self.up, self.down, self.by_key, self.rank
+        meets at once (_meets, k * k mask operations instead of n pair
+        tests), and likewise its joins when the up-set is that small
+        (_joins); only the other side is tested pair by pair."""
+        up, down, order, rank = self._up, self.down, self.by_key, self.rank
         n = len(order)
         full = (1 << n) - 1
         for r, x in enumerate(order):
             dx, ux = down[x], up[x]
             # masks of the positions with a meet (a join) with x, or None
             # where that side is tested pair by pair
-            meets = _joinable(dx, down, up) if dx.bit_count() ** 2 <= n else None
-            joins = _joinable(ux, up, down) if ux.bit_count() ** 2 <= n else None
+            meets = _meets(dx, down, up) if dx.bit_count() ** 2 <= n else None
+            joins = _joins(x, ux, up, down) if ux.bit_count() ** 2 <= n else None
             # every y before x in key order passed with x in its own row, so
             # bad holds only later positions
             bad = 0
@@ -274,8 +320,12 @@ class FinitePoset:
                         if not lows or down[lows.bit_length() - 1] != lows:
                             return self._witness(x, y, "meet")
                     if joins is None:
-                        ups = ux & up[y]
-                        if not ups or up[(ups & -ups).bit_length() - 1] != ups:
+                        if y > x:
+                            ups, low = (ux >> (y - x)) & up[y], y
+                        else:
+                            ups, low = (up[y] >> (x - y)) & ux, x
+                        k = (ups & -ups).bit_length() - 1
+                        if not ups or up[low + k] != ups >> k:
                             return self._witness(x, y, "join")
             if stop < n:
                 y = order[stop]
@@ -291,7 +341,7 @@ class FinitePoset:
             raise ValueError("mobius needs x <= y")
         if x == y:
             return 1
-        inner = self.up[x] & self.down[y] & ~(1 << x)
+        inner = ((self._up[x] & (self.down[y] >> x)) ^ 1) << x
         # mu(x, z) = -1 - the sum of mu(x, w) over x < w < z
         mu = _mobius_values(((z, inner & self.down[z] & ~(1 << z))
                              for z in bits(inner)), -1)
@@ -321,17 +371,20 @@ class FinitePoset:
         return "\n".join(lines) + "\n"
 
 
-class _InnerRows(Sequence):
-    """The rows of a bounded order's proper part, read from the order's own
-    rows: row x is row x + 1 shifted down one position, the top's bit
-    masked off (the bottom's bit is shifted out).  Read-only."""
+class _Rows(Sequence):
+    """Read-only rows of a poset over stored rows, position x at stored
+    position x + first: kind "up" gives the up-sets as position masks,
+    "stored" the up-rows as stored (bit k for position x + k) and "down" the
+    down-sets.  With first > 0 (a proper part) the bits of the positions
+    outside the poset are dropped on each read."""
 
-    __slots__ = ("_rows", "_n", "_mask")
+    __slots__ = ("_rows", "_first", "_n", "_kind")
 
-    def __init__(self, rows):
+    def __init__(self, rows, first, n, kind):
         self._rows = rows
-        self._n = len(rows) - 2
-        self._mask = (1 << self._n) - 1
+        self._first = first
+        self._n = n
+        self._kind = kind
 
     def __len__(self):
         return self._n
@@ -341,12 +394,16 @@ class _InnerRows(Sequence):
             x += self._n
         if not 0 <= x < self._n:
             raise IndexError("row index out of range")
-        return (self._rows[x + 1] >> 1) & self._mask
+        first = self._first
+        row = self._rows[x + first]
+        if self._kind == "down":
+            return row >> first
+        if first:
+            row &= (1 << (self._n - x)) - 1
+        return row << x if self._kind == "up" else row
 
     def __iter__(self):
-        mask = self._mask
-        for row in islice(self._rows, 1, self._n + 1):
-            yield (row >> 1) & mask
+        return map(self.__getitem__, range(self._n))
 
 
 class _InnerIndex(Mapping):
@@ -372,18 +429,32 @@ class _InnerIndex(Mapping):
         return self._n
 
 
-def _joinable(row, same, other):
-    """For row = up[x], same = up and other = down: the mask of the
-    positions y that have a join with x.  The join of x and y is the member
-    m of row with same[m] = row & same[y], so the y joined at m are other[m]
-    minus other[w] for each member w of row outside same[m].  With row =
-    down[x], same = down and other = up, the same masks give the meets."""
+def _meets(dx, down, up):
+    """For dx = down[x] and the stored up-rows: the mask of the positions y
+    that have a meet with x.  The meet of x and y is the member m of dx with
+    down[m] = dx & down[y], so the y met at m are the up-set of m minus the
+    up-set of each member w of dx outside down[m]."""
     out = 0
-    for m in bits(row):
+    for m in bits(dx):
         cut = 0
-        for w in bits(row & ~same[m]):
-            cut |= other[w]
-        out |= other[m] & ~cut
+        for w in bits(dx & ~down[m]):
+            cut |= up[w] << w
+        out |= (up[m] << m) & ~cut
+    return out
+
+
+def _joins(x, ux, up, down):
+    """For ux = up[x] as stored (bit k for position x + k): the mask of the
+    positions y that have a join with x, the dual of _meets.  The join is
+    the member m of ux whose up-set is the common one, so the y joined at m
+    are down[m] minus down[w] for each member w of ux outside the up-set of
+    m."""
+    out = 0
+    for k in bits(ux):
+        cut = 0
+        for w in bits(ux & ~(up[x + k] << k)):
+            cut |= down[x + w]
+        out |= down[x + k] & ~cut
     return out
 
 
@@ -408,53 +479,102 @@ def _mobius_values(rows, base):
     return out
 
 
-def _closure(elements, edges):
+def _closure(elements, src, dst):
     """(elements, up, down, by_key) of the reflexive-transitive closure of
-    step edges between key-order indices, each edge a tuple starting (i, j)
-    (the flip edges carry their flip simplex third), read once.  Kahn's
-    algorithm numbers the positions on one successor list per element, and
-    up is pulled over the successors in reverse position order.  The lists
-    are then turned into predecessor lists by position, each successor list
-    dropped once read, and down is pulled over those in position order.
-    Pushing each row into its successors' down rows would need no second
-    list, but it leaves the heap full of freed partial rows, and at S1(11,4)
-    the lattice scan that follows ran about a sixth slower."""
+    the step edges src[k] -> dst[k] between key-order indices.  The edges
+    are read into successor arrays by element (_csr), and Kahn's algorithm
+    numbers the positions on them.  Up is pulled over the successors in
+    reverse position order, each row stored from its own position, and the
+    same walk files each edge into predecessor arrays by position; the
+    successor arrays are then dropped and down is pulled over the
+    predecessors in position order.  Pushing each row into its successors'
+    down rows would need no predecessors, but it leaves the heap full of
+    freed partial rows, and at S1(11,4) the lattice scan that follows ran
+    about a sixth slower."""
     n = len(elements)
-    succ = [[] for _ in range(n)]
+    at, succ = _csr(n, src, dst)
     indeg = [0] * n
-    for e in edges:
-        j = e[1]
-        succ[e[0]].append(j)
+    for j in dst:
         indeg[j] += 1
-    order = [i for i in range(n) if indeg[i] == 0]
+    count = indeg.copy()
+    order = array("I", [i for i in range(n) if indeg[i] == 0])
     for i in order:     # order grows: the queue
-        for j in succ[i]:
+        for j in succ[at[i]:at[i + 1]]:
             indeg[j] -= 1
             if indeg[j] == 0:
                 order.append(j)
     if len(order) != n:
         raise ValueError("step relation has a cycle")
-    pos = [0] * n
+    pos = array("I", [0]) * n
     for x, i in enumerate(order):
         pos[i] = x
+    below_at = array("I", [0])
+    below_at.extend(accumulate(map(count.__getitem__, order)))
+    del indeg, count
+    fill = below_at.tolist()
+    below = array("I", [0]) * len(dst)
     up = [0] * n
     for x in range(n - 1, -1, -1):
-        m = 1 << x
-        for j in succ[order[x]]:
-            m |= up[pos[j]]
+        i = order[x]
+        m = 1
+        for y in map(pos.__getitem__, succ[at[i]:at[i + 1]]):
+            m |= up[y] << (y - x)
+            below[fill[y]] = x
+            fill[y] += 1
         up[x] = m
-    below = [[] for _ in range(n)]
-    for x, i in enumerate(order):
-        for j in succ[i]:
-            below[pos[j]].append(x)
-        succ[i] = None
+    del at, succ, fill
     down = [0] * n
     for x in range(n):
         m = 1 << x
-        for y in below[x]:
+        for y in below[below_at[x]:below_at[x + 1]]:
             m |= down[y]
         down[x] = m
     return [elements[i] for i in order], up, down, pos
+
+
+def _csr(n, heads, tails):
+    """(at, to), two array('I'): to[at[h]:at[h + 1]] lists the tails of
+    the edges heads[k] -> tails[k] with head h, in edge order (compressed
+    sparse rows)."""
+    count = [0] * n
+    for h in heads:
+        count[h] += 1
+    at = array("I", [0])
+    at.extend(accumulate(count))
+    fill = at.tolist()
+    to = array("I", [0]) * len(heads)
+    for h, t in zip(heads, tails):
+        to[fill[h]] = t
+        fill[h] += 1
+    return at, to
+
+
+def _edge_arrays(edges):
+    """(src, dst) arrays of step edges: a flip record's own, or read from
+    tuples starting (i, j)."""
+    if isinstance(edges, _FlipEdges):
+        return edges.src, edges.dst
+    src, dst = array("I"), array("I")
+    for e in edges:
+        src.append(e[0])
+        dst.append(e[1])
+    return src, dst
+
+
+class _FlipEdges:
+    """The flip search's record: edge k goes from element src[k] to element
+    dst[k] of the sorted enumeration by the flip simplex simplices[flip[k]],
+    src, dst and flip being array('I').  Iterated, it gives (i, j, flip
+    simplex) tuples, built as they are read."""
+
+    __slots__ = ("src", "dst", "flip", "simplices")
+
+    def __init__(self):
+        self.src, self.dst, self.flip = array("I"), array("I"), array("I")
+        self.simplices = []
+
+    def __iter__(self):
+        return zip(self.src, self.dst, map(self.simplices.__getitem__, self.flip))
 
 
 def _dot_escape(s):
@@ -474,7 +594,8 @@ def enumerate_triangulations(n, d, cap=None):
     flips from the bottom element.  One walk over the members of each mask
     gives its increasing flips, its validation sums and its member tuple;
     every mask is validated before it becomes a Triangulation.  Returns a
-    list sorted by canonical key; also records the flip step edges."""
+    list sorted by canonical key; also records the flip step edges, in flat
+    arrays re-ranked in place to the sorted order."""
     key = (n, d)
     got = _enum_cache.get(key)
     if cap is None:
@@ -484,7 +605,9 @@ def enumerate_triangulations(n, d, cap=None):
         start = tab.mask(tab.bottom.simplices)
         seen = {start: 0}
         masks = [start]
-        edges = []
+        edges = _FlipEdges()
+        src, dst, flip = edges.src.append, edges.dst.append, edges.flip.append
+        number = {}     # flip simplex -> its index in edges.simplices
         ts = []
         for i, t in enumerate(masks):   # masks grows: the BFS queue
             flips = []
@@ -503,15 +626,20 @@ def enumerate_triangulations(n, d, cap=None):
                             "enum_cap", cap, len(seen) + 1, "C(%d, %d)" % (n, d))
                     j = seen[nxt] = len(masks)
                     masks.append(nxt)
-                edges.append((i, j, cand))
+                src(i)
+                dst(j)
+                flip(number.setdefault(cand, len(number)))
         if tab.mask(tab.top.simplices) not in seen:
             raise AssertionError("flip search failed to reach the top element")
+        del seen, masks
+        edges.simplices = list(number)
         order = sorted(range(len(ts)), key=lambda i: ts[i].key())
-        rank = [0] * len(order)
+        rank = array("I", [0]) * len(order)
         for r, i in enumerate(order):
             rank[i] = r
-        for k, (i, j, cand) in enumerate(edges):    # re-ranked in place
-            edges[k] = (rank[i], rank[j], cand)
+        for ends in (edges.src, edges.dst):     # re-ranked in place
+            for k, i in enumerate(ends):
+                ends[k] = rank[i]
         got = ([ts[i] for i in order], edges)
         _enum_cache[key] = got
     elif len(got[0]) > cap:
@@ -524,18 +652,21 @@ def enumerate_triangulations(n, d, cap=None):
 def flip_step_edges(n, d, cap=None):
     """Single-flip steps (i, j, flip_simplex), one per flip found by
     enumeration: element i of enumerate_triangulations(n, d) flips up to
-    element j."""
+    element j.  The enumeration keeps the steps in flat arrays (source,
+    target, and the flip simplex's index in its own list); the tuples are
+    built on each call."""
     enumerate_triangulations(n, d, cap)
-    return _enum_cache[(n, d)][1]
+    return list(_enum_cache[(n, d)][1])
 
 
 def build_s1(n, d, cap=None):
-    """Flip order: reflexive-transitive closure of single upward flips."""
+    """Flip order: reflexive-transitive closure of single upward flips,
+    read from the enumeration's flat edge arrays."""
     key = (n, d)
     ts = enumerate_triangulations(n, d, cap)    # the cap holds on a cache hit too
     p = _s1_cache.get(key)
     if p is None:
-        p = FinitePoset.from_edges([t.key() for t in ts], flip_step_edges(n, d, cap))
+        p = FinitePoset.from_edges([t.key() for t in ts], _enum_cache[key][1])
         for t in ts:
             p.data[t.key()] = t
         if p.bottom() != p.index[tri.bottom(n, d).key()] or \
@@ -551,9 +682,10 @@ def build_s2(n, d, cap=None):
 
     Built by columns: sorting by mask size is a linear extension, has[c] is
     the position mask of the triangulations whose mask holds middle cell c,
-    up[x] is the AND of has[c] over the cells of x and down[x] the AND of
-    the complements over the cells x lacks.  Containment is reflexive and
-    transitive; it is antisymmetric iff the masks are pairwise distinct."""
+    the up-set of x is the AND of has[c] over the cells of x, stored from
+    x's own position, and down[x] the AND of the complements over the cells
+    x lacks.  Containment is reflexive and transitive; it is antisymmetric
+    iff the masks are pairwise distinct."""
     key = (n, d)
     ts = enumerate_triangulations(n, d, cap)    # the cap holds on a cache hit too
     p = _s2_cache.get(key)
@@ -578,7 +710,7 @@ def build_s2(n, d, cap=None):
         lacks = [full & ~h for h in has]
         up = []
         down = []
-        for i in order:
+        for x, i in enumerate(order):
             m = masks[i]
             u = full
             for c in bits(m & ~common):
@@ -586,7 +718,7 @@ def build_s2(n, d, cap=None):
             dn = full
             for c in bits(anywhere & ~m):
                 dn &= lacks[c]
-            up.append(u)
+            up.append(u >> x)
             down.append(dn)
         pos = [0] * len(ts)
         for x, i in enumerate(order):
@@ -667,14 +799,15 @@ def interval_poset(p, variant="all"):
         w = p.is_lattice()
         if w is not True:
             raise ValueError("coatomic intervals need a lattice: %r" % (w,))
+    up = p._up
     pairs = []
     for x in range(n):
-        pairs.extend((x, y) for y in bits(p.up[x]))
+        pairs.extend((x, x + k) for k in bits(up[x]))
     if variant != "all":
         pairs = [(x, y) for x, y in pairs if not (x == b and y == t)]
     if variant == "proper_coatomic":
         pairs = [xy for xy in pairs if _interval_coatomic(p, *xy)]
-    pairs.sort(key=lambda xy: (p.up[xy[0]] & p.down[xy[1]]).bit_count())
+    pairs.sort(key=lambda xy: (up[xy[0]] & (p.down[xy[1]] >> xy[0])).bit_count())
     low = [0] * n
     high = [0] * n
     for z, (x, y) in enumerate(pairs):
@@ -696,8 +829,10 @@ def interval_poset(p, variant="all"):
                        separators=(",", ":")) for x, y in pairs]
     by_key = sorted(range(len(pairs)), key=lambda z: (str(p.elements[pairs[z][0]]),
                                                       str(p.elements[pairs[z][1]])))
+    # the intervals holding interval z sit at z or later
     q = FinitePoset._native(keys,
-                            [low_down[x] & high_up[y] for x, y in pairs],
+                            [(low_down[x] & high_up[y]) >> z
+                             for z, (x, y) in enumerate(pairs)],
                             [low_up[x] & high_down[y] for x, y in pairs],
                             by_key)
     for key, xy in zip(keys, pairs):
@@ -706,12 +841,11 @@ def interval_poset(p, variant="all"):
 
 
 def _interval_coatomic(p, i, j):
-    coatoms = []
-    inner = p.up[i] & p.down[j]
-    for k in bits(inner & ~(1 << j)):
-        between = p.up[k] & p.down[j] & ~(1 << k) & ~(1 << j)
-        if between & inner == 0:
-            coatoms.append(k)
+    # k < j in [i, j] is a coatom iff [k, j] has no third member in [i, j]
+    up = p._up
+    inner = up[i] & (p.down[j] >> i)    # [i, j], stored from i
+    coatoms = [i + k for k in bits(inner ^ (1 << (j - i)))
+               if (up[i + k] & (inner >> k)).bit_count() == 2]
     cur = None
     for c in coatoms:
         cur = c if cur is None else p.meet(cur, c)

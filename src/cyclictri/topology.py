@@ -321,26 +321,34 @@ def poset_core(p):
     """The core of a finite poset: the subposet left after repeatedly
     removing beat points, elements whose strict down-set has a maximum or
     whose strict up-set has a minimum.  Each removal keeps the homotopy type
-    of the order complex (Stong 1966)."""
-    up, down = p.up, p.down
-    alive = (1 << len(p.elements)) - 1
-    live = range(len(p.elements))
+    of the order complex (Stong 1966).
+
+    The rows are read as stored, a proper part's from its order's rows:
+    the live mask leaves out the positions outside p, and the part of it
+    above x is shifted to x's stored up-row, not the row to the mask."""
+    up, down, first = p._frame
+    alive = ((1 << len(p.elements)) - 1) << first
+    live = range(first, first + len(p.elements))
     removed = True
     while removed:
         removed = False
         kept = []
         for x in live:
-            rest = alive & ~(1 << x)
+            rest = alive ^ (1 << x)
             below = down[x] & rest
-            above = up[x] & rest
-            if (below and not below & ~down[below.bit_length() - 1]) or \
-                    (above and not above & ~up[(above & -above).bit_length() - 1]):
+            if below and not below & ~down[below.bit_length() - 1]:
+                alive = rest
+                removed = True
+                continue
+            above = up[x] & (rest >> x)
+            k = (above & -above).bit_length() - 1
+            if above and not (above >> k) & ~up[x + k]:
                 alive = rest
                 removed = True
             else:
                 kept.append(x)
         live = kept
-    return p.restrict(live)
+    return p.restrict([x - first for x in live])
 
 
 def poset_homology(p, budget=None):
@@ -384,9 +392,12 @@ def sphere_certificate(p_proper, k, budget=None):
 def _hall_mobius(p):
     """mu(0, 1) of p with a bottom 0 and a top 1 adjoined, without building
     that poset: mu(0, x) = -1 - the sum of mu(0, y) over y < x in p, and
-    mu(0, 1) = -1 - the sum over all of p."""
-    mu = _mobius_values(((x, d & ~(1 << x)) for x, d in enumerate(p.down)), -1)
-    return -1 - sum(mu.values())
+    mu(0, 1) = -1 - the sum over all of p.  The down-sets are read as
+    stored; bits of positions outside p (a proper part's bottom) never
+    carry a value, so they add nothing."""
+    _, down, first = p._frame
+    rows = ((x, down[x] ^ (1 << x)) for x in range(first, first + len(p.elements)))
+    return -1 - sum(_mobius_values(rows, -1).values())
 
 
 def _shift_match(low, high):

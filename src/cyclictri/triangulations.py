@@ -70,7 +70,7 @@ class Triangulation:
         self.n = n
         self.d = d
         self.simplices = simp
-        self._hash = hash((n, d, simp))
+        self._hash = None
         self._key = None
 
     @classmethod
@@ -96,6 +96,10 @@ class Triangulation:
             (self.n, self.d, self.simplices) == (other.n, other.d, other.simplices)
 
     def __hash__(self):
+        # computed on first use: an enumeration builds thousands of
+        # triangulations that are never hashed
+        if self._hash is None:
+            self._hash = hash((self.n, self.d, self.simplices))
         return self._hash
 
     def __repr__(self):

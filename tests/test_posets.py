@@ -1,6 +1,7 @@
 """Finite poset machinery plus the two Stasheff-Tamari constructions."""
 
 import json
+import random
 import sys
 import tracemalloc
 
@@ -20,9 +21,12 @@ from cyclictri.posets import (
     compare_relations,
     enumerate_triangulations,
     flip_cover_discrepancies,
+    flip_step_edges,
     interval_poset,
 )
+from cyclictri.simplices import bits
 from cyclictri.topology import chain_counts, poset_homology
+from cyclictri.triangulations import apply_flip, increasing_flips
 
 
 def _poset(els, edges):
@@ -155,14 +159,19 @@ def test_proper_part_matches_restrict(build):
         q = p.proper_part()
         r = p.restrict(range(1, len(p) - 1))
         assert len(q) == len(r) == len(p) - 2
-        assert list(q.up) == r.up and list(q.down) == r.down
-        assert [q.up[x] for x in range(len(q))] == r.up
-        assert [q.down[x] for x in range(len(q))] == r.down
+        assert list(q.up) == list(r.up) and list(q.down) == list(r.down)
+        assert [q.up[x] for x in range(len(q))] == list(r.up)
+        assert [q.down[x] for x in range(len(q))] == list(r.down)
         assert q.elements == r.elements
-        assert list(q.by_key) == r.by_key and list(q.rank) == r.rank
+        assert list(q.by_key) == list(r.by_key) and list(q.rank) == list(r.rank)
         assert dict(q.index) == r.index
         assert {k: q.data[k] for k in q.elements} == r.data
         assert q.covers() == r.covers()
+        # restrict reads the order's stored rows under a proper part too
+        half = range(0, len(q), 2)
+        qh, ph = q.restrict(half), p.restrict([x + 1 for x in half])
+        assert list(qh.up) == list(ph.up) and list(qh.down) == list(ph.down)
+        assert qh.keys() == ph.keys()
 
 
 def test_proper_part_rows_are_read_only_views():
@@ -202,7 +211,7 @@ def test_one_element_order_has_no_proper_part():
 def test_proper_part_shares_the_rows():
     # the proper part allocates its keys and key order, never rows
     p = build_s1(9, 3)
-    rows = sum(sys.getsizeof(m) for m in p.up) + sum(sys.getsizeof(m) for m in p.down)
+    rows = sum(sys.getsizeof(m) for m in p._up) + sum(sys.getsizeof(m) for m in p.down)
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
@@ -216,9 +225,10 @@ def test_proper_part_shares_the_rows():
 
 
 def test_build_s1_closes_the_flip_edges_in_place(monkeypatch):
-    # the closure reads the enumeration's edge list and holds one adjacency
-    # list per element at a time, successors and then predecessors; a second
-    # edge list and three adjacency lists took 1.9 MB at (10,4)
+    # the closure reads the enumeration's flat edge arrays and holds one set
+    # of compressed adjacency arrays at a time, successors by element and
+    # then predecessors by position; a second edge list and three lists of
+    # adjacency lists took 1.9 MB at (10,4)
     from cyclictri import posets
     enumerate_triangulations(10, 4)
     monkeypatch.setattr(posets, "_s1_cache", {})
@@ -231,6 +241,101 @@ def test_build_s1_closes_the_flip_edges_in_place(monkeypatch):
         tracemalloc.stop()
     assert len(p) == 4824
     assert peak - current < 512 * 1024, (peak, current)
+
+
+@pytest.mark.parametrize("build", [build_s1, build_s2], ids=["s1", "s2"])
+@pytest.mark.parametrize("n,d,bound", [(9, 3, 0.60), (10, 4, 0.55)])
+def test_up_rows_are_stored_from_their_own_position(build, n, d, bound):
+    # the row of x spans the n - x positions from x on, so the rows take
+    # about half the bytes of full-width ones; the fixed 24-byte header of
+    # each int keeps the ratio at 0.58 at (9,3), 0.52 at (10,4)
+    p = build(n, d)
+    stored = sum(sys.getsizeof(m) for m in p._up)
+    full = sum(sys.getsizeof(m) for m in p.up)
+    assert stored <= bound * full, (stored, full)
+    for x in range(len(p)):
+        assert p._up[x] << x == p.up[x]
+        assert p._up[x].bit_length() == len(p) - x     # the top is in every row
+
+
+def _dfs_reach(n, edges):
+    """Reflexive-transitive closure over key indices by depth-first search
+    from each element."""
+    succ = [[] for _ in range(n)]
+    for i, j in edges:
+        succ[i].append(j)
+    reach = []
+    for i in range(n):
+        seen = {i}
+        stack = [i]
+        while stack:
+            for j in succ[stack.pop()]:
+                if j not in seen:
+                    seen.add(j)
+                    stack.append(j)
+        reach.append(seen)
+    return reach
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 50, 200])
+def test_from_edges_matches_a_dfs_closure(n):
+    rng = random.Random(1900 + n)
+    hidden = list(range(n))
+    rng.shuffle(hidden)     # the DAG goes up this hidden order
+    linked = n - n // 10    # the other elements stay isolated
+    edges = []
+    for _ in range(3 * n if n > 1 else 0):
+        a, b = sorted(rng.sample(range(linked), 2))
+        edges.append((hidden[a], hidden[b]))
+    edges += edges[:n // 5]     # duplicate edges
+    rng.shuffle(edges)
+    keys = ["k%03d" % i for i in range(n)]
+    p = FinitePoset.from_edges(keys, edges)
+    reach = _dfs_reach(n, edges)
+    pos = [p.index[k] for k in keys]
+    assert p.keys() == keys
+    assert len(p.up) == len(p.down) == n
+    for i in range(n):
+        assert p.up[pos[i]] == sum(1 << pos[j] for j in reach[i])
+        assert p.down[pos[i]] == sum(1 << pos[j] for j in range(n) if i in reach[j])
+    for i in hidden[linked:]:
+        assert p.up[pos[i]] == p.down[pos[i]] == 1 << pos[i]
+    if edges:
+        i, j = edges[0]
+        with pytest.raises(ValueError, match="cycle"):
+            FinitePoset.from_edges(keys, edges + [(j, i)])
+
+
+def _transposed(p):
+    """down-sets read off the up-sets, bit by bit."""
+    down = [0] * len(p)
+    for x, row in enumerate(p.up):
+        for y in bits(row):
+            down[y] |= 1 << x
+    return down
+
+
+def test_up_is_the_transpose_of_down():
+    posets = [boolean_lattice(4), interval_poset(boolean_lattice(3)),
+              baues_poset(6, 2)]
+    for n, d in CRITERION_02:
+        posets += [build_s1(n, d), build_s2(n, d)]
+    for p in posets:
+        assert _transposed(p) == list(p.down)
+        if p.is_bounded() and len(p) > 1:
+            q = p.proper_part()
+            assert _transposed(q) == list(q.down)
+
+
+def test_flip_edges_match_the_public_flips():
+    for n, d in CRITERION_02:
+        ts = enumerate_triangulations(n, d)
+        at = {t: i for i, t in enumerate(ts)}
+        want = [(i, at[apply_flip(t, cand)], cand)
+                for i, t in enumerate(ts) for cand in increasing_flips(t)]
+        got = flip_step_edges(n, d)
+        assert sorted(got) == sorted(want), (n, d)
+        assert flip_step_edges(n, d) == got and flip_step_edges(n, d) is not got
 
 
 def test_positions_are_a_linear_extension():

@@ -104,6 +104,22 @@ def test_triangulation_key_is_compact_json(n, d):
                                      separators=(",", ":"))
 
 
+def test_hash_is_that_of_the_member_tuple(monkeypatch):
+    from cyclictri import posets
+    monkeypatch.setattr(posets, "_enum_cache", {})
+    ts = posets.enumerate_triangulations(7, 3)
+    # the enumeration hashes none of the triangulations it builds
+    assert all(t._hash is None for t in ts)
+    t = Triangulation(7, 3, ts[3].simplices)
+    flipped = [apply_flip(s, cand) for s in ts for cand in increasing_flips(s)]
+    for s in [t, ts[3], bottom(7, 3)] + ts + flipped:
+        assert hash(s) == hash((s.n, s.d, s.simplices))
+        assert hash(s) == hash(s)   # the cached value
+    assert t == ts[3] and hash(t) == hash(ts[3])
+    at = {s: i for i, s in enumerate(ts)}
+    assert all(ts[at[s]] == s for s in flipped)
+
+
 def test_increasing_flips_from_bottom_c52():
     t = bottom(5, 2)
     cands = increasing_flips(t)
