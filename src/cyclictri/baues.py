@@ -17,7 +17,7 @@ from collections import namedtuple
 from itertools import combinations
 
 from . import simplices, triangulations as tri
-from .posets import FinitePoset, _interval_coatomic, build_s2, interval_poset
+from .posets import build_s2, interval_poset
 
 
 class Subdivision:
@@ -205,7 +205,7 @@ def interval_to_subdivision(t_low, t_high, s2=None):
         raise ValueError("endpoints are not ordered")
     if i == s2.bottom() and j == s2.top():
         raise ValueError("improper interval")
-    if not _interval_coatomic(s2, i, j):
+    if not s2.is_coatomic(i, j):
         raise ValueError("interval is not coatomic")
     return _cells_of_interval(s2, i, j, {})
 
@@ -278,13 +278,12 @@ def baues_poset(n, d, cap=None):
         for big, where in has.items():
             if c & ~big == 0:
                 inside[c] |= where
-    p = FinitePoset._native(keys, coat._up, coat.down,
-                            sorted(range(len(keys)), key=keys.__getitem__))
+    p = coat.relabel(keys, sorted(range(len(keys)), key=keys.__getitem__))
     for x in p.by_key:
         m = -1
         for c in cells[x]:
             m &= inside[c]
-        bad = m ^ (coat._up[x] << x)
+        bad = m ^ p.up[x]
         if bad:
             raise AssertionError("refinement disagrees with interval inclusion: "
                                  "%s vs %s" % (keys[x], keys[p.first_in_key_order(bad)]))

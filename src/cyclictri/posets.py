@@ -7,11 +7,12 @@ extension, with the up-set and the down-set of each element as int bitmasks.
 A down-set is a mask over positions; an up-set is stored from its element's
 own position, bit k of the row of x standing for position x + k, so the row
 of x spans n - x positions and not n, and a dense order's rows take about
-n^2/8 bytes instead of 3n^2/16.  Closure, covers, meets and joins, Mobius
-values and restriction read the stored rows directly (the top set bit of a
-down-set is the only candidate for its maximum, the lowest bit of an up-set
-for its minimum).  Keys are mapped to their own order, the sorted order for
-S1 and S2, only at export: JSON, DOT, covers and witnesses.
+n^2/8 bytes instead of 3n^2/16.  Only this module reads that storage:
+closure, covers, meets and joins, coatomic intervals, restriction, the
+beat-point core and the Mobius function read the stored rows directly (the
+top set bit of a down-set is the only candidate for its maximum, the lowest
+bit of an up-set for its minimum).  Keys are mapped to their own order, the
+sorted order for S1 and S2, only at export: JSON, DOT, covers and witnesses.
 
 The lattice verdict on a bounded poset is one join test per pair of upper
 covers of a common element (Bjorner-Edelman-Ziegler 1990, Lemma 2.1); a
@@ -174,6 +175,8 @@ class FinitePoset:
         outside every run."""
         up, down, first = self._frame
         kept = sorted(set(keep))
+        if kept and (kept[0] < 0 or kept[-1] >= len(self.elements)):
+            raise IndexError("restrict: position out of range")
         runs = []       # [first, last, new position of first] per run
         for k, x in enumerate(kept):
             x += first
@@ -336,21 +339,48 @@ class FinitePoset:
         return {"pair": (self.elements[x], self.elements[y]), "missing": missing}
 
     def mobius(self, x, y):
-        """Mobius function of the interval [x, y]."""
+        """Mobius function of the interval [x, y]: mu(0, 1) of the open
+        interval (x, y) with x and y as its adjoined bounds."""
         if not self.le(x, y):
             raise ValueError("mobius needs x <= y")
         if x == y:
             return 1
-        inner = ((self._up[x] & (self.down[y] >> x)) ^ 1) << x
-        # mu(x, z) = -1 - the sum of mu(x, w) over x < w < z
-        mu = _mobius_values(((z, inner & self.down[z] & ~(1 << z))
-                             for z in bits(inner)), -1)
-        return mu[y]
+        inner = (self.up[x] & self.down[y]) ^ (1 << x) ^ (1 << y)
+        return self.restrict(bits(inner)).hall_mobius()
 
     def mobius_bottom_top(self):
-        if not self.is_bounded():
-            raise ValueError("poset is not bounded")
-        return self.mobius(0, len(self.elements) - 1)
+        """mu(bottom, top), that of the proper part with bounds adjoined."""
+        return self.proper_part().hall_mobius() if len(self.elements) != 1 else 1
+
+    def hall_mobius(self):
+        """mu(0, 1) of this poset with a bottom 0 and a top 1 adjoined, the
+        reduced Euler characteristic of its order complex (Hall's theorem):
+        mu(0, z) = -1 - the sum of mu(0, w) over w < z, and mu(0, 1) = -1 -
+        the sum over all z.  Each z reads its stored down-row as it is."""
+        _, down, first = self._frame
+        rows = ((z, down[z]) for z in range(first, first + len(self.elements)))
+        return -1 - sum(_mobius_values(rows).values())
+
+    def is_coatomic(self, i, j):
+        """Whether the meet of the coatoms of [i, j], in a lattice, is i: k
+        in [i, j] is a coatom iff [k, j] has two members."""
+        up = self._up
+        inner = up[i] & (self.down[j] >> i)     # [i, j], stored from i
+        coatoms = [i + k for k in bits(inner ^ (1 << (j - i)))
+                   if (up[i + k] & (inner >> k)).bit_count() == 2]
+        cur = None
+        for c in coatoms:
+            cur = c if cur is None else self.meet(cur, c)
+            if cur is None:
+                return False
+        return (cur if cur is not None else j) == i
+
+    def relabel(self, keys, by_key):
+        """This order under new keys, keys[x] naming position x, and a new
+        key order, by_key listing the positions in it; the rows are shared."""
+        if len(keys) != len(self.elements) or sorted(by_key) != list(range(len(keys))):
+            raise ValueError("relabel needs a key and a key-order place per position")
+        return FinitePoset._native(keys, self._up, self.down, by_key)
 
     def keys(self):
         """The element keys in key order."""
@@ -458,9 +488,10 @@ def _joins(x, ux, up, down):
     return out
 
 
-def _mobius_values(rows, base):
-    """{z: base - the sum of the values over row_z} for (z, row_z) in rows,
-    each row a mask of positions listed before z.  A row is summed by bit
+def _mobius_values(rows):
+    """{z: -1 - the sum of the values over row_z} for (z, row_z) in rows:
+    only the positions listed before z have values, so the other bits of a
+    row, z's own among them, add nothing.  A row is summed by bit
     planes of the values so far, one AND and popcount per plane and sign,
     not one step per element."""
     plus, minus = [], []
@@ -469,7 +500,7 @@ def _mobius_values(rows, base):
         s = 0
         for b in range(len(plus)):
             s += ((row & plus[b]).bit_count() - (row & minus[b]).bit_count()) << b
-        v = out[z] = base - s
+        v = out[z] = -1 - s
         while len(plus) < abs(v).bit_length():
             plus.append(0)
             minus.append(0)
@@ -806,7 +837,7 @@ def interval_poset(p, variant="all"):
     if variant != "all":
         pairs = [(x, y) for x, y in pairs if not (x == b and y == t)]
     if variant == "proper_coatomic":
-        pairs = [xy for xy in pairs if _interval_coatomic(p, *xy)]
+        pairs = [xy for xy in pairs if p.is_coatomic(*xy)]
     pairs.sort(key=lambda xy: (up[xy[0]] & (p.down[xy[1]] >> xy[0])).bit_count())
     low = [0] * n
     high = [0] * n
@@ -840,18 +871,38 @@ def interval_poset(p, variant="all"):
     return q
 
 
-def _interval_coatomic(p, i, j):
-    # k < j in [i, j] is a coatom iff [k, j] has no third member in [i, j]
-    up = p._up
-    inner = up[i] & (p.down[j] >> i)    # [i, j], stored from i
-    coatoms = [i + k for k in bits(inner ^ (1 << (j - i)))
-               if (up[i + k] & (inner >> k)).bit_count() == 2]
-    cur = None
-    for c in coatoms:
-        cur = c if cur is None else p.meet(cur, c)
-        if cur is None:
-            return False
-    return (cur if cur is not None else j) == i
+def poset_core(p):
+    """The core of a finite poset: the subposet left after repeatedly
+    removing beat points, elements whose strict down-set has a maximum or
+    whose strict up-set has a minimum.  Each removal keeps the homotopy type
+    of the order complex (Stong 1966).
+
+    The rows are read as stored, a proper part's from its order's rows:
+    the live mask leaves out the positions outside p, and the part of it
+    above x is shifted to x's stored up-row, not the row to the mask."""
+    up, down, first = p._frame
+    alive = ((1 << len(p.elements)) - 1) << first
+    live = range(first, first + len(p.elements))
+    removed = True
+    while removed:
+        removed = False
+        kept = []
+        for x in live:
+            rest = alive ^ (1 << x)
+            below = down[x] & rest
+            if below and not below & ~down[below.bit_length() - 1]:
+                alive = rest
+                removed = True
+                continue
+            above = up[x] & (rest >> x)
+            k = (above & -above).bit_length() - 1
+            if above and not (above >> k) & ~up[x + k]:
+                alive = rest
+                removed = True
+            else:
+                kept.append(x)
+        live = kept
+    return p.restrict([x - first for x in live])
 
 
 def boolean_lattice(k):

@@ -7,6 +7,7 @@ repeatedly removing beat points, which keeps the homotopy type (Stong 1966;
 Barmak 2011).  The reduced Euler characteristic is mu(0, 1) of the
 unreduced poset with bounds adjoined (Hall's theorem), so the core's Betti
 numbers are cross-checked against the Mobius function across the reduction.
+The core and mu come from `posets`; this module reads only `up` and `down`.
 
 The empty face is kept as a dimension -1 simplex throughout, which makes all
 homology reduced and gives the empty complex H~_{-1} = Z.  The tests build
@@ -17,7 +18,7 @@ import json
 from collections import deque
 from math import gcd
 
-from .posets import ResourceBudgetError, _mobius_values
+from .posets import ResourceBudgetError, interval_poset, poset_core
 from .simplices import bits
 
 DEFAULT_FACE_BUDGET = 2 * 10 ** 6
@@ -317,46 +318,12 @@ def homology(k_complex):
     return res
 
 
-def poset_core(p):
-    """The core of a finite poset: the subposet left after repeatedly
-    removing beat points, elements whose strict down-set has a maximum or
-    whose strict up-set has a minimum.  Each removal keeps the homotopy type
-    of the order complex (Stong 1966).
-
-    The rows are read as stored, a proper part's from its order's rows:
-    the live mask leaves out the positions outside p, and the part of it
-    above x is shifted to x's stored up-row, not the row to the mask."""
-    up, down, first = p._frame
-    alive = ((1 << len(p.elements)) - 1) << first
-    live = range(first, first + len(p.elements))
-    removed = True
-    while removed:
-        removed = False
-        kept = []
-        for x in live:
-            rest = alive ^ (1 << x)
-            below = down[x] & rest
-            if below and not below & ~down[below.bit_length() - 1]:
-                alive = rest
-                removed = True
-                continue
-            above = up[x] & (rest >> x)
-            k = (above & -above).bit_length() - 1
-            if above and not (above >> k) & ~up[x + k]:
-                alive = rest
-                removed = True
-            else:
-                kept.append(x)
-        live = kept
-    return p.restrict([x - first for x in live])
-
-
 def poset_homology(p, budget=None):
     """Reduced integral homology of the order complex of p.  Betti numbers
     and torsion come from the core, whose order complex is the only one
     built (and bounded by the face budget); the reduced Euler characteristic
     is mu(0, 1) of p with bounds adjoined and must agree with them."""
-    euler = _hall_mobius(p)
+    euler = p.hall_mobius()
     core = homology(order_complex(poset_core(p), budget))
     if core.betti_euler() != euler:
         raise AssertionError("core betti numbers give euler %d, the Mobius "
@@ -389,33 +356,15 @@ def sphere_certificate(p_proper, k, budget=None):
             "certificate": "homology-level"}
 
 
-def _hall_mobius(p):
-    """mu(0, 1) of p with a bottom 0 and a top 1 adjoined, without building
-    that poset: mu(0, x) = -1 - the sum of mu(0, y) over y < x in p, and
-    mu(0, 1) = -1 - the sum over all of p.  The down-sets are read as
-    stored; bits of positions outside p (a proper part's bottom) never
-    carry a value, so they add nothing."""
-    _, down, first = p._frame
-    rows = ((x, down[x] ^ (1 << x)) for x in range(first, first + len(p.elements)))
-    return -1 - sum(_mobius_values(rows, -1).values())
-
-
-def _shift_match(low, high):
-    """high[k+1] == low[k] for every k >= -1 (reduced homology dicts)."""
-    lg = low.groups()
-    hg = high.groups()
-    return hg == {k + 1: v for k, v in lg.items()}
-
-
 def suspension_compare(l_poset, budget=None):
     """Check that proper Int(L) has the suspension homology of proper L, and
     that full Int(L) matches L itself (both are cones, hence trivial)."""
-    from .posets import interval_poset
     hom_proper = poset_homology(l_poset.proper_part(), budget)
     hom_int_proper = poset_homology(interval_poset(l_poset, "proper"), budget)
     hom_full = poset_homology(l_poset, budget)
     hom_int_full = poset_homology(interval_poset(l_poset, "all"), budget)
-    shift_ok = _shift_match(hom_proper, hom_int_proper)
+    # H~_{k+1} of proper Int(L) is H~_k of proper L, for every k >= -1
+    shift_ok = hom_int_proper.groups() == {k + 1: v for k, v in hom_proper.groups().items()}
     full_ok = hom_full == hom_int_full and hom_full.is_trivial()
     return {"pass": shift_ok and full_ok,
             "shift_ok": shift_ok, "full_ok": full_ok,
@@ -427,8 +376,8 @@ def webb_reduction_check(l_poset, budget=None):
     """Drop from proper Int(L) every interval whose open part has trivial
     reduced homology and Mobius value zero; the survivors must still contain
     all coatomic intervals and carry the homology of the whole interval poset.
+    The open part's Euler characteristic is mu(i, j) (Hall's theorem).
     """
-    from .posets import interval_poset
     w = l_poset.is_lattice()
     if w is not True:
         raise ValueError("webb reduction needs a lattice: %r" % (w,))
@@ -437,9 +386,8 @@ def webb_reduction_check(l_poset, budget=None):
     for idx, key in enumerate(intp.elements):
         i, j = intp.data[key]
         strict = l_poset.up[i] & l_poset.down[j] & ~(1 << i) & ~(1 << j)
-        openp = l_poset.restrict(bits(strict))
-        mu = l_poset.mobius(i, j)
-        if mu != 0 or not poset_homology(openp, budget).is_trivial():
+        hom = poset_homology(l_poset.restrict(bits(strict)), budget)
+        if hom.euler != 0 or not hom.is_trivial():
             keep.append(idx)
     survivors = intp.restrict(keep)
     coatomic = set(interval_poset(l_poset, "proper_coatomic").elements)

@@ -64,9 +64,9 @@ class Triangulation:
                 raise ValueError("label out of range in %r" % (s,))
         if len(set(simp)) != len(simp):
             raise ValueError("repeated simplex")
-        self._fill(n, d, simp)
+        self._assign(n, d, simp)
 
-    def _fill(self, n, d, simp):
+    def _assign(self, n, d, simp):
         self.n = n
         self.d = d
         self.simplices = simp
@@ -77,7 +77,7 @@ class Triangulation:
     def _canonical(cls, n, d, simp):
         """Trusted constructor for members already canonical and sorted."""
         t = cls.__new__(cls)
-        t._fill(n, d, simp)
+        t._assign(n, d, simp)
         return t
 
     def __contains__(self, s):

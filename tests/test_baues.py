@@ -21,8 +21,8 @@ from cyclictri.baues import (
     validate_subdivision,
 )
 from cyclictri.oracles import dissection_oracle_d2, refinement_leq
-from cyclictri.posets import (FinitePoset, ResourceBudgetError,
-                              _interval_coatomic, build_s2, interval_poset)
+from cyclictri.posets import (FinitePoset, ResourceBudgetError, build_s2,
+                              interval_poset)
 from cyclictri.triangulations import Triangulation, top
 
 
@@ -130,7 +130,7 @@ def test_interval_to_subdivision_rejects_non_coatomic():
         for j in range(len(s2)):
             if not s2.le(i, j) or (i, j) == (s2.bottom(), s2.top()):
                 continue
-            if not _interval_coatomic(s2, i, j):
+            if not s2.is_coatomic(i, j):
                 with pytest.raises(ValueError):
                     interval_to_subdivision(s2.data[s2.elements[i]],
                                             s2.data[s2.elements[j]], s2)
@@ -193,7 +193,7 @@ def test_baues_poset_tests_each_interval_once(monkeypatch):
     s2 = build_s2(7, 2)
     proper = len(interval_poset(s2, "proper"))
     calls, closures = [], []
-    real_coatomic, real_closure = posets._interval_coatomic, posets._closure
+    real_coatomic, real_closure = FinitePoset.is_coatomic, posets._closure
 
     def coatomic(p, i, j):
         calls.append((i, j))
@@ -203,8 +203,7 @@ def test_baues_poset_tests_each_interval_once(monkeypatch):
         closures.append(args)
         return real_closure(*args)
 
-    monkeypatch.setattr(posets, "_interval_coatomic", coatomic)
-    monkeypatch.setattr(baues, "_interval_coatomic", coatomic)
+    monkeypatch.setattr(FinitePoset, "is_coatomic", coatomic)
     monkeypatch.setattr(posets, "_closure", closure)
     assert len(baues_poset(7, 2)) == 196
     assert len(calls) == proper == 398

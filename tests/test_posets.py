@@ -1,14 +1,17 @@
 """Finite poset machinery plus the two Stasheff-Tamari constructions."""
 
+import ast
 import json
 import random
 import sys
 import tracemalloc
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import cyclictri
 from cyclictri.baues import baues_poset
 from cyclictri.oracles import lattice_witness_all_pairs
 from cyclictri.posets import (
@@ -130,6 +133,64 @@ def test_mobius_alternates_on_boolean_lattice():
         if b4.le(bot, j):
             rank = b4.elements[j].count(",") + (0 if b4.elements[j] == "{}" else 1)
             assert b4.mobius(bot, j) == (-1) ** rank
+
+
+def _mobius_by_le(p, x, y):
+    # mu(x, x) = 1 and mu(x, z) = -(the sum of mu(x, w) over x <= w < z)
+    mu = {}
+    for z in range(x, y + 1):
+        if p.le(x, z) and p.le(z, y):
+            mu[z] = 1 if z == x else -sum(v for w, v in mu.items() if p.le(w, z))
+    return mu[y]
+
+
+@pytest.mark.parametrize("build", [build_s1, build_s2], ids=["s1", "s2"])
+def test_hall_mobius_of_the_proper_part_is_mobius_bottom_top(build):
+    # one recursion: mu(0, 1) with bounds adjoined, read from the order's
+    # rows under a proper part and from copied rows under restrict
+    for n, d in CRITERION_02:
+        p = build(n, d)
+        want = p.mobius_bottom_top()
+        assert want == (-1) ** (n - d - 3)     # the proper part is S^(n-d-3)
+        assert p.proper_part().hall_mobius() == want
+        assert p.restrict(range(1, len(p) - 1)).hall_mobius() == want
+
+
+def test_mobius_is_hall_mobius_of_the_open_interval():
+    for p in (boolean_lattice(4), build_s1(7, 3)):
+        for x in range(len(p)):
+            for y in bits(p.up[x]):
+                inner = p.up[x] & p.down[y] & ~(1 << x) & ~(1 << y)
+                mu = p.mobius(x, y)
+                assert mu == _mobius_by_le(p, x, y)
+                if x != y:
+                    assert mu == p.restrict(bits(inner)).hall_mobius()
+
+
+@pytest.mark.parametrize("proper", [False, True], ids=["bounded", "proper_part"])
+def test_restrict_rejects_positions_out_of_range(proper):
+    # a proper part's position -1 would read its order's bottom row, and
+    # position len its top row
+    p = boolean_lattice(3)
+    if proper:
+        p = p.proper_part()
+    for keep in ([-1, 0], [0, len(p)], [len(p) + 3]):
+        with pytest.raises(IndexError):
+            p.restrict(keep)
+    assert p.restrict([]).elements == ()
+
+
+def test_relabel_shares_the_rows_under_new_keys():
+    p = boolean_lattice(3)
+    n = len(p)
+    keys = ["k%d" % x for x in range(n)]
+    q = p.relabel(keys, list(range(n - 1, -1, -1)))
+    assert q.elements == tuple(keys) and q.keys() == keys[::-1]
+    assert q._up is p._up and q.down is p.down
+    assert q.data == {} and q.bottom() == p.bottom() and q.top() == p.top()
+    for args in ((keys[1:], list(range(n))), (keys, [0] * n), (keys, list(range(1, n + 1)))):
+        with pytest.raises(ValueError):
+            p.relabel(*args)
 
 
 def test_restrict_carries_order():
@@ -620,3 +681,22 @@ def test_coordinates_match_naive_references(dag, data):
     want = next(({"pair": (keys[i], keys[j]), "in_first": r[i][j], "in_second": r2[i][j]}
                  for i in range(n) for j in range(n) if r[i][j] != r2[i][j]), None)
     assert compare_relations(p, FinitePoset.from_edges(keys, fewer)) == want
+
+
+def test_only_posets_reads_the_stored_rows():
+    # the row storage (up-rows from their own position, a proper part's
+    # window over its order's lists) is read by posets.py alone: no other
+    # module of the package touches it or imports a private name of posets
+    storage = {"_frame", "_up", "_native", "_fill", "_set_rows"}
+    bad = []
+    for path in sorted(Path(cyclictri.__file__).parent.glob("*.py")):
+        if path.name == "posets.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Attribute) and node.attr in storage:
+                bad.append((path.name, node.lineno, node.attr))
+            elif isinstance(node, ast.ImportFrom) and (node.module, node.level) in (
+                    ("posets", 1), ("cyclictri.posets", 0)):
+                bad += [(path.name, node.lineno, a.name) for a in node.names
+                        if a.name.startswith("_")]
+    assert not bad

@@ -198,7 +198,7 @@ def test_chain_euler_equals_mobius_on_the_catalog(build):
     for n, d in CATALOG:
         p = build(n, d).proper_part()
         euler = _chain_euler(p)
-        if not euler == topology._hall_mobius(p) == poset_homology(p).euler:
+        if not euler == p.hall_mobius() == poset_homology(p).euler:
             bad.append((n, d, euler))
     assert not bad
 
@@ -208,15 +208,15 @@ def test_chain_euler_equals_mobius_on_baues_posets():
     for n, d in BAUES_INSTANCES:
         p = baues_poset(n, d)
         euler = _chain_euler(p)
-        if not euler == topology._hall_mobius(p) == poset_homology(p).euler:
+        if not euler == p.hall_mobius() == poset_homology(p).euler:
             bad.append((n, d, euler))
     assert not bad
 
 
 def test_poset_homology_rejects_a_wrong_mobius(monkeypatch):
     # the core's Betti numbers are checked against mu of the whole poset
-    real = topology._hall_mobius
-    monkeypatch.setattr(topology, "_hall_mobius", lambda p: real(p) + 2)
+    real = FinitePoset.hall_mobius
+    monkeypatch.setattr(FinitePoset, "hall_mobius", lambda p: real(p) + 2)
     with pytest.raises(AssertionError, match="Mobius"):
         poset_homology(boolean_lattice(3).proper_part())
 
