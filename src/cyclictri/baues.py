@@ -207,17 +207,16 @@ def interval_to_subdivision(t_low, t_high, s2=None):
         raise ValueError("improper interval")
     if not s2.is_coatomic(i, j):
         raise ValueError("interval is not coatomic")
-    return _cells_of_interval(s2, i, j, {})
+    return _cells_of_interval(t_low, t_high, {})
 
 
-def _cells_of_interval(s2, i, j, memo):
-    """The subdivision of the proper coatomic interval [i, j] of s2
-    (positions), checked by the phi round trip (memo as for _phi).  Its
-    cells join t_high's members across the walls t_low lacks, on the table
-    rows: t_low's walls are the OR of its members' facet masks, members
-    merge when their masks of walls outside t_low meet, a cell is the OR of
+def _cells_of_interval(t_low, t_high, memo):
+    """The subdivision of the proper coatomic interval [t_low, t_high] of
+    S2, checked by the phi round trip (memo as for _phi).  Its cells join
+    t_high's members across the walls t_low lacks, on the table rows:
+    t_low's walls are the OR of its members' facet masks, members merge
+    when their masks of walls outside t_low meet, a cell is the OR of
     their label masks."""
-    t_low, t_high = s2.data[s2.elements[i]], s2.data[s2.elements[j]]
     n, d = t_high.n, t_high.d
     tab = tri.table(n, d)
     walls = used = 0
@@ -261,8 +260,10 @@ def baues_poset(n, d, cap=None):
         raise ValueError("subdivision poset implemented for d <= 3 only")
     s2 = build_s2(n, d, cap)
     coat = interval_poset(s2, "proper_coatomic")
+    ts = s2.data_by_position()
     memo = {}
-    deltas = [_cells_of_interval(s2, *coat.data[key], memo) for key in coat.elements]
+    deltas = [_cells_of_interval(ts[i], ts[j], memo)
+              for i, j in map(coat.data.__getitem__, coat.elements)]
     keys = [delta.key() for delta in deltas]
     if len(set(keys)) != len(keys):
         raise AssertionError("interval map is not injective")

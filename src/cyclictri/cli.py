@@ -7,7 +7,8 @@ invocation.  Exit codes: 0 success or reported finding, 1 refuted claim,
 Each handler returns (exit code, report lines, payload or None) and prints
 nothing; `main` checks the arguments, including that the --output path can
 be written, before the handler runs, and does all the output, so a run that
-ends in exit 2 or 3 leaves stdout empty.
+ends in exit 2 or 3 leaves stdout empty.  A MemoryError that escapes a
+handler is a resource budget exceeded too: exit 2, one line on stderr.
 """
 
 import argparse
@@ -247,6 +248,9 @@ def main(argv=None):
             payload = None
     except ResourceBudgetError as exc:
         print("resource budget exceeded: %s" % exc, file=sys.stderr)
+        return 2
+    except MemoryError:
+        print("resource budget exceeded: out of memory", file=sys.stderr)
         return 2
     except ValueError as exc:
         print("error: %s" % exc, file=sys.stderr)

@@ -18,12 +18,17 @@ The lattice verdict on a bounded poset is one join test per pair of upper
 covers of a common element (Bjorner-Edelman-Ziegler 1990, Lemma 2.1); a
 refutation scans pairs in key order, with the small side of each row, meets
 or joins, settled in bulk.  Enumeration walks the members of each flip-search
-mask once, for its flips, its validation and its member tuple, and records
-the flip edges in flat arrays that the S1 closure reads.
+mask once, for its flips and its validation, and keeps one record: the masks,
+sorted in key order by a compact bytes key, and the flip edges in flat arrays
+that the S1 closure reads.  Triangulations and key strings are built from the
+masks when they are read: S1 and S2 name their elements through views over
+the record (_Keys, _Lookup), so a poset on C(n, d) holds no key string
+and no Triangulation of its own.
 """
 
 import json
 from array import array
+from bisect import bisect_left
 from collections.abc import Mapping, Sequence
 from itertools import accumulate, combinations
 from types import MappingProxyType
@@ -66,24 +71,35 @@ class FinitePoset:
                 raise ValueError("relation size mismatch")
             if not (up[i] >> i) & 1:
                 raise ValueError("not reflexive at %r" % (elements[i],))
-        self._fill(*_closure(elements, *_edge_arrays(
-            (i, j) for i in range(n) for j in bits(up[i] & ~(1 << i)))))
+        order, rows, down, by_key = _closure(n, *_edge_arrays(
+            (i, j) for i in range(n) for j in bits(up[i] & ~(1 << i))))
+        self._fill([elements[i] for i in order], rows, down, by_key)
         for i, x in enumerate(self.by_key):
             if self._up[x].bit_count() != up[i].bit_count():
                 raise ValueError("not transitive at %r" % (elements[i],))
 
     def _fill(self, elements, up, down, by_key):
-        self.elements = tuple(elements)
-        self.index = {e: x for x, e in enumerate(self.elements)}
-        if len(self.index) != len(self.elements):
-            raise ValueError("repeated element key")
-        self._set_rows(up, down, 0)
+        """elements are the keys by position, or an enumeration (the record
+        enumerate_triangulations returns) whose triangulations are the
+        elements in key order: elements, index and data are then read-only
+        views over the record, keys and triangulations built on each read
+        (_Keys, _Lookup)."""
         self.by_key = array("I", by_key)
         self.rank = array("I", [0]) * len(by_key)
         for r, x in enumerate(by_key):
             self.rank[x] = r
         self._covers = None
-        self.data = {}
+        if isinstance(elements, _Enumeration):
+            self.elements = _Keys(elements, self.rank)
+            self.index = _Lookup(elements, self.by_key)
+            self.data = _Lookup(elements, elements)
+        else:
+            self.elements = tuple(elements)
+            self.index = {e: x for x, e in enumerate(self.elements)}
+            if len(self.index) != len(self.elements):
+                raise ValueError("repeated element key")
+            self.data = {}
+        self._set_rows(up, down, 0)
 
     def _set_rows(self, up, down, first):
         """Rows stored at positions first .. first + len - 1 of the lists up
@@ -104,7 +120,8 @@ class FinitePoset:
     def _native(cls, elements, up, down, by_key):
         """A poset given in its own coordinates: elements, up and down by
         position (a linear extension), each up-row stored from its own
-        position, by_key the positions in key order."""
+        position, by_key the positions in key order.  elements may instead
+        be an enumeration, its triangulations in key order (see _fill)."""
         p = cls.__new__(cls)
         p._fill(elements, up, down, by_key)
         return p
@@ -129,7 +146,9 @@ class FinitePoset:
         """Reflexive-transitive closure of a step relation given as key-order
         index pairs (i, j) meaning elements[i] < elements[j]; longer tuples
         starting (i, j) are read the same way."""
-        return FinitePoset._native(*_closure(tuple(elements), *_edge_arrays(edges)))
+        elements = tuple(elements)
+        order, up, down, by_key = _closure(len(elements), *_edge_arrays(edges))
+        return FinitePoset._native([elements[i] for i in order], up, down, by_key)
 
     def covers(self):
         """Transitive reduction as a sorted list of key-order index pairs
@@ -206,13 +225,15 @@ class FinitePoset:
         new = [None] * len(self.elements)
         for k, x in enumerate(kept):
             new[x] = k
+        keys = [self.elements[x] for x in kept]
         sub = FinitePoset._native(
-            [self.elements[x] for x in kept], new_up, new_down,
+            keys, new_up, new_down,
             [new[x] for x in self.by_key if new[x] is not None])
-        for x in kept:
-            k = self.elements[x]
-            if k in self.data:
-                sub.data[k] = self.data[k]
+        data, absent = self.data, object()
+        for k in keys:      # one lookup each: a view's lookup bisects
+            value = data.get(k, absent)
+            if value is not absent:
+                sub.data[k] = value
         return sub
 
     def proper_part(self):
@@ -382,6 +403,14 @@ class FinitePoset:
             raise ValueError("relabel needs a key and a key-order place per position")
         return FinitePoset._native(keys, self._up, self.down, by_key)
 
+    def data_by_position(self):
+        """The data of every element, by position.  On an enumeration's
+        triangulations each Triangulation is built from its mask, and no
+        key is read."""
+        if isinstance(self.elements, _Keys):
+            return list(map(self.elements._enum.__getitem__, self.elements._at))
+        return [self.data[e] for e in self.elements]
+
     def keys(self):
         """The element keys in key order."""
         return [self.elements[x] for x in self.by_key]
@@ -434,6 +463,48 @@ class _Rows(Sequence):
 
     def __iter__(self):
         return map(self.__getitem__, range(self._n))
+
+
+class _Keys(Sequence):
+    """The keys, by position, of a poset on an enumeration's triangulations:
+    position x holds element at[x] of the enumeration, whose key is built on
+    each read.  A slice is the same view over a slice of at."""
+
+    __slots__ = ("_enum", "_at")
+
+    def __init__(self, enum, at):
+        self._enum = enum
+        self._at = at
+
+    def __len__(self):
+        return len(self._at)
+
+    def __getitem__(self, x):
+        if isinstance(x, slice):
+            return _Keys(self._enum, self._at[x])
+        return self._enum.key(self._at[x])
+
+
+class _Lookup(Mapping):
+    """Key -> value[r], r the element of the key in an enumeration
+    (_Enumeration.find): a poset's index with value its by_key, the
+    position of each key-order index, and its data with value the
+    enumeration itself, a Triangulation built on each read."""
+
+    __slots__ = ("_enum", "_value")
+
+    def __init__(self, enum, value):
+        self._enum = enum
+        self._value = value
+
+    def __getitem__(self, key):
+        return self._value[self._enum.find(key)]
+
+    def __iter__(self):
+        return map(self._enum.key, range(len(self._enum)))
+
+    def __len__(self):
+        return len(self._enum)
 
 
 class _InnerIndex(Mapping):
@@ -510,9 +581,10 @@ def _mobius_values(rows):
     return out
 
 
-def _closure(elements, src, dst):
-    """(elements, up, down, by_key) of the reflexive-transitive closure of
-    the step edges src[k] -> dst[k] between key-order indices.  The edges
+def _closure(n, src, dst):
+    """(order, up, down, by_key) of the reflexive-transitive closure of the
+    step edges src[k] -> dst[k] between the key-order indices of n
+    elements, order[x] the key-order index at position x.  The edges
     are read into successor arrays by element (_csr), and Kahn's algorithm
     numbers the positions on them.  Up is pulled over the successors in
     reverse position order, each row stored from its own position, and the
@@ -522,7 +594,6 @@ def _closure(elements, src, dst):
     down rows would need no predecessors, but it leaves the heap full of
     freed partial rows, and at S1(11,4) the lattice scan that follows ran
     about a sixth slower."""
-    n = len(elements)
     at, succ = _csr(n, src, dst)
     indeg = [0] * n
     for j in dst:
@@ -560,7 +631,7 @@ def _closure(elements, src, dst):
         for y in below[below_at[x]:below_at[x + 1]]:
             m |= down[y]
         down[x] = m
-    return [elements[i] for i in order], up, down, pos
+    return order, up, down, pos
 
 
 def _csr(n, heads, tails):
@@ -581,10 +652,7 @@ def _csr(n, heads, tails):
 
 
 def _edge_arrays(edges):
-    """(src, dst) arrays of step edges: a flip record's own, or read from
-    tuples starting (i, j)."""
-    if isinstance(edges, _FlipEdges):
-        return edges.src, edges.dst
+    """(src, dst) arrays of step edges read from tuples starting (i, j)."""
     src, dst = array("I"), array("I")
     for e in edges:
         src.append(e[0])
@@ -592,11 +660,11 @@ def _edge_arrays(edges):
     return src, dst
 
 
-class _FlipEdges:
-    """The flip search's record: edge k goes from element src[k] to element
+class _FlipEdges(Sequence):
+    """The flip search's steps: edge k goes from element src[k] to element
     dst[k] of the sorted enumeration by the flip simplex simplices[flip[k]],
-    src, dst and flip being array('I').  Iterated, it gives (i, j, flip
-    simplex) tuples, built as they are read."""
+    src, dst and flip being array('I').  Read as a sequence, edge k is the
+    tuple (i, j, flip simplex), built when it is read."""
 
     __slots__ = ("src", "dst", "flip", "simplices")
 
@@ -604,8 +672,53 @@ class _FlipEdges:
         self.src, self.dst, self.flip = array("I"), array("I"), array("I")
         self.simplices = []
 
+    def __len__(self):
+        return len(self.src)
+
+    def __getitem__(self, k):
+        return self.src[k], self.dst[k], self.simplices[self.flip[k]]
+
     def __iter__(self):
         return zip(self.src, self.dst, map(self.simplices.__getitem__, self.flip))
+
+
+class _Enumeration(Sequence):
+    """The one record of an enumeration of C(n, d): masks, the table masks
+    of its triangulations in key order, and edges, its flip steps
+    (_FlipEdges).  Read as a sequence it gives the Triangulations, each
+    built when it is read; key(r) builds the key of element r, and find(key)
+    finds the element of a key."""
+
+    __slots__ = ("table", "masks", "edges")
+
+    def __init__(self, table, masks, edges):
+        self.table = table
+        self.masks = masks
+        self.edges = edges
+
+    def __len__(self):
+        return len(self.masks)
+
+    def __getitem__(self, r):
+        return self.table.triangulation(self.masks[r])
+
+    def __iter__(self):
+        return map(self.table.triangulation, self.masks)
+
+    def key(self, r):
+        return self.table.key(self.masks[r])
+
+    def find(self, key):
+        """The index of the element whose key is key; KeyError if none.  The
+        key is read back into its mask, which is bisected for in masks by
+        its place in key order."""
+        mask = self.table.key_mask(key)
+        if mask is not None:
+            order = self.table.key_order
+            k = bisect_left(self.masks, order(mask), key=order)
+            if k < len(self.masks) and self.masks[k] == mask:
+                return k
+        raise KeyError(key)
 
 
 def _dot_escape(s):
@@ -623,10 +736,12 @@ _s2_cache = {}
 def enumerate_triangulations(n, d, cap=None):
     """All triangulations of C(n, d), by breadth-first search along upward
     flips from the bottom element.  One walk over the members of each mask
-    gives its increasing flips, its validation sums and its member tuple;
-    every mask is validated before it becomes a Triangulation.  Returns a
-    list sorted by canonical key; also records the flip step edges, in flat
-    arrays re-ranked in place to the sorted order."""
+    gives its increasing flips and its validation sums, and every mask is
+    judged before it is kept.  Returns the enumeration's record
+    (_Enumeration): the masks sorted in key order, read as a sequence of
+    Triangulations built when they are read, and the flip step edges, in
+    flat arrays re-ranked in place to the sorted order.  The sort reads
+    each mask's compact bytes key (table.key_order), not its key string."""
     key = (n, d)
     got = _enum_cache.get(key)
     if cap is None:
@@ -639,14 +754,11 @@ def enumerate_triangulations(n, d, cap=None):
         edges = _FlipEdges()
         src, dst, flip = edges.src.append, edges.dst.append, edges.flip.append
         number = {}     # flip simplex -> its index in edges.simplices
-        ts = []
         for i, t in enumerate(masks):   # masks grows: the BFS queue
             flips = []
-            members, sums = tab._accumulate(t, flips)
-            v = tab._judge(t, sums)
+            v = tab._judge(t, tab._accumulate(t, flips))
             if v is not None:
                 raise AssertionError("enumerated an invalid triangulation: %s" % (v,))
-            ts.append(tri.Triangulation._canonical(n, d, members))
             for cand, low, up in flips:
                 nxt = (t ^ low) | up
                 j = seen.get(nxt)
@@ -662,32 +774,41 @@ def enumerate_triangulations(n, d, cap=None):
                 flip(number.setdefault(cand, len(number)))
         if tab.mask(tab.top.simplices) not in seen:
             raise AssertionError("flip search failed to reach the top element")
-        del seen, masks
+        del seen
         edges.simplices = list(number)
-        order = sorted(range(len(ts)), key=lambda i: ts[i].key())
+        key_order = tab.key_order
+        order = sorted(range(len(masks)), key=lambda i: key_order(masks[i]))
         rank = array("I", [0]) * len(order)
         for r, i in enumerate(order):
             rank[i] = r
         for ends in (edges.src, edges.dst):     # re-ranked in place
             for k, i in enumerate(ends):
                 ends[k] = rank[i]
-        got = ([ts[i] for i in order], edges)
-        _enum_cache[key] = got
-    elif len(got[0]) > cap:
+        got = _enum_cache[key] = _Enumeration(tab, [masks[i] for i in order], edges)
+    elif len(got) > cap:
         raise ResourceBudgetError(
             "enumeration cap %d exceeded at C(%d, %d)" % (cap, n, d),
-            "enum_cap", cap, len(got[0]), "C(%d, %d)" % (n, d))
-    return got[0]
+            "enum_cap", cap, len(got), "C(%d, %d)" % (n, d))
+    return got
 
 
 def flip_step_edges(n, d, cap=None):
     """Single-flip steps (i, j, flip_simplex), one per flip found by
     enumeration: element i of enumerate_triangulations(n, d) flips up to
-    element j.  The enumeration keeps the steps in flat arrays (source,
-    target, and the flip simplex's index in its own list); the tuples are
-    built on each call."""
-    enumerate_triangulations(n, d, cap)
-    return list(_enum_cache[(n, d)][1])
+    element j.  A read-only view over the enumeration's flat arrays
+    (source, target, and the flip simplex's index in its own list): its
+    length costs nothing, and each tuple is built when it is read."""
+    return enumerate_triangulations(n, d, cap).edges
+
+
+def _check_ends(p, ts, name):
+    """Raise unless the bottom and top of p, on the triangulations of the
+    enumeration ts, are the bottom and top triangulations."""
+    tab = ts.table
+    ends = [p.bottom(), p.top()]
+    if None in ends or [ts.masks[p.rank[x]] for x in ends] != \
+            [tab.mask(tab.bottom.simplices), tab.mask(tab.top.simplices)]:
+        raise AssertionError("%s is not bounded by bottom/top" % name)
 
 
 def build_s1(n, d, cap=None):
@@ -697,12 +818,9 @@ def build_s1(n, d, cap=None):
     ts = enumerate_triangulations(n, d, cap)    # the cap holds on a cache hit too
     p = _s1_cache.get(key)
     if p is None:
-        p = FinitePoset.from_edges([t.key() for t in ts], _enum_cache[key][1])
-        for t in ts:
-            p.data[t.key()] = t
-        if p.bottom() != p.index[tri.bottom(n, d).key()] or \
-                p.top() != p.index[tri.top(n, d).key()]:
-            raise AssertionError("flip order is not bounded by bottom/top")
+        _, up, down, by_key = _closure(len(ts), ts.edges.src, ts.edges.dst)
+        p = FinitePoset._native(ts, up, down, by_key)
+        _check_ends(p, ts, "flip order")
         _s1_cache[key] = p
     return p
 
@@ -721,12 +839,12 @@ def build_s2(n, d, cap=None):
     ts = enumerate_triangulations(n, d, cap)    # the cap holds on a cache hit too
     p = _s2_cache.get(key)
     if p is None:
-        keys = [t.key() for t in ts]
         masks = [tri.submersion_mask(t) for t in ts]
         first = {}
         for i, m in enumerate(masks):
             if first.setdefault(m, i) != i:
-                raise ValueError("not antisymmetric: %r, %r" % (keys[first[m]], keys[i]))
+                raise ValueError("not antisymmetric: %r, %r"
+                                 % (ts.key(first[m]), ts.key(i)))
         order = sorted(range(len(ts)), key=lambda i: masks[i].bit_count())
         full = (1 << len(ts)) - 1
         # a cell in every mask, or in none, constrains nothing
@@ -754,13 +872,8 @@ def build_s2(n, d, cap=None):
         pos = [0] * len(ts)
         for x, i in enumerate(order):
             pos[i] = x
-        p = FinitePoset._native([keys[i] for i in order], up, down, pos)
-        for t in ts:
-            p.data[t.key()] = t
-        idx = p.index
-        if p.bottom() != idx[tri.bottom(n, d).key()] or \
-                p.top() != idx[tri.top(n, d).key()]:
-            raise AssertionError("height order is not bounded by bottom/top")
+        p = FinitePoset._native(ts, up, down, pos)
+        _check_ends(p, ts, "height order")
         _s2_cache[key] = p
     return p
 
@@ -780,16 +893,23 @@ def compare_relations(p, q):
 
     Each is contained in the other iff every cover of each holds in the
     other (the other is transitive), so only a mismatch costs a scan."""
-    if sorted(p.elements) != sorted(q.elements):
+    # the keys are matched by sorting them once each: where[x] is the
+    # position in q of the key at position x in p, back the inverse
+    pk, qk = list(p.elements), list(q.elements)
+    ps = sorted(range(len(pk)), key=pk.__getitem__)
+    qs = sorted(range(len(qk)), key=qk.__getitem__)
+    if [pk[x] for x in ps] != [qk[y] for y in qs]:
         raise ValueError("posets have different element sets")
+    where, back = [0] * len(ps), [0] * len(ps)
+    for x, y in zip(ps, qs):
+        where[x], back[y] = y, x
 
-    def covers_hold(a, b):
-        keys = a.keys()
-        return all(b.le_keys(keys[i], keys[j]) for i, j in a.covers())
+    def covers_hold(a, b, image):
+        order = a.by_key
+        return all(b.le(image[order[i]], image[order[j]]) for i, j in a.covers())
 
-    if covers_hold(p, q) and covers_hold(q, p):
+    if covers_hold(p, q, where) and covers_hold(q, p, back):
         return None
-    where = [q.index[e] for e in p.elements]
     for x in p.by_key:
         row, qrow = p.up[x], q.up[where[x]]
         for y in p.by_key:
@@ -806,8 +926,7 @@ def flip_cover_discrepancies(n, d, cap=None):
     every verified instance; reported, never assumed)."""
     cov = set(build_s1(n, d, cap).covers())
     ts = enumerate_triangulations(n, d, cap)
-    return [(ts[i].key(), ts[j].key(), cand)
-            for i, j, cand in flip_step_edges(n, d, cap) if (i, j) not in cov]
+    return [(ts.key(i), ts.key(j), cand) for i, j, cand in ts.edges if (i, j) not in cov]
 
 
 def interval_poset(p, variant="all"):
@@ -856,10 +975,10 @@ def interval_poset(p, variant="all"):
 
     low_down, low_up = gather(low, p.down), gather(low, p.up)
     high_down, high_up = gather(high, p.down), gather(high, p.up)
-    keys = [json.dumps([str(p.elements[x]), str(p.elements[y])],
-                       separators=(",", ":")) for x, y in pairs]
-    by_key = sorted(range(len(pairs)), key=lambda z: (str(p.elements[pairs[z][0]]),
-                                                      str(p.elements[pairs[z][1]])))
+    names = [str(e) for e in p.elements]    # each key read once
+    keys = [json.dumps([names[x], names[y]], separators=(",", ":")) for x, y in pairs]
+    by_key = sorted(range(len(pairs)), key=lambda z: (names[pairs[z][0]],
+                                                      names[pairs[z][1]]))
     # the intervals holding interval z sit at z or later
     q = FinitePoset._native(keys,
                             [(low_down[x] & high_up[y]) >> z

@@ -10,9 +10,11 @@ of masks of the simplices with a label in a gap), its volume, and the masks
 of its facets and labels, so a mask is checked by ANDs, an integer sum and
 three saturating facet counters.  The check is two steps: one walk over the
 members accumulates these sums (and, for the flip search, the increasing
-flips and the member tuple on the same walk), then a judge reads them.
-Members and facets are walked again only to name the witness of a
-failure."""
+flips on the same walk), then a judge reads them.  Members and facets are
+walked again only to name the witness of a failure.  A mask is also a
+Triangulation, its key string and its place in key order on demand
+(`triangulation`, `key`, `key_order`), so a set of triangulations can be
+kept as masks alone."""
 
 import json
 from bisect import bisect_left
@@ -28,7 +30,7 @@ DEFAULT_ENUM_CAP = 10 ** 6
 
 _table_cache = {}
 _intertwining_cache = {}
-_simplex_text = {}      # simplex -> its JSON text "[a,b,c]"
+_KEY = '{"n":%d,"d":%d,"simplices":[%s]}'
 
 
 class ResourceBudgetError(RuntimeError):
@@ -51,7 +53,7 @@ Violation = namedtuple("Violation", "rule witness message")
 class Triangulation:
     """Immutable set of d-simplices on labels 1..n, canonically ordered."""
 
-    __slots__ = ("n", "d", "simplices", "_hash", "_key")
+    __slots__ = ("n", "d", "simplices", "_hash")
 
     def __init__(self, n, d, simplices):
         if n < d + 1 or d < 1:
@@ -71,7 +73,6 @@ class Triangulation:
         self.d = d
         self.simplices = simp
         self._hash = None
-        self._key = None
 
     @classmethod
     def _canonical(cls, n, d, simp):
@@ -96,8 +97,7 @@ class Triangulation:
             (self.n, self.d, self.simplices) == (other.n, other.d, other.simplices)
 
     def __hash__(self):
-        # computed on first use: an enumeration builds thousands of
-        # triangulations that are never hashed
+        # computed on first use: most triangulations are never hashed
         if self._hash is None:
             self._hash = hash((self.n, self.d, self.simplices))
         return self._hash
@@ -110,22 +110,18 @@ class Triangulation:
 
         The bytes are those of json.dumps({"n": n, "d": d, "simplices":
         [list(s) for s in simplices]}, separators=(",", ":")), joined from
-        one cached "[a,b,c]" string per simplex."""
-        if self._key is None:
-            parts = []
-            for s in self.simplices:
-                text = _simplex_text.get(s)
-                if text is None:
-                    text = _simplex_text[s] = "[%s]" % ",".join(map(str, s))
-                parts.append(text)
-            self._key = '{"n":%d,"d":%d,"simplices":[%s]}' % (
-                self.n, self.d, ",".join(parts))
-        return self._key
+        one "[a,b,c]" text per simplex."""
+        return _KEY % (self.n, self.d, ",".join(map(_text, self.simplices)))
 
     @staticmethod
     def from_json(text):
         obj = json.loads(text)
         return Triangulation(obj["n"], obj["d"], [tuple(s) for s in obj["simplices"]])
+
+
+def _text(s):
+    """The JSON text "[a,b,c]" of a simplex."""
+    return "[%s]" % ",".join(map(str, s))
 
 
 class _Table:
@@ -181,7 +177,60 @@ class _Table:
     def triangulation(self, mask):
         """The Triangulation of a mask, built without re-sorting."""
         return Triangulation._canonical(
-            self.n, self.d, tuple(self.simplices[i] for i in bits(mask)))
+            self.n, self.d, tuple(map(self.simplices.__getitem__, bits(mask))))
+
+    @cached_property
+    def texts(self):
+        """texts[i]: the JSON text "[a,b,c]" of simplices[i]."""
+        return list(map(_text, self.simplices))
+
+    def key(self, mask):
+        """The key() of the mask's Triangulation, joined from texts."""
+        return _KEY % (self.n, self.d, ",".join(map(self.texts.__getitem__, bits(mask))))
+
+    @cached_property
+    def _text_index(self):
+        """The index of each simplex by its text without brackets, "a,b,c"."""
+        return {text[1:-1]: i for i, text in enumerate(self.texts)}
+
+    def key_mask(self, key):
+        """The mask whose key() is key, or None when key is no canonical key
+        of a nonempty set of d-simplices of [n]: its members' texts must be
+        the table's, in increasing order."""
+        head = '{"n":%d,"d":%d,"simplices":[[' % (self.n, self.d)
+        if not (isinstance(key, str) and key.startswith(head) and key.endswith("]]}")):
+            return None
+        index, mask, last = self._text_index, 0, -1
+        for text in key[len(head):-3].split("],["):
+            i = index.get(text, -1)
+            if i <= last:
+                return None
+            mask |= 1 << i
+            last = i
+        return mask
+
+    @cached_property
+    def _text_ranks(self):
+        """The string-order rank of each simplex's text, and a sentinel above
+        every rank, as big-endian bytes of one width."""
+        count = len(self.simplices)
+        width = (count.bit_length() + 7) // 8
+        ranks = [b""] * count
+        for r, i in enumerate(sorted(range(count), key=self.texts.__getitem__)):
+            ranks[i] = r.to_bytes(width, "big")
+        return ranks, count.to_bytes(width, "big")
+
+    def key_order(self, mask):
+        """A bytes sort key of the mask in the string order of key(): its
+        members' text ranks, in member order, then the sentinel.
+
+        Two keys agree up to the first member whose texts differ, and no
+        text is a prefix of another, so that member's texts decide.  When
+        one member list extends the other, the longer key goes on with ","
+        where the shorter closes with "]", and "," sorts first; the
+        sentinel, above every rank, puts the shorter list last too."""
+        ranks, end = self._text_ranks
+        return b"".join([*map(ranks.__getitem__, bits(mask)), end])
 
     @cached_property
     def gaps(self):
@@ -241,22 +290,20 @@ class _Table:
     def violation(self, mask):
         """validate's checks after shape and emptiness, for the mask of a
         set of d-simplices of [n]: admissibility, volume, walls, labels."""
-        return self._judge(mask, self._accumulate(mask)[1])
+        return self._judge(mask, self._accumulate(mask))
 
     def _accumulate(self, mask, flips=None):
-        """One walk over the members of a mask, in lexicographic order:
-        (members, sums), members the tuple of its simplices and sums what
-        _judge reads.  When flips is a list, each increasing flip (cand,
-        low, up) is appended to it on the way, in lexicographic order of
-        cand, as flips() lists them.
+        """One walk over the members of a mask, in lexicographic order, for
+        the sums _judge reads.  When flips is a list, each increasing flip
+        (cand, low, up) is appended to it on the way, in lexicographic
+        order of cand, as flips() lists them.
 
-        sums is (clash, volume, once, twice, thrice, labels): clash the
+        The sums are (clash, volume, once, twice, thrice, labels): clash the
         first member meeting a later one improperly (the walk stops there)
         or None, then the volume sum, three saturating facet masks (facets
         covered at least once, twice, three times) and the OR of the label
         masks."""
-        rows, exts, simplices = self._rows, self._extensions, self.simplices
-        members = []
+        rows, exts = self._rows, self._extensions
         clash = None
         vol = once = twice = thrice = labels = 0
         for i in bits(mask):
@@ -270,7 +317,6 @@ class _Table:
             twice |= once & facets
             once |= facets
             labels |= row[3]
-            members.append(simplices[i])
             if flips is not None:
                 ext = exts[i]
                 if ext is None:
@@ -278,7 +324,7 @@ class _Table:
                 for f in ext:
                     if mask & f[1] == f[1]:
                         flips.append(f)
-        return tuple(members), (clash, vol, once, twice, thrice, labels)
+        return clash, vol, once, twice, thrice, labels
 
     def _judge(self, mask, sums):
         """The first violation of a mask given its _accumulate sums, or

@@ -253,6 +253,25 @@ def test_benchmark_digests_in_process(capsys, job):
     assert hashlib.sha256(out.encode()).hexdigest() == job.sha256
 
 
+def test_memory_error_exits_2_without_traceback(capsys, monkeypatch):
+    def exhausted(args):
+        raise MemoryError
+
+    monkeypatch.setattr(cli, "cmd_check_lattice", exhausted)
+    code, out, err = run(capsys, "check-lattice", "--n", "6", "--d", "2")
+    assert (code, out) == (2, "")
+    assert err == "resource budget exceeded: out of memory\n"
+
+
+def test_enumerate_output_bytes_pinned(tmp_path, capsys):
+    # the key-string order, as the sort by key strings gave it
+    path = tmp_path / "t.json"
+    code, _, _ = run(capsys, "enumerate", "--n", "9", "--d", "3", "--output", str(path))
+    assert code == 0
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == \
+        "0fe60da93aef2fc4deaae27150b597ad7ebf0862c0be892d3e3307b13e71ab7a"
+
+
 def test_bad_args_exit_code(capsys):
     code, _, _ = run(capsys, "enumerate", "--n", "2", "--d", "4")
     assert code == 3

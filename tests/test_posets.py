@@ -223,7 +223,7 @@ def test_proper_part_matches_restrict(build):
         assert list(q.up) == list(r.up) and list(q.down) == list(r.down)
         assert [q.up[x] for x in range(len(q))] == list(r.up)
         assert [q.down[x] for x in range(len(q))] == list(r.down)
-        assert q.elements == r.elements
+        assert list(q.elements) == list(r.elements)
         assert list(q.by_key) == list(r.by_key) and list(q.rank) == list(r.rank)
         assert dict(q.index) == r.index
         assert {k: q.data[k] for k in q.elements} == r.data
@@ -302,6 +302,124 @@ def test_build_s1_closes_the_flip_edges_in_place(monkeypatch):
         tracemalloc.stop()
     assert len(p) == 4824
     assert peak - current < 512 * 1024, (peak, current)
+
+
+def test_enumeration_keeps_masks_not_triangulations(monkeypatch):
+    # the record is the sorted masks and three flip arrays: keeping a
+    # Triangulation, a member tuple and a key string per element took a
+    # 3.4 MB peak at (10,4), the masks alone 1.0 MB (the table's rows built)
+    from cyclictri import posets
+    enumerate_triangulations(10, 4)
+    monkeypatch.setattr(posets, "_enum_cache", {})
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        ts = enumerate_triangulations(10, 4)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert len(ts) == 4824 and len(ts.edges) == 15120
+    assert peak < 1536 * 1024, peak
+
+
+@pytest.mark.parametrize("n,d", [(9, 4), (10, 4)])
+def test_lattice_verdict_builds_no_triangulation_per_element(monkeypatch, n, d):
+    # enumeration, S1 and its witness build Triangulations and key strings
+    # for the witness only, not one per element (4,824 at (10,4) before).
+    # Every Triangulation passes through _assign, a mask's own included
+    # (_Table.triangulation); a key string is built by Triangulation.key or
+    # from a mask by _Table.key.
+    from cyclictri import posets, triangulations
+    Triangulation, Table = triangulations.Triangulation, triangulations._Table
+    made = []
+
+    def counted(cls, name, kind):
+        method = getattr(cls, name)
+
+        def wrapper(*args):
+            made.append(kind)
+            return method(*args)
+        monkeypatch.setattr(cls, name, wrapper)
+
+    monkeypatch.setattr(posets, "_enum_cache", {})
+    monkeypatch.setattr(posets, "_s1_cache", {})
+    monkeypatch.setattr(triangulations, "_table_cache", {})
+    counted(Triangulation, "_assign", "object")
+    counted(Triangulation, "key", "key")
+    counted(Table, "key", "key")
+    w = build_s1(n, d).is_lattice()
+    assert w is not True and len(w["pair"]) == 2
+    # the table's bottom and top, and the two witness keys
+    assert sorted(made) == ["key", "key", "object", "object"], made
+
+
+# every instance the acceptance battery enumerates: criteria 01-04 and 07
+ACCEPTANCE_ENUMERATED = sorted({(n, d) for d in range(1, 8) for n in range(d + 2, 10)}
+                               | {(n, d) for d in (1, 2, 3) for n in range(d + 2, 11)}
+                               | {(10, 5)})
+
+
+def test_compact_sort_key_is_the_key_string_order():
+    from cyclictri.triangulations import table
+    sizes = {}
+    for n, d in ACCEPTANCE_ENUMERATED:
+        ts = enumerate_triangulations(n, d)
+        keys = [ts.key(r) for r in range(len(ts))]
+        assert keys == [t.key() for t in ts], (n, d)
+        assert keys == sorted(keys), (n, d)
+        tab = table(n, d)
+        assert sorted(ts.masks, key=tab.key) == sorted(ts.masks, key=tab.key_order)
+        sizes[n, d] = {len(t) for t in ts}
+    # instances whose triangulations differ in size
+    for nd in [(9, 3), (10, 3), (9, 5)] + [(n, 1) for n in range(4, 11)]:
+        assert len(sizes[nd]) > 1, nd
+    # no triangulation's members extend another's, so the sentinel decides
+    # only for other sets: random ones, each with its prefixes
+    rng = random.Random(2101)
+    for n, d in [(8, 1), (9, 3), (10, 3), (12, 2)]:
+        tab = table(n, d)
+        masks = set()
+        for _ in range(40):
+            members = sorted(rng.sample(range(len(tab.simplices)), rng.randint(1, 6)))
+            masks.update(sum(1 << i for i in members[:k]) for k in range(1, len(members) + 1))
+        assert sorted(masks, key=tab.key) == sorted(masks, key=tab.key_order), (n, d)
+
+
+def test_enumeration_record_views():
+    ts = enumerate_triangulations(8, 3)
+    p = build_s1(8, 3)
+    assert len(p.elements) == len(p.index) == len(p.data) == len(ts)
+    for x in (0, 5, len(p) - 1):
+        k = p.elements[x]
+        assert p.index[k] == x and p.data[k] == ts[p.rank[x]]
+        assert p.data[k].key() == k
+    assert list(p.elements[1:4]) == [p.elements[x] for x in range(1, 4)]
+    doc = json.loads(ts.key(0))
+    unsorted = dict(doc, simplices=doc["simplices"][::-1])
+    repeated = dict(doc, simplices=doc["simplices"][:1] * 2 + doc["simplices"][1:])
+    fewer = dict(doc, simplices=doc["simplices"][1:])   # canonical, not a triangulation
+    for bad in ("{}", ts.key(0)[:-1], 3, enumerate_triangulations(8, 2).key(0),
+                ts.key(0).replace(",", ", "),
+                *(json.dumps(x, separators=(",", ":")) for x in (unsorted, repeated, fewer))):
+        assert bad not in p.index
+        with pytest.raises(KeyError):
+            p.data[bad]
+    with pytest.raises(TypeError):
+        p.data[p.elements[0]] = None
+    assert sorted(p.index) == sorted(p.elements) == [ts.key(r) for r in range(len(ts))]
+
+
+def test_data_by_position_is_data_of_each_element():
+    # on an enumeration's orders and their proper parts, and on a poset
+    # whose data is a dict
+    for p in (build_s1(8, 3), build_s2(8, 3), boolean_lattice(3)):
+        for q in (p, p.proper_part()):
+            got = q.data_by_position()
+            assert got == [q.data[k] for k in q.elements]
+    ts = enumerate_triangulations(8, 3)
+    p = build_s2(8, 3)
+    assert p.data_by_position() == [ts[r] for r in p.rank]
 
 
 @pytest.mark.parametrize("build", [build_s1, build_s2], ids=["s1", "s2"])
@@ -395,8 +513,13 @@ def test_flip_edges_match_the_public_flips():
         want = [(i, at[apply_flip(t, cand)], cand)
                 for i, t in enumerate(ts) for cand in increasing_flips(t)]
         got = flip_step_edges(n, d)
-        assert sorted(got) == sorted(want), (n, d)
-        assert flip_step_edges(n, d) == got and flip_step_edges(n, d) is not got
+        assert len(got) == len(want) and sorted(got) == sorted(want), (n, d)
+        # a read-only view over the record: the same tuples on every call,
+        # by index too, and no way to change them
+        assert list(flip_step_edges(n, d)) == list(got)
+        assert [got[k] for k in range(len(got))] == list(got)
+        with pytest.raises(TypeError):
+            got[0] = got[0]
 
 
 def test_positions_are_a_linear_extension():
