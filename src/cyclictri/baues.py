@@ -260,10 +260,9 @@ def baues_poset(n, d, cap=None):
         raise ValueError("subdivision poset implemented for d <= 3 only")
     s2 = build_s2(n, d, cap)
     coat = interval_poset(s2, "proper_coatomic")
-    ts = s2.data_by_position()
+    ts = list(s2.data)
     memo = {}
-    deltas = [_cells_of_interval(ts[i], ts[j], memo)
-              for i, j in map(coat.data.__getitem__, coat.elements)]
+    deltas = [_cells_of_interval(ts[i], ts[j], memo) for i, j in coat.data]
     keys = [delta.key() for delta in deltas]
     if len(set(keys)) != len(keys):
         raise AssertionError("interval map is not injective")
@@ -279,7 +278,7 @@ def baues_poset(n, d, cap=None):
         for big, where in has.items():
             if c & ~big == 0:
                 inside[c] |= where
-    p = coat.relabel(keys, sorted(range(len(keys)), key=keys.__getitem__))
+    p = coat.relabel(keys, deltas, sorted(range(len(keys)), key=keys.__getitem__))
     for x in p.by_key:
         m = -1
         for c in cells[x]:
@@ -288,8 +287,6 @@ def baues_poset(n, d, cap=None):
         if bad:
             raise AssertionError("refinement disagrees with interval inclusion: "
                                  "%s vs %s" % (keys[x], keys[p.first_in_key_order(bad)]))
-    for key, delta in zip(keys, deltas):
-        p.data[key] = delta
     return p
 
 
@@ -300,8 +297,7 @@ def interval_product_check(n, d, cap=None):
     p = baues_poset(n, d, cap)
     bad = []
     memo = {}
-    for key in p.elements:
-        delta = p.data[key]
+    for key, delta in zip(p.elements, p.data):
         t_low, t_high = _phi(delta, memo)
         i, j = s2.index[t_low.key()], s2.index[t_high.key()]
         size = bin(s2.up[i] & s2.down[j]).count("1")

@@ -75,9 +75,12 @@ def _certificate(p, k, budget):
 
 def cmd_enumerate(args):
     ts = enumerate_triangulations(args.n, args.d, args.cap)
-    doc = {"n": args.n, "d": args.d, "count": len(ts),
-           "triangulations": [[list(s) for s in t.simplices] for t in ts]}
-    return 0, ["triangulations of C(%d,%d): %d" % (args.n, args.d, len(ts))], _json(doc)
+    # the _json text of the whole export, one triangulation's text at a
+    # time: no nested lists of every member are built
+    payload = '{"count":%d,"d":%d,"n":%d,"triangulations":[%s]}\n' % (
+        len(ts), args.d, args.n,
+        ",".join(json.dumps(t.simplices, separators=(",", ":")) for t in ts))
+    return 0, ["triangulations of C(%d,%d): %d" % (args.n, args.d, len(ts))], payload
 
 
 def cmd_poset(args):
@@ -162,7 +165,7 @@ def cmd_oracle_crosscheck(args):
     from . import oracles   # the only subcommand that needs a reference implementation
     ours = enumerate_triangulations(args.n, args.d, args.cap)
     oracle = oracles.brute_force_triangulations(args.n, args.d, args.max_candidates)
-    same = [t.key() for t in ours] == [t.key() for t in oracle]
+    same = list(map(ours.key, range(len(ours)))) == [t.key() for t in oracle]
     line = "flip search found %d, brute force found %d: %s" % (
         len(ours), len(oracle), "agree" if same else "DISAGREE")
     return (0 if same else 1), [line], None
@@ -179,7 +182,7 @@ def cmd_flip_graph(args):
         dot += ['  n%d [label="%d"];' % (i, i) for i in range(len(ts))]
         dot += ["  n%d -> n%d;" % (i, j) for i, j in edges]
         return 0, lines, "\n".join(dot + ["}"]) + "\n"
-    return 0, lines, _json({"elements": [t.key() for t in ts],
+    return 0, lines, _json({"elements": list(map(ts.key, range(len(ts)))),
                             "edges": [[i, j] for i, j in edges]})
 
 

@@ -21,9 +21,10 @@ or joins, settled in bulk.  Enumeration walks the members of each flip-search
 mask once, for its flips and its validation, and keeps one record: the masks,
 sorted in key order by a compact bytes key, and the flip edges in flat arrays
 that the S1 closure reads.  Triangulations and key strings are built from the
-masks when they are read: S1 and S2 name their elements through views over
-the record (_Keys, _Lookup), so a poset on C(n, d) holds no key string
-and no Triangulation of its own.
+masks when they are read: a poset on C(n, d), its proper part and its
+restrictions name their elements and carry their triangulations through
+views over the record (_Record, _Index), so none of them holds a key string
+or a Triangulation of its own.
 """
 
 import json
@@ -31,7 +32,6 @@ from array import array
 from bisect import bisect_left
 from collections.abc import Mapping, Sequence
 from itertools import accumulate, combinations
-from types import MappingProxyType
 
 from . import triangulations as tri
 from .simplices import bits
@@ -43,7 +43,10 @@ class FinitePoset:
     positions of a linear extension: x < y in the order implies x < y as
     positions.
 
-    elements[x] is the key at position x and index maps keys back.  down[x]
+    elements[x] is the key at position x and index maps keys back; data[x]
+    is the payload of position x (a Triangulation, an interval's ends, a
+    subdivision), data a read-only sequence like elements, or None where
+    the elements carry none.  down[x]
     is the mask of the positions below x, and up[x] of those above x, both
     including x, so no bit of up[x] lies below bit x and no bit of down[x]
     above it.  The up-sets are stored from their own positions, bit k of
@@ -73,33 +76,42 @@ class FinitePoset:
                 raise ValueError("not reflexive at %r" % (elements[i],))
         order, rows, down, by_key = _closure(n, *_edge_arrays(
             (i, j) for i in range(n) for j in bits(up[i] & ~(1 << i))))
-        self._fill([elements[i] for i in order], rows, down, by_key)
+        self._fill([elements[i] for i in order], None, by_key)
+        self._set_rows(rows, down, 0)
         for i, x in enumerate(self.by_key):
             if self._up[x].bit_count() != up[i].bit_count():
                 raise ValueError("not transitive at %r" % (elements[i],))
 
-    def _fill(self, elements, up, down, by_key):
-        """elements are the keys by position, or an enumeration (the record
+    def _fill(self, elements, data, by_key):
+        """Keys, data and key order: elements and data by position (data
+        None where the elements carry none), by_key the positions in key
+        order.  elements may be an enumeration (the record
         enumerate_triangulations returns) whose triangulations are the
-        elements in key order: elements, index and data are then read-only
-        views over the record, keys and triangulations built on each read
-        (_Keys, _Lookup)."""
+        elements in key order, or the keys of a poset on one (a _Record,
+        from restrict or proper_part, data its triangulations): elements
+        and data are then read-only views over the record, keys and
+        triangulations built on each read, and index finds a key's element
+        in the record (_Index)."""
         self.by_key = array("I", by_key)
-        self.rank = array("I", [0]) * len(by_key)
-        for r, x in enumerate(by_key):
+        self.rank = array("I", [0]) * len(self.by_key)
+        for r, x in enumerate(self.by_key):
             self.rank[x] = r
         self._covers = None
-        if isinstance(elements, _Enumeration):
-            self.elements = _Keys(elements, self.rank)
-            self.index = _Lookup(elements, self.by_key)
-            self.data = _Lookup(elements, elements)
+        if isinstance(elements, _Enumeration):   # key order is the record's
+            enum = elements
+            elements = _Record(enum, self.rank, enum.key)
+            data = _Record(enum, self.rank, enum.__getitem__)
+        if isinstance(elements, _Record):
+            self.elements, self.data = elements, data
+            self.index = _Index(elements, self.by_key)
         else:
             self.elements = tuple(elements)
+            self.data = None if data is None else tuple(data)
             self.index = {e: x for x, e in enumerate(self.elements)}
             if len(self.index) != len(self.elements):
                 raise ValueError("repeated element key")
-            self.data = {}
-        self._set_rows(up, down, 0)
+        if self.data is not None and len(self.data) != len(self.elements):
+            raise ValueError("data size mismatch")
 
     def _set_rows(self, up, down, first):
         """Rows stored at positions first .. first + len - 1 of the lists up
@@ -117,13 +129,14 @@ class FinitePoset:
             self.down = down
 
     @classmethod
-    def _native(cls, elements, up, down, by_key):
-        """A poset given in its own coordinates: elements, up and down by
-        position (a linear extension), each up-row stored from its own
+    def _native(cls, elements, data, up, down, by_key):
+        """A poset given in its own coordinates: elements, data, up and down
+        by position (a linear extension), each up-row stored from its own
         position, by_key the positions in key order.  elements may instead
         be an enumeration, its triangulations in key order (see _fill)."""
         p = cls.__new__(cls)
-        p._fill(elements, up, down, by_key)
+        p._fill(elements, data, by_key)
+        p._set_rows(up, down, 0)
         return p
 
     def __len__(self):
@@ -148,7 +161,7 @@ class FinitePoset:
         starting (i, j) are read the same way."""
         elements = tuple(elements)
         order, up, down, by_key = _closure(len(elements), *_edge_arrays(edges))
-        return FinitePoset._native([elements[i] for i in order], up, down, by_key)
+        return FinitePoset._native([elements[i] for i in order], None, up, down, by_key)
 
     def covers(self):
         """Transitive reduction as a sorted list of key-order index pairs
@@ -191,7 +204,9 @@ class FinitePoset:
         their relative positions and key order, so each row is compressed
         run by run of the kept positions, read from the stored rows: the
         bits of the positions left out, a proper part's ends included, lie
-        outside every run."""
+        outside every run.  Keys and data are taken by position, so on an
+        enumeration's triangulations the result is a view over the same
+        record and no key is built."""
         up, down, first = self._frame
         kept = sorted(set(keep))
         if kept and (kept[0] < 0 or kept[-1] >= len(self.elements)):
@@ -225,24 +240,16 @@ class FinitePoset:
         new = [None] * len(self.elements)
         for k, x in enumerate(kept):
             new[x] = k
-        keys = [self.elements[x] for x in kept]
-        sub = FinitePoset._native(
-            keys, new_up, new_down,
+        return FinitePoset._native(
+            _take(self.elements, kept), _take(self.data, kept), new_up, new_down,
             [new[x] for x in self.by_key if new[x] is not None])
-        data, absent = self.data, object()
-        for k in keys:      # one lookup each: a view's lookup bisects
-            value = data.get(k, absent)
-            if value is not absent:
-                sub.data[k] = value
-        return sub
 
     def proper_part(self):
         """Strip the global bottom and top (both must exist and differ):
         positions 1 .. n-2.  The rows are this order's stored rows, read
         from position 1 with the two ends' bits dropped on each read, so
-        up, down and index are read-only views sharing this order's storage
-        and data is this order's data, read-only (the two ends' entries
-        included)."""
+        up and down are read-only views sharing this order's storage;
+        elements and data are this order's, slices without the two ends."""
         if not self.is_bounded():
             raise ValueError("poset is not bounded")
         n = len(self.elements)
@@ -251,19 +258,10 @@ class FinitePoset:
                              "no proper part")
         up, down, first = self._frame
         p = FinitePoset.__new__(FinitePoset)
-        p.elements = self.elements[1:n - 1]
-        p.index = _InnerIndex(self.index, n - 2)
+        p._fill(self.elements[1:n - 1],
+                None if self.data is None else self.data[1:n - 1],
+                (x - 1 for x in self.by_key if 0 < x < n - 1))
         p._set_rows(up, down, first + 1)
-        p.by_key = array("I", [0]) * (n - 2)
-        p.rank = array("I", [0]) * (n - 2)
-        r = 0
-        for x in self.by_key:
-            if 0 < x < n - 1:
-                p.by_key[r] = x - 1
-                p.rank[x - 1] = r
-                r += 1
-        p._covers = None
-        p.data = MappingProxyType(self.data)
         return p
 
     # The common lower bounds of x and y hold the down-set of each of them,
@@ -396,20 +394,13 @@ class FinitePoset:
                 return False
         return (cur if cur is not None else j) == i
 
-    def relabel(self, keys, by_key):
-        """This order under new keys, keys[x] naming position x, and a new
-        key order, by_key listing the positions in it; the rows are shared."""
+    def relabel(self, keys, data, by_key):
+        """This order under new keys and data, keys[x] naming position x and
+        data[x] its payload (data may be None), and a new key order, by_key
+        listing the positions in it; the rows are shared."""
         if len(keys) != len(self.elements) or sorted(by_key) != list(range(len(keys))):
             raise ValueError("relabel needs a key and a key-order place per position")
-        return FinitePoset._native(keys, self._up, self.down, by_key)
-
-    def data_by_position(self):
-        """The data of every element, by position.  On an enumeration's
-        triangulations each Triangulation is built from its mask, and no
-        key is read."""
-        if isinstance(self.elements, _Keys):
-            return list(map(self.elements._enum.__getitem__, self.elements._at))
-        return [self.data[e] for e in self.elements]
+        return FinitePoset._native(keys, data, self._up, self.down, by_key)
 
     def keys(self):
         """The element keys in key order."""
@@ -465,69 +456,73 @@ class _Rows(Sequence):
         return map(self.__getitem__, range(self._n))
 
 
-class _Keys(Sequence):
-    """The keys, by position, of a poset on an enumeration's triangulations:
-    position x holds element at[x] of the enumeration, whose key is built on
-    each read.  A slice is the same view over a slice of at."""
+class _Record(Sequence):
+    """The keys or the data, by position, of a poset on an enumeration's
+    triangulations: position x holds element at[x] of the enumeration enum,
+    read as read(at[x]), enum.key for the keys and enum.__getitem__ for the
+    Triangulations, each built on each read.  A slice, or take(positions),
+    is the same view over those positions; a slice shares at (a memoryview
+    of it), so a proper part copies no positions."""
 
-    __slots__ = ("_enum", "_at")
+    __slots__ = ("enum", "at", "_read")
 
-    def __init__(self, enum, at):
-        self._enum = enum
-        self._at = at
+    def __init__(self, enum, at, read):
+        self.enum = enum
+        self.at = at
+        self._read = read
 
     def __len__(self):
-        return len(self._at)
+        return len(self.at)
 
     def __getitem__(self, x):
         if isinstance(x, slice):
-            return _Keys(self._enum, self._at[x])
-        return self._enum.key(self._at[x])
-
-
-class _Lookup(Mapping):
-    """Key -> value[r], r the element of the key in an enumeration
-    (_Enumeration.find): a poset's index with value its by_key, the
-    position of each key-order index, and its data with value the
-    enumeration itself, a Triangulation built on each read."""
-
-    __slots__ = ("_enum", "_value")
-
-    def __init__(self, enum, value):
-        self._enum = enum
-        self._value = value
-
-    def __getitem__(self, key):
-        return self._value[self._enum.find(key)]
+            return _Record(self.enum, memoryview(self.at)[x], self._read)
+        return self._read(self.at[x])
 
     def __iter__(self):
-        return map(self._enum.key, range(len(self._enum)))
+        return map(self._read, self.at)
 
-    def __len__(self):
-        return len(self._enum)
+    def take(self, positions):
+        return _Record(self.enum, array("I", map(self.at.__getitem__, positions)),
+                       self._read)
 
 
-class _InnerIndex(Mapping):
-    """Key -> position in a bounded order's proper part, read from the
-    order's index: one less, the two ends left out."""
+def _take(seq, positions):
+    """The items of seq at the given positions: a view over the same record
+    for a _Record, else a list; None for None."""
+    if seq is None:
+        return None
+    if isinstance(seq, _Record):
+        return seq.take(positions)
+    return [seq[x] for x in positions]
 
-    __slots__ = ("_index", "_n")
 
-    def __init__(self, index, n):
-        self._index = index
-        self._n = n
+class _Index(Mapping):
+    """Key -> position in a poset on an enumeration's triangulations, whose
+    keys are the _Record keys: the key's element r of the enumeration
+    (_Enumeration.find), then the position holding r, bisected for in key
+    order, which is the enumeration's order of the poset's elements.  Any
+    other key raises KeyError."""
+
+    __slots__ = ("_keys", "_by_key")
+
+    def __init__(self, keys, by_key):
+        self._keys = keys
+        self._by_key = by_key
 
     def __getitem__(self, key):
-        x = self._index[key] - 1
-        if not 0 <= x < self._n:
+        at, by_key = self._keys.at, self._by_key
+        r = self._keys.enum.find(key)
+        k = bisect_left(by_key, r, key=at.__getitem__)
+        if k == len(by_key) or at[by_key[k]] != r:
             raise KeyError(key)
-        return x
+        return by_key[k]
 
     def __iter__(self):
-        return (key for key, x in self._index.items() if 0 < x <= self._n)
+        return iter(self._keys)
 
     def __len__(self):
-        return self._n
+        return len(self._keys)
 
 
 def _meets(dx, down, up):
@@ -819,7 +814,7 @@ def build_s1(n, d, cap=None):
     p = _s1_cache.get(key)
     if p is None:
         _, up, down, by_key = _closure(len(ts), ts.edges.src, ts.edges.dst)
-        p = FinitePoset._native(ts, up, down, by_key)
+        p = FinitePoset._native(ts, None, up, down, by_key)
         _check_ends(p, ts, "flip order")
         _s1_cache[key] = p
     return p
@@ -872,7 +867,7 @@ def build_s2(n, d, cap=None):
         pos = [0] * len(ts)
         for x, i in enumerate(order):
             pos[i] = x
-        p = FinitePoset._native(ts, up, down, pos)
+        p = FinitePoset._native(ts, None, up, down, pos)
         _check_ends(p, ts, "height order")
         _s2_cache[key] = p
     return p
@@ -980,14 +975,11 @@ def interval_poset(p, variant="all"):
     by_key = sorted(range(len(pairs)), key=lambda z: (names[pairs[z][0]],
                                                       names[pairs[z][1]]))
     # the intervals holding interval z sit at z or later
-    q = FinitePoset._native(keys,
-                            [(low_down[x] & high_up[y]) >> z
-                             for z, (x, y) in enumerate(pairs)],
-                            [low_up[x] & high_down[y] for x, y in pairs],
-                            by_key)
-    for key, xy in zip(keys, pairs):
-        q.data[key] = xy
-    return q
+    return FinitePoset._native(keys, pairs,
+                               [(low_down[x] & high_up[y]) >> z
+                                for z, (x, y) in enumerate(pairs)],
+                               [low_up[x] & high_down[y] for x, y in pairs],
+                               by_key)
 
 
 def poset_core(p):
@@ -1034,11 +1026,10 @@ def boolean_lattice(k):
     index = {s: a for a, s in enumerate(subs)}
     edges = [(a, index[tuple(sorted(s + (v,)))])
              for a, s in enumerate(subs) for v in range(1, k + 1) if v not in s]
-    p = FinitePoset.from_edges(["{" + ",".join(map(str, s)) + "}" for s in subs],
-                               edges)
-    for s in subs:
-        p.data["{" + ",".join(map(str, s)) + "}"] = frozenset(s)
-    return p
+    order, up, down, by_key = _closure(len(subs), *_edge_arrays(edges))
+    return FinitePoset._native(
+        ["{" + ",".join(map(str, subs[i])) + "}" for i in order],
+        [frozenset(subs[i]) for i in order], up, down, by_key)
 
 
 def clear_caches():

@@ -383,8 +383,7 @@ def webb_reduction_check(l_poset, budget=None):
         raise ValueError("webb reduction needs a lattice: %r" % (w,))
     intp = interval_poset(l_poset, "proper")
     keep = []
-    for idx, key in enumerate(intp.elements):
-        i, j = intp.data[key]
+    for idx, (i, j) in enumerate(intp.data):
         strict = l_poset.up[i] & l_poset.down[j] & ~(1 << i) & ~(1 << j)
         hom = poset_homology(l_poset.restrict(bits(strict)), budget)
         if hom.euler != 0 or not hom.is_trivial():

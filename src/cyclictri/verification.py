@@ -32,8 +32,8 @@ def verify_suspension(n, d, order="s1", cap=None):
     # triangulations and the three maps by position: f from p to q, i and
     # j from q to p.  Witnesses are the first in key order: elements are
     # walked by by_key, and the first of a position mask picked by key rank.
-    p_ts = p.data_by_position()
-    q_ts = q.data_by_position()
+    p_ts = list(p.data)
+    q_ts = list(q.data)
     p_at = {t: x for x, t in enumerate(p_ts)}
     q_at = {t: x for x, t in enumerate(q_ts)}
     i_ts = [tri.insert_bottom(t) for t in q_ts]
@@ -235,7 +235,7 @@ def verify_s0_monotone(n, d, order="s1", cap=None):
     even d, downward for odd d.  Returns pass or the first witness pair."""
     p = build_order(order, n, d, cap)
     s0 = tri.terminal_simplex(n, d)
-    has = sum(1 << x for x, t in enumerate(p.data_by_position()) if s0 in t)
+    has = sum(1 << x for x, t in enumerate(p.data) if s0 in t)
     for a in p.by_key:
         if (has >> a) & 1:
             bad = p.up[a] & ~has if d % 2 == 0 else 0

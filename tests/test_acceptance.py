@@ -137,10 +137,9 @@ def test_criterion_06_phi_image():
     for n in (5, 6):
         s2 = build_s2(n, 3)
         coat = interval_poset(s2, "proper_coatomic")
-        for key in coat.elements:
-            i, j = coat.data[key]
-            lo = s2.data[s2.elements[i]]
-            hi = s2.data[s2.elements[j]]
+        for key, (i, j) in zip(coat.elements, coat.data):
+            lo = s2.data[i]
+            hi = s2.data[j]
             if phi(interval_to_subdivision(lo, hi, s2)) != (lo, hi):
                 bad.append((n, 3, "round trip", key))
     _verdict(6, "phi bijection (d=2) and round trips (d=3)", bad)

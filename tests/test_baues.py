@@ -114,10 +114,9 @@ def test_interval_to_subdivision_round_trip_d3():
     s2 = build_s2(6, 3)
     coat = interval_poset(s2, "proper_coatomic")
     assert len(coat) == 12
-    for key in coat.elements:
-        i, j = coat.data[key]
-        lo = s2.data[s2.elements[i]]
-        hi = s2.data[s2.elements[j]]
+    for i, j in coat.data:
+        lo = s2.data[i]
+        hi = s2.data[j]
         delta = interval_to_subdivision(lo, hi, s2)
         assert phi(delta) == (lo, hi)
 
@@ -132,8 +131,7 @@ def test_interval_to_subdivision_rejects_non_coatomic():
                 continue
             if not s2.is_coatomic(i, j):
                 with pytest.raises(ValueError):
-                    interval_to_subdivision(s2.data[s2.elements[i]],
-                                            s2.data[s2.elements[j]], s2)
+                    interval_to_subdivision(s2.data[i], s2.data[j], s2)
                 return
     pytest.fail("expected a non-coatomic interval in S2(6,2)")
 
@@ -166,7 +164,7 @@ def test_baues_poset_matches_oracle_as_posets():
     # the pairwise reference against the built order, beyond the oracle
     for n, d in [(7, 2), (6, 3), (7, 3)]:
         bp = baues_poset(n, d)
-        deltas = [bp.data[k] for k in bp.keys()]
+        deltas = [bp.data[x] for x in bp.by_key]
         bad = [(a.key(), b.key()) for a in deltas for b in deltas
                if refinement_leq(a, b) != bp.le_keys(a.key(), b.key())]
         assert bad == []
@@ -215,7 +213,7 @@ def test_refinement_mismatch_names_first_pair_in_key_order(monkeypatch):
     def discrete(p, variant):
         q = interval_poset(p, variant)
         flat = FinitePoset(q.keys(), [1 << i for i in range(len(q))])
-        flat.data.update(q.data)
+        flat.data = tuple(q.data[x] for x in q.by_key)
         return flat
 
     monkeypatch.setattr(baues, "interval_poset", discrete)

@@ -8,6 +8,7 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 
 import pytest
 
@@ -270,6 +271,23 @@ def test_enumerate_output_bytes_pinned(tmp_path, capsys):
     assert code == 0
     assert hashlib.sha256(path.read_bytes()).hexdigest() == \
         "0fe60da93aef2fc4deaae27150b597ad7ebf0862c0be892d3e3307b13e71ab7a"
+
+
+def test_enumerate_payload_memory_is_a_few_payloads():
+    # the export is joined from one JSON text per triangulation; nested
+    # lists of every member took 15.9 MB for this 1.3 MB payload
+    from cyclictri.posets import enumerate_triangulations
+    enumerate_triangulations(10, 4)
+    args = cli.build_parser().parse_args(["enumerate", "--n", "10", "--d", "4"])
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        code, _, payload = args.func(args)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0 and json.loads(payload)["count"] == 4824
+    assert peak < 3 * len(payload), (peak, len(payload))
 
 
 def test_bad_args_exit_code(capsys):

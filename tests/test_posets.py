@@ -1,6 +1,7 @@
 """Finite poset machinery plus the two Stasheff-Tamari constructions."""
 
 import ast
+import hashlib
 import json
 import random
 import sys
@@ -12,12 +13,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import cyclictri
-from cyclictri.baues import baues_poset
+from cyclictri.baues import Subdivision, baues_poset
 from cyclictri.oracles import lattice_witness_all_pairs
 from cyclictri.posets import (
     FinitePoset,
     ResourceBudgetError,
     boolean_lattice,
+    build_order,
     build_s1,
     build_s2,
     clear_caches,
@@ -26,10 +28,11 @@ from cyclictri.posets import (
     flip_cover_discrepancies,
     flip_step_edges,
     interval_poset,
+    poset_core,
 )
 from cyclictri.simplices import bits
 from cyclictri.topology import chain_counts, poset_homology
-from cyclictri.triangulations import apply_flip, increasing_flips
+from cyclictri.triangulations import Triangulation, apply_flip, increasing_flips
 
 
 def _poset(els, edges):
@@ -184,11 +187,13 @@ def test_relabel_shares_the_rows_under_new_keys():
     p = boolean_lattice(3)
     n = len(p)
     keys = ["k%d" % x for x in range(n)]
-    q = p.relabel(keys, list(range(n - 1, -1, -1)))
+    q = p.relabel(keys, None, list(range(n - 1, -1, -1)))
     assert q.elements == tuple(keys) and q.keys() == keys[::-1]
     assert q._up is p._up and q.down is p.down
-    assert q.data == {} and q.bottom() == p.bottom() and q.top() == p.top()
-    for args in ((keys[1:], list(range(n))), (keys, [0] * n), (keys, list(range(1, n + 1)))):
+    assert q.data is None and q.bottom() == p.bottom() and q.top() == p.top()
+    assert p.relabel(keys, range(n), list(range(n))).data == tuple(range(n))
+    for args in ((keys[1:], None, list(range(n))), (keys, None, [0] * n),
+                 (keys, None, list(range(1, n + 1))), (keys, range(n - 1), list(range(n)))):
         with pytest.raises(ValueError):
             p.relabel(*args)
 
@@ -225,8 +230,8 @@ def test_proper_part_matches_restrict(build):
         assert [q.down[x] for x in range(len(q))] == list(r.down)
         assert list(q.elements) == list(r.elements)
         assert list(q.by_key) == list(r.by_key) and list(q.rank) == list(r.rank)
-        assert dict(q.index) == r.index
-        assert {k: q.data[k] for k in q.elements} == r.data
+        assert dict(q.index) == dict(r.index)
+        assert list(q.data) == list(r.data)
         assert q.covers() == r.covers()
         # restrict reads the order's stored rows under a proper part too
         half = range(0, len(q), 2)
@@ -245,7 +250,7 @@ def test_proper_part_rows_are_read_only_views():
     with pytest.raises(TypeError):
         q.up[0] = 0
     with pytest.raises(TypeError):
-        q.data[q.elements[0]] = None
+        q.data[0] = None
     for end in (p.elements[0], p.elements[-1]):
         assert end not in q.index
         with pytest.raises(KeyError):
@@ -354,6 +359,62 @@ def test_lattice_verdict_builds_no_triangulation_per_element(monkeypatch, n, d):
     assert sorted(made) == ["key", "key", "object", "object"], made
 
 
+# sha256 of the JSON of [keys, up-sets, down-sets, by_key, rank] of the core
+# of each proper part, as the cores were when restrict copied each key
+CORE_DIGESTS = {
+    ("s1", 9, 3): "b15935f814ded852898b5f3a343b6519a49697370f627791a44e4ab9829f5cea",
+    ("s2", 9, 3): "5300f42a7d54849ea3ff4cc7ff623a2e78c4822515b635af36724643fc7484a6",
+    ("s1", 10, 4): "cecaeba2564327715b23b58048634ac89100fd18a667d94971633d2af491b9a8",
+    ("s2", 10, 4): "33505499a114d4b6bed29a0b77d0ecda3e187a91b36a7e4415e971caac7d5cec",
+}
+
+
+def test_restrict_builds_no_key_and_no_triangulation(monkeypatch):
+    # the core and the open interval of mobius are views over the record:
+    # building them reads no key string, finds no key and makes no
+    # Triangulation (30 of each per core when restrict looked each kept key
+    # up)
+    from cyclictri import posets, triangulations
+    for cache in ("_enum_cache", "_s1_cache", "_s2_cache"):
+        monkeypatch.setattr(posets, cache, {})
+    monkeypatch.setattr(triangulations, "_table_cache", {})
+    parts = {(name, n, d): build(n, d).proper_part()
+             for name, build in (("s1", build_s1), ("s2", build_s2))
+             for n, d in [(9, 3), (10, 4)]}
+    s2 = build_s2(8, 3)
+    made = []
+
+    def counted(cls, name):
+        method = getattr(cls, name)
+
+        def wrapper(*args):
+            made.append(name)
+            return method(*args)
+        monkeypatch.setattr(cls, name, wrapper)
+
+    counted(triangulations._Table, "key")
+    counted(triangulations._Table, "triangulation")
+    counted(posets._Enumeration, "find")
+    cores = {at: poset_core(q) for at, q in parts.items()}
+    mu = s2.mobius(s2.bottom(), s2.top())
+    assert made == []
+    assert mu == 1      # (-1)^(n - d - 3)
+    for at, core in cores.items():
+        doc = [list(core.elements), list(core.up), list(core.down),
+               list(core.by_key), list(core.rank)]
+        digest = hashlib.sha256(json.dumps(doc).encode()).hexdigest()
+        assert len(core) == 30 and digest == CORE_DIGESTS[at], at
+        assert all(core.index[k] == x for x, k in enumerate(core.elements))
+        assert list(core.index) == list(core.elements)
+        kept = set(core.elements)
+        for key in (next(k for k in parts[at].elements if k not in kept),
+                    build_order(at[0], at[1], at[2]).elements[0]):     # the bottom
+            assert key not in core.index
+            with pytest.raises(KeyError):
+                core.index[key]
+        assert [t.key() for t in core.data] == list(core.elements)
+
+
 # every instance the acceptance battery enumerates: criteria 01-04 and 07
 ACCEPTANCE_ENUMERATED = sorted({(n, d) for d in range(1, 8) for n in range(d + 2, 10)}
                                | {(n, d) for d in (1, 2, 3) for n in range(d + 2, 11)}
@@ -392,8 +453,8 @@ def test_enumeration_record_views():
     assert len(p.elements) == len(p.index) == len(p.data) == len(ts)
     for x in (0, 5, len(p) - 1):
         k = p.elements[x]
-        assert p.index[k] == x and p.data[k] == ts[p.rank[x]]
-        assert p.data[k].key() == k
+        assert p.index[k] == x and p.data[x] == ts[p.rank[x]]
+        assert p.data[x].key() == k
     assert list(p.elements[1:4]) == [p.elements[x] for x in range(1, 4)]
     doc = json.loads(ts.key(0))
     unsorted = dict(doc, simplices=doc["simplices"][::-1])
@@ -404,22 +465,57 @@ def test_enumeration_record_views():
                 *(json.dumps(x, separators=(",", ":")) for x in (unsorted, repeated, fewer))):
         assert bad not in p.index
         with pytest.raises(KeyError):
-            p.data[bad]
+            p.index[bad]
     with pytest.raises(TypeError):
-        p.data[p.elements[0]] = None
+        p.data[0] = None
     assert sorted(p.index) == sorted(p.elements) == [ts.key(r) for r in range(len(ts))]
 
 
+def _payload_cases():
+    """(name, poset, payload(x) read from position x's key alone, or None
+    where the poset carries no payload) for every builder."""
+    s1, s2, b3 = build_s1(8, 3), build_s2(8, 3), boolean_lattice(3)
+
+    def tri(p):
+        return lambda x: Triangulation.from_json(p.elements[x])
+
+    def ends(p, src):
+        return lambda x: tuple(src.index[k] for k in json.loads(p.elements[x]))
+
+    for name, p in (("S1", s1), ("S2", s2)):
+        q = p.proper_part()
+        for sub, r in (("", p), (".proper", q), (".restrict", p.restrict(range(0, len(p), 3))),
+                       (".proper.restrict", q.restrict(range(1, len(q), 4))),
+                       (".core", poset_core(q))):
+            yield name + sub, r, tri(r)
+    def subset(p):
+        return lambda x: frozenset(int(v) for v in p.elements[x][1:-1].split(",") if v)
+
+    for name, p in (("B3", b3), ("B3.proper", b3.proper_part()),
+                    ("B3.restrict", b3.restrict([0, 2, 5, 7]))):
+        yield name, p, subset(p)
+    for variant in ("all", "proper", "proper_coatomic"):
+        ip = interval_poset(b3, variant)
+        yield "Int(B3)." + variant, ip, ends(ip, b3)
+        ip = interval_poset(s2, variant)
+        yield "Int(S2)." + variant, ip, ends(ip, s2)
+    bp = baues_poset(6, 2)
+    yield "Baues(6,2)", bp, lambda x: Subdivision.from_json(bp.elements[x])
+    yield "relabel", b3.relabel(list("abcdefgh"), "ABCDEFGH", range(8)), "ABCDEFGH".__getitem__
+    yield "relabel.none", s1.relabel(list(range(len(s1))), None, range(len(s1))), None
+    yield "from_edges", _poset(["a", "b"], [("a", "b")]), None
+
+
 def test_data_by_position_is_data_of_each_element():
-    # on an enumeration's orders and their proper parts, and on a poset
-    # whose data is a dict
-    for p in (build_s1(8, 3), build_s2(8, 3), boolean_lattice(3)):
-        for q in (p, p.proper_part()):
-            got = q.data_by_position()
-            assert got == [q.data[k] for k in q.elements]
-    ts = enumerate_triangulations(8, 3)
-    p = build_s2(8, 3)
-    assert p.data_by_position() == [ts[r] for r in p.rank]
+    for name, p, want in _payload_cases():
+        if want is None:
+            assert p.data is None, name
+            continue
+        assert len(p.data) == len(p), name
+        assert [p.data[x] for x in range(len(p))] == list(map(want, range(len(p)))), name
+        assert list(p.data) == [p.data[x] for x in range(len(p))], name
+        with pytest.raises(TypeError):
+            p.data[0] = p.data[0]
 
 
 @pytest.mark.parametrize("build", [build_s1, build_s2], ids=["s1", "s2"])
@@ -654,9 +750,9 @@ def test_interval_poset_order_is_containment():
     b2 = boolean_lattice(2)
     ip = interval_poset(b2, "all")
     for a in range(len(ip)):
-        ia, ja = ip.data[ip.elements[a]]
+        ia, ja = ip.data[a]
         for b in range(len(ip)):
-            ib, jb = ip.data[ip.elements[b]]
+            ib, jb = ip.data[b]
             want = b2.le(ib, ia) and b2.le(ja, jb)
             assert ip.le(a, b) == want
 
@@ -780,9 +876,9 @@ def test_coordinates_match_naive_references(dag, data):
     ip = interval_poset(p)
     for a in range(len(ip)):
         assert ip.up[a] & ((1 << a) - 1) == 0
-        x, y = ip.data[ip.elements[a]]
+        x, y = ip.data[a]
         for b in range(len(ip)):
-            v, w = ip.data[ip.elements[b]]
+            v, w = ip.data[b]
             assert ip.le(a, b) == (p.le(v, x) and p.le(y, w))
     for i in range(n):
         for j in range(n):

@@ -134,11 +134,12 @@ def test_s0_monotone_witness_is_first_in_key_order(monkeypatch):
     link = [(5 * i) % len(keys) for i in range(len(keys))]
     chain = FinitePoset(keys, [sum(1 << j for j in range(len(keys))
                                    if link[j] >= link[i]) for i in range(len(keys))])
-    chain.data.update(s1.data)
+    chain.data = tuple(s1.data[s1.index[k]] for k in chain.elements)
     monkeypatch.setattr(verification, "build_order", lambda order, n, d, cap=None: chain)
     s0 = terminal_simplex(6, 2)
+    t = dict(zip(chain.elements, chain.data))
     want = next((a, b) for a in keys for b in keys if chain.le_keys(a, b)
-                and s0 in chain.data[a] and s0 not in chain.data[b])
+                and s0 in t[a] and s0 not in t[b])
     assert verify_s0_monotone(6, 2) == {"pass": False, "witness": want}
 
 
@@ -247,8 +248,8 @@ def test_monotone_helper_matches_pair_scan(n, d, order):
     # the contraction map is monotone; with two images swapped it is not,
     # and the covers-first check must name the pair the full scan finds first
     p, q = build_order(order, n, d), build_order(order, n - 1, d)
-    q_at = {q.data[k]: y for y, k in enumerate(q.elements)}
-    f = [q_at[contract_last(p.data[k])] for k in p.elements]
+    q_at = {t: y for y, t in enumerate(q.data)}
+    f = [q_at[contract_last(t)] for t in p.data]
     assert _monotone_witness(p, q, f) is None
     assert _reference_monotone(p, q, f) is None
     rng = random.Random(90 + n + d)
