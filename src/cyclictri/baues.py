@@ -179,8 +179,7 @@ def _phi(delta, memo):
     t_high = tab.triangulation(high)
     if tri.submersion_mask(t_low) & ~tri.submersion_mask(t_high):
         raise AssertionError("glued bottom is not below glued top")
-    if t_low == tri.bottom(delta.n, delta.d) and \
-            t_high == tri.top(delta.n, delta.d):
+    if low == tab.bottom.mask and high == tab.top.mask:
         raise AssertionError("proper subdivision mapped to the improper interval")
     return t_low, t_high
 
@@ -220,12 +219,12 @@ def _cells_of_interval(t_low, t_high, memo):
     n, d = t_high.n, t_high.d
     tab = tri.table(n, d)
     walls = used = 0
-    for k in simplices.bits(tab.mask(t_low.simplices)):
+    for k in simplices.bits(t_low.mask):
         _, _, facets, labels = tab.row(k)
         walls |= facets
         used |= labels
     comps = []      # (walls outside t_low, labels) of each component so far
-    for k in simplices.bits(tab.mask(t_high.simplices)):
+    for k in simplices.bits(t_high.mask):
         _, _, facets, labels = tab.row(k)
         beside = facets & ~walls
         joined = [comp for comp in comps if comp[0] & beside]
@@ -300,7 +299,7 @@ def interval_product_check(n, d, cap=None):
     for key, delta in zip(p.elements, p.data):
         t_low, t_high = _phi(delta, memo)
         i, j = s2.index[t_low.key()], s2.index[t_high.key()]
-        size = bin(s2.up[i] & s2.down[j]).count("1")
+        size = (s2.up[i] & s2.down[j]).bit_count()
         mu = s2.mobius(i, j)
         want_size = 1
         want_mu = 1

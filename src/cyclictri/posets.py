@@ -20,9 +20,10 @@ refutation scans pairs in key order, with the small side of each row, meets
 or joins, settled in bulk.  Enumeration walks the members of each flip-search
 mask once, for its flips and its validation, and keeps one record: the masks,
 sorted in key order by a compact bytes key, and the flip edges in flat arrays
-that the S1 closure reads.  Triangulations and key strings are built from the
-masks when they are read: a poset on C(n, d), its proper part and its
-restrictions name their elements and carry their triangulations through
+that the S1 closure reads, and S2 reads its submersion masks off the masks.
+A Triangulation is its mask, wrapped when it is read, and a key string is
+built from the mask when it is read: a poset on C(n, d), its proper part and
+its restrictions name their elements and carry their triangulations through
 views over the record (_Record, _Index), so none of them holds a key string
 or a Triangulation of its own.
 """
@@ -151,8 +152,7 @@ class FinitePoset:
     def first_in_key_order(self, mask):
         """The position in a nonempty mask whose key comes first in key
         order."""
-        return min((y for y, bit in enumerate(bin(mask)[:1:-1]) if bit == "1"),
-                   key=self.rank.__getitem__)
+        return min(bits(mask), key=self.rank.__getitem__)
 
     @staticmethod
     def from_edges(elements, edges):
@@ -681,8 +681,8 @@ class _Enumeration(Sequence):
     """The one record of an enumeration of C(n, d): masks, the table masks
     of its triangulations in key order, and edges, its flip steps
     (_FlipEdges).  Read as a sequence it gives the Triangulations, each
-    built when it is read; key(r) builds the key of element r, and find(key)
-    finds the element of a key."""
+    wrapping its mask when it is read; key(r) builds the key of element r,
+    and find(key) finds the element of a key."""
 
     __slots__ = ("table", "masks", "edges")
 
@@ -704,15 +704,21 @@ class _Enumeration(Sequence):
         return self.table.key(self.masks[r])
 
     def find(self, key):
-        """The index of the element whose key is key; KeyError if none.  The
-        key is read back into its mask, which is bisected for in masks by
-        its place in key order."""
-        mask = self.table.key_mask(key)
-        if mask is not None:
-            order = self.table.key_order
-            k = bisect_left(self.masks, order(mask), key=order)
-            if k < len(self.masks) and self.masks[k] == mask:
-                return k
+        """The index of the element whose key is key; KeyError if none.  A
+        key must start with this table's head, so no other instance's table
+        is built; it is read by from_json and must be the key of what it
+        reads, whose mask is then bisected for in masks by its place in key
+        order."""
+        tab = self.table
+        if isinstance(key, str) and key.startswith(tab.head):
+            try:
+                t = tri.Triangulation.from_json(key)
+            except (ValueError, TypeError, ResourceBudgetError):
+                t = None    # not JSON, or not a set of d-simplices of [n]
+            if t is not None and t.key() == key:
+                k = bisect_left(self.masks, tab.key_order(t.mask), key=tab.key_order)
+                if k < len(self.masks) and self.masks[k] == t.mask:
+                    return k
         raise KeyError(key)
 
 
@@ -743,7 +749,7 @@ def enumerate_triangulations(n, d, cap=None):
         cap = DEFAULT_ENUM_CAP
     if got is None:
         tab = tri.table(n, d)
-        start = tab.mask(tab.bottom.simplices)
+        start = tab.bottom.mask
         seen = {start: 0}
         masks = [start]
         edges = _FlipEdges()
@@ -767,7 +773,7 @@ def enumerate_triangulations(n, d, cap=None):
                 src(i)
                 dst(j)
                 flip(number.setdefault(cand, len(number)))
-        if tab.mask(tab.top.simplices) not in seen:
+        if tab.top.mask not in seen:
             raise AssertionError("flip search failed to reach the top element")
         del seen
         edges.simplices = list(number)
@@ -799,10 +805,9 @@ def flip_step_edges(n, d, cap=None):
 def _check_ends(p, ts, name):
     """Raise unless the bottom and top of p, on the triangulations of the
     enumeration ts, are the bottom and top triangulations."""
-    tab = ts.table
     ends = [p.bottom(), p.top()]
     if None in ends or [ts.masks[p.rank[x]] for x in ends] != \
-            [tab.mask(tab.bottom.simplices), tab.mask(tab.top.simplices)]:
+            [ts.table.bottom.mask, ts.table.top.mask]:
         raise AssertionError("%s is not bounded by bottom/top" % name)
 
 
@@ -834,7 +839,7 @@ def build_s2(n, d, cap=None):
     ts = enumerate_triangulations(n, d, cap)    # the cap holds on a cache hit too
     p = _s2_cache.get(key)
     if p is None:
-        masks = [tri.submersion_mask(t) for t in ts]
+        masks = list(map(ts.table.submersion, ts.masks))
         first = {}
         for i, m in enumerate(masks):
             if first.setdefault(m, i) != i:

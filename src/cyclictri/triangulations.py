@@ -1,23 +1,26 @@
 """Triangulations of C(n, d): the value type, validity checking, bistellar
 flips, the vertex contraction/insertion maps, and submersion masks.
 
-Validation and flips run on one lookup table per (n, d), `table(n, d)`: the
+Everything runs on one lookup table per (n, d), `table(n, d)`: the
 d-simplices of [n] are numbered in lexicographic order, so a set of them is
 an int mask and an increasing flip is `t & low == low -> (t ^ low) | up`
-(the bitset design of TOPCOM; Rambau, ICMS 2002).  Validation reads masks
+(the bitset design of TOPCOM; Rambau, ICMS 2002).  A Triangulation is
+(n, d, mask): equality, hashing, membership and size read the mask, and its
+member tuples are built only when they are read.  Validation reads masks
 too: each simplex's row holds its conflict mask (the zig-zag rule, as ANDs
 of masks of the simplices with a label in a gap), its volume, and the masks
 of its facets and labels, so a mask is checked by ANDs, an integer sum and
 three saturating facet counters.  The check is two steps: one walk over the
 members accumulates these sums (and, for the flip search, the increasing
 flips on the same walk), then a judge reads them.  Members and facets are
-walked again only to name the witness of a failure.  A mask is also a
+walked again only to name the witness of a failure.  A mask gives its
 Triangulation, its key string and its place in key order on demand
 (`triangulation`, `key`, `key_order`), so a set of triangulations can be
-kept as masks alone."""
+kept as masks alone; `key` is the one writer of key strings, and
+`Triangulation.from_json` the one reader.  Submersion masks are ORs of
+per-simplex deny masks kept on the table."""
 
 import json
-from bisect import bisect_left
 from collections import namedtuple
 from functools import cached_property
 from itertools import combinations, product
@@ -29,8 +32,6 @@ from .simplices import LOWER, bits, facet_split, gale_facets, simplex
 DEFAULT_ENUM_CAP = 10 ** 6
 
 _table_cache = {}
-_intertwining_cache = {}
-_KEY = '{"n":%d,"d":%d,"simplices":[%s]}'
 
 
 class ResourceBudgetError(RuntimeError):
@@ -51,9 +52,11 @@ Violation = namedtuple("Violation", "rule witness message")
 
 
 class Triangulation:
-    """Immutable set of d-simplices on labels 1..n, canonically ordered."""
+    """Immutable set of d-simplices on labels 1..n, held as its mask over
+    table(n, d).simplices; the member tuples, in lexicographic order, are
+    built from the mask on first read and kept."""
 
-    __slots__ = ("n", "d", "simplices", "_hash")
+    __slots__ = ("n", "d", "mask", "_simplices")
 
     def __init__(self, n, d, simplices):
         if n < d + 1 or d < 1:
@@ -66,52 +69,47 @@ class Triangulation:
                 raise ValueError("label out of range in %r" % (s,))
         if len(set(simp)) != len(simp):
             raise ValueError("repeated simplex")
-        self._assign(n, d, simp)
+        self._assign(n, d, table(n, d).mask(simp))
+        self._simplices = simp
 
-    def _assign(self, n, d, simp):
+    def _assign(self, n, d, mask):
         self.n = n
         self.d = d
-        self.simplices = simp
-        self._hash = None
+        self.mask = mask
+        self._simplices = None
 
-    @classmethod
-    def _canonical(cls, n, d, simp):
-        """Trusted constructor for members already canonical and sorted."""
-        t = cls.__new__(cls)
-        t._assign(n, d, simp)
-        return t
+    @property
+    def simplices(self):
+        if self._simplices is None:
+            self._simplices = tuple(
+                map(table(self.n, self.d).simplices.__getitem__, bits(self.mask)))
+        return self._simplices
 
     def __contains__(self, s):
-        s = tuple(s)
-        i = bisect_left(self.simplices, s)
-        return i < len(self.simplices) and self.simplices[i] == s
+        i = table(self.n, self.d).index.get(tuple(s))
+        return i is not None and (self.mask >> i) & 1 == 1
 
     def __iter__(self):
         return iter(self.simplices)
 
     def __len__(self):
-        return len(self.simplices)
+        return self.mask.bit_count()
 
     def __eq__(self, other):
         return isinstance(other, Triangulation) and \
-            (self.n, self.d, self.simplices) == (other.n, other.d, other.simplices)
+            (self.n, self.d, self.mask) == (other.n, other.d, other.mask)
 
     def __hash__(self):
-        # computed on first use: most triangulations are never hashed
-        if self._hash is None:
-            self._hash = hash((self.n, self.d, self.simplices))
-        return self._hash
+        return hash((self.n, self.d, self.mask))
 
     def __repr__(self):
         return "Triangulation(%d, %d, %s)" % (self.n, self.d, list(self.simplices))
 
     def key(self):
-        """Canonical JSON form; byte-stable identity for posets and exports.
-
-        The bytes are those of json.dumps({"n": n, "d": d, "simplices":
-        [list(s) for s in simplices]}, separators=(",", ":")), joined from
-        one "[a,b,c]" text per simplex."""
-        return _KEY % (self.n, self.d, ",".join(map(_text, self.simplices)))
+        """Canonical JSON form; byte-stable identity for posets and exports:
+        the bytes of json.dumps({"n": n, "d": d, "simplices": [list(s) for s
+        in simplices]}, separators=(",", ":")), as _Table.key writes them."""
+        return table(self.n, self.d).key(self.mask)
 
     @staticmethod
     def from_json(text):
@@ -119,18 +117,14 @@ class Triangulation:
         return Triangulation(obj["n"], obj["d"], [tuple(s) for s in obj["simplices"]])
 
 
-def _text(s):
-    """The JSON text "[a,b,c]" of a simplex."""
-    return "[%s]" % ",".join(map(str, s))
-
-
 class _Table:
     """The d-simplices of [n] in lexicographic order, bit i of a mask
     standing for simplices[i], with what validation and flips need of each:
     its row and its extensions, both filled in on first use, so only the
-    simplices that occur cost anything.  The gap masks the rows are built
-    from, the hull volume, the numbering of the d-subsets of [n] (the
-    facets) and the boundary are computed once, on first use.
+    simplices that occur cost anything, and likewise its deny mask for
+    submersion.  The gap masks the rows are built from, the hull volume, the
+    numbering of the d-subsets of [n] (the facets), the boundary and the
+    middle cells are computed once, on first use.
     """
 
     def __init__(self, n, d):
@@ -138,8 +132,10 @@ class _Table:
         self.d = d
         self.simplices = list(combinations(range(1, n + 1), d + 1))
         self.index = {s: i for i, s in enumerate(self.simplices)}
+        self.head = '{"n":%d,"d":%d,"simplices":[' % (n, d)     # of every key
         self._rows = [None] * len(self.simplices)
         self._extensions = [None] * len(self.simplices)
+        self._denies = [None] * len(self.simplices)
         if n == d + 1:
             lo = hi = 1
         else:
@@ -175,39 +171,20 @@ class _Table:
         return m
 
     def triangulation(self, mask):
-        """The Triangulation of a mask, built without re-sorting."""
-        return Triangulation._canonical(
-            self.n, self.d, tuple(map(self.simplices.__getitem__, bits(mask))))
+        """The Triangulation of a mask, wrapped as it is."""
+        t = Triangulation.__new__(Triangulation)
+        t._assign(self.n, self.d, mask)
+        return t
 
     @cached_property
     def texts(self):
         """texts[i]: the JSON text "[a,b,c]" of simplices[i]."""
-        return list(map(_text, self.simplices))
+        return ["[%s]" % ",".join(map(str, s)) for s in self.simplices]
 
     def key(self, mask):
-        """The key() of the mask's Triangulation, joined from texts."""
-        return _KEY % (self.n, self.d, ",".join(map(self.texts.__getitem__, bits(mask))))
-
-    @cached_property
-    def _text_index(self):
-        """The index of each simplex by its text without brackets, "a,b,c"."""
-        return {text[1:-1]: i for i, text in enumerate(self.texts)}
-
-    def key_mask(self, key):
-        """The mask whose key() is key, or None when key is no canonical key
-        of a nonempty set of d-simplices of [n]: its members' texts must be
-        the table's, in increasing order."""
-        head = '{"n":%d,"d":%d,"simplices":[[' % (self.n, self.d)
-        if not (isinstance(key, str) and key.startswith(head) and key.endswith("]]}")):
-            return None
-        index, mask, last = self._text_index, 0, -1
-        for text in key[len(head):-3].split("],["):
-            i = index.get(text, -1)
-            if i <= last:
-                return None
-            mask |= 1 << i
-            last = i
-        return mask
+        """The key of the mask's Triangulation, joined from texts: the one
+        writer of key strings."""
+        return "%s%s]}" % (self.head, ",".join(map(self.texts.__getitem__, bits(mask))))
 
     @cached_property
     def _text_ranks(self):
@@ -406,6 +383,47 @@ class _Table:
         _, low, up = self.extensions(i)[cand[-1] - cand[-2] - 1]
         return low, up
 
+    @cached_property
+    def _intertwining(self):
+        """(cells, masks): the mask of all middle cells of [n], the
+        (ceil(d/2)+1)-subsets in lexicographic order, and for each
+        (floor(d/2)+1)-subset B of [n] the mask of the cells B denies.
+
+        With k = floor(d/2), B denies the cell s iff b0<s0<b1<...<bk<sk for
+        even d, and iff s0<b0<s1<...<bk<s(k+1) for odd d (Oppermann-Thomas
+        2012; Williams 2023).  The denied cells are enumerated directly:
+        each s_j ranges over the open gap between its two neighbouring b's.
+        """
+        n, d = self.n, self.d
+        cells = list(combinations(range(1, n + 1), (d + 1) // 2 + 1))
+        index = {c: j for j, c in enumerate(cells)}
+        masks = {}
+        for b in combinations(range(1, n + 1), d // 2 + 1):
+            walls = (b if d % 2 == 0 else (0,) + b) + (n + 1,)
+            m = 0
+            for s in product(*(range(lo + 1, hi) for lo, hi in zip(walls, walls[1:]))):
+                m |= 1 << index[s]
+            masks[b] = m
+        return (1 << len(cells)) - 1, masks
+
+    def submersion(self, mask):
+        """The submersion mask of a mask: the middle cells that no
+        (floor(d/2)+1)-face of a member denies, the complement of the OR of
+        the members' deny masks.  A simplex's deny mask, the OR over its
+        faces, is filled in on first use."""
+        cells, masks = self._intertwining
+        denies, k = self._denies, self.d // 2 + 1
+        deny = 0
+        for i in bits(mask):
+            m = denies[i]
+            if m is None:
+                m = 0
+                for b in combinations(self.simplices[i], k):
+                    m |= masks[b]
+                denies[i] = m
+            deny |= m
+        return cells & ~deny
+
 
 def _facets(s):
     """The facets of a simplex, dropping its labels first to last."""
@@ -445,10 +463,9 @@ def validate(simplices, n, d):
             t = Triangulation(n, d, simplices)
     except ValueError as e:
         return Violation("shape", simplices, str(e))
-    if not t.simplices:
+    if not t.mask:
         return Violation("empty", t, "no simplices")
-    tab = table(n, d)
-    return tab.violation(tab.mask(t.simplices))
+    return table(n, d).violation(t.mask)
 
 
 def make_triangulation(simplices, n, d):
@@ -474,8 +491,7 @@ def top(n, d):
 def increasing_flips(t):
     """All (d+2)-subsets whose lower facets all lie in t, in lexicographic
     order; each is a valid upward bistellar move."""
-    tab = table(t.n, t.d)
-    return [cand for cand, _, _ in tab.flips(tab.mask(t.simplices))]
+    return [cand for cand, _, _ in table(t.n, t.d).flips(t.mask)]
 
 
 def apply_flip(t, cand):
@@ -484,11 +500,10 @@ def apply_flip(t, cand):
     if len(cand) != t.d + 2:
         raise ValueError("flip simplex needs d+2 vertices")
     tab = table(t.n, t.d)
-    mask = tab.mask(t.simplices)
     low, up = tab.split(cand)
-    if mask & low != low:
+    if t.mask & low != low:
         raise ValueError("%r is not an increasing flip of this triangulation" % (cand,))
-    return tab.triangulation((mask ^ low) | up)
+    return tab.triangulation((t.mask ^ low) | up)
 
 
 def contract_last(t):
@@ -497,30 +512,33 @@ def contract_last(t):
     n, d = t.n, t.d
     if n < d + 2:
         raise ValueError("nothing to contract")
-    # a member ending in n but avoiding n-1 slides to s[:-1] + (n-1,),
-    # still sorted
-    out = {s if s[-1] != n else s[:-1] + (n - 1,)
-           for s in t.simplices if s[-1] != n or s[-2] != n - 1}
-    return Triangulation._canonical(n - 1, d, tuple(sorted(out)))
+    # a member ending in n but avoiding n-1 slides to s[:-1] + (n-1,)
+    tab = table(n - 1, d)
+    return tab.triangulation(tab.mask(s if s[-1] != n else s[:-1] + (n - 1,)
+                                      for s in t.simplices
+                                      if s[-1] != n or s[-2] != n - 1))
 
 
 def insert_bottom(t):
     """Extend a triangulation of C(n-1, d) to C(n, d) by coning the new last
-    vertex from below (adds the star of n in bottom(n, d))."""
+    vertex from below (adds the star of n in bottom(n, d): its members with
+    a label between n - 1 and n + 1)."""
     n = t.n + 1
-    star = tuple(s for s in bottom(n, t.d) if s[-1] == n)
-    return Triangulation._canonical(n, t.d, tuple(sorted(t.simplices + star)))
+    tab = table(n, t.d)
+    star = tab.bottom.mask & tab.gaps[n - 1][n + 1]
+    return tab.triangulation(tab.mask(t.simplices) | star)
 
 
 def insert_top(t):
     """Extend to C(n, d) by pushing the old last vertex's star up to the new
-    vertex and capping with the top star of {n-1, n}."""
+    vertex and capping with the top star of {n-1, n} (the members of top(n,
+    d) with labels n - 1 and n)."""
     n = t.n + 1
-    d = t.d
+    tab = table(n, t.d)
+    cap = tab.top.mask & tab.gaps[n - 1][n + 1] & tab.gaps[n - 2][n]
     # n-1 is the last label of the members holding it; they move to n
-    out = [s if s[-1] != n - 1 else s[:-1] + (n,) for s in t.simplices]
-    out.extend(s for s in top(n, d) if s[-2:] == (n - 1, n))
-    return Triangulation._canonical(n, d, tuple(sorted(out)))
+    return tab.triangulation(cap | tab.mask(s if s[-1] != n - 1 else s[:-1] + (n,)
+                                            for s in t.simplices))
 
 
 def terminal_simplex(n, d):
@@ -543,56 +561,8 @@ def color(t):
     return GREEN if present else RED
 
 
-# ---------------------------------------------------------------------------
-# Submersion sets.
-
-def _middle(d):
-    """The middle dimension ceil(d/2) at which the height order compares
-    submersion sets."""
-    return (d + 1) // 2
-
-
-def _intertwining_masks(n, d):
-    """Middle cells of [n], for each (floor(d/2)+1)-subset B the bitmask of
-    the cells B denies, and a dict, filled by submersion_mask, of the cells
-    each d-simplex denies (the OR over its (floor(d/2)+1)-faces).
-
-    With k = floor(d/2), B denies the cell s iff b0<s0<b1<...<bk<sk for even
-    d, and iff s0<b0<s1<...<bk<s(k+1) for odd d (Oppermann-Thomas 2012;
-    Williams 2023).  The denied cells are enumerated directly: each s_j
-    ranges over the open gap between its two neighbouring b's.
-    """
-    key = (n, d)
-    got = _intertwining_cache.get(key)
-    if got is None:
-        cells = list(combinations(range(1, n + 1), _middle(d) + 1))
-        index = {c: j for j, c in enumerate(cells)}
-        masks = {}
-        for b in combinations(range(1, n + 1), d // 2 + 1):
-            walls = (b if d % 2 == 0 else (0,) + b) + (n + 1,)
-            m = 0
-            for s in product(*(range(lo + 1, hi) for lo, hi in zip(walls, walls[1:]))):
-                m |= 1 << index[s]
-            masks[b] = m
-        got = (cells, masks, {})
-        _intertwining_cache[key] = got
-    return got
-
-
 def submersion_mask(t):
     """Bitmask over the middle cells of [n] (the (ceil(d/2)+1)-subsets, in
     lexicographic order) marking those submerged under t: the cells no
-    (floor(d/2)+1)-vertex face of t denies, the complement of the OR of the
-    members' deny masks."""
-    cells, masks, denies = _intertwining_masks(t.n, t.d)
-    k = t.d // 2 + 1
-    deny = 0
-    for s in t:
-        m = denies.get(s)
-        if m is None:
-            m = 0
-            for b in combinations(s, k):
-                m |= masks[b]
-            denies[s] = m
-        deny |= m
-    return ((1 << len(cells)) - 1) & ~deny
+    (floor(d/2)+1)-vertex face of t denies (_Table.submersion)."""
+    return table(t.n, t.d).submersion(t.mask)

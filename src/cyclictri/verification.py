@@ -181,7 +181,7 @@ def verify_connecting_set(t, t2, tilde):
         once |= low | up
         lowers |= low
         uppers |= up
-    in_t, in_t2 = tab.mask(t.simplices), tab.mask(t2.simplices)
+    in_t, in_t2 = t.mask, t2.mask
     for s, (low, up) in zip(tilde, splits):
         for cond, faces, own, end in (("ii", low, 0, in_t), ("iii", up, 1, in_t2)):
             bad = faces & ~twice & ~end

@@ -359,6 +359,32 @@ def test_lattice_verdict_builds_no_triangulation_per_element(monkeypatch, n, d):
     assert sorted(made) == ["key", "key", "object", "object"], made
 
 
+@pytest.mark.parametrize("n,d,size", [(9, 4, 357), (10, 4, 4824)])
+def test_s2_build_makes_no_triangulation(monkeypatch, n, d, size):
+    # the height order reads its submersion masks off the enumeration's
+    # table masks: no Triangulation and no key string is built per element
+    from cyclictri import posets, triangulations
+    for cache in ("_enum_cache", "_s2_cache"):
+        monkeypatch.setattr(posets, cache, {})
+    monkeypatch.setattr(triangulations, "_table_cache", {})
+    enumerate_triangulations(n, d)
+    made = []
+
+    def counted(cls, name, kind):
+        method = getattr(cls, name)
+
+        def wrapper(*args):
+            made.append(kind)
+            return method(*args)
+        monkeypatch.setattr(cls, name, wrapper)
+
+    counted(triangulations.Triangulation, "_assign", "object")
+    counted(triangulations.Triangulation, "key", "key")
+    counted(triangulations._Table, "key", "key")
+    assert len(build_s2(n, d)) == size
+    assert made == []
+
+
 # sha256 of the JSON of [keys, up-sets, down-sets, by_key, rank] of the core
 # of each proper part, as the cores were when restrict copied each key
 CORE_DIGESTS = {
@@ -460,8 +486,11 @@ def test_enumeration_record_views():
     unsorted = dict(doc, simplices=doc["simplices"][::-1])
     repeated = dict(doc, simplices=doc["simplices"][:1] * 2 + doc["simplices"][1:])
     fewer = dict(doc, simplices=doc["simplices"][1:])   # canonical, not a triangulation
+    # another instance's key, past the size guard, is rejected by its head
+    # before any table is built; a second "n" field is read past the head
     for bad in ("{}", ts.key(0)[:-1], 3, enumerate_triangulations(8, 2).key(0),
-                ts.key(0).replace(",", ", "),
+                ts.key(0).replace(",", ", "), ts.key(0).replace('"n":8', '"n":400'),
+                ts.key(0)[:-1] + ',"n":400}',
                 *(json.dumps(x, separators=(",", ":")) for x in (unsorted, repeated, fewer))):
         assert bad not in p.index
         with pytest.raises(KeyError):
@@ -902,20 +931,38 @@ def test_coordinates_match_naive_references(dag, data):
     assert compare_relations(p, FinitePoset.from_edges(keys, fewer)) == want
 
 
+def _package_nodes(skip):
+    """(file name, node) for every syntax node of the package's modules but
+    the one named skip."""
+    for path in sorted(Path(cyclictri.__file__).parent.glob("*.py")):
+        if path.name != skip:
+            for node in ast.walk(ast.parse(path.read_text(), str(path))):
+                yield path.name, node
+
+
+def test_only_triangulations_masks_member_tuples():
+    # a Triangulation carries its table mask: no module but triangulations.py
+    # rebuilds one from a .simplices attribute by a .mask(...) call
+    bad = []
+    for name, node in _package_nodes("triangulations.py"):
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) \
+                and node.func.attr == "mask":
+            bad += [(name, node.lineno) for arg in node.args for sub in ast.walk(arg)
+                    if isinstance(sub, ast.Attribute) and sub.attr == "simplices"]
+    assert not bad
+
+
 def test_only_posets_reads_the_stored_rows():
     # the row storage (up-rows from their own position, a proper part's
     # window over its order's lists) is read by posets.py alone: no other
     # module of the package touches it or imports a private name of posets
     storage = {"_frame", "_up", "_native", "_fill", "_set_rows"}
     bad = []
-    for path in sorted(Path(cyclictri.__file__).parent.glob("*.py")):
-        if path.name == "posets.py":
-            continue
-        for node in ast.walk(ast.parse(path.read_text(), str(path))):
-            if isinstance(node, ast.Attribute) and node.attr in storage:
-                bad.append((path.name, node.lineno, node.attr))
-            elif isinstance(node, ast.ImportFrom) and (node.module, node.level) in (
-                    ("posets", 1), ("cyclictri.posets", 0)):
-                bad += [(path.name, node.lineno, a.name) for a in node.names
-                        if a.name.startswith("_")]
+    for name, node in _package_nodes("posets.py"):
+        if isinstance(node, ast.Attribute) and node.attr in storage:
+            bad.append((name, node.lineno, node.attr))
+        elif isinstance(node, ast.ImportFrom) and (node.module, node.level) in (
+                ("posets", 1), ("cyclictri.posets", 0)):
+            bad += [(name, node.lineno, a.name) for a in node.names
+                    if a.name.startswith("_")]
     assert not bad

@@ -104,7 +104,7 @@ def test_triangulation_key_is_compact_json(n, d):
                                      separators=(",", ":"))
 
 
-def test_hash_is_that_of_the_member_tuple(monkeypatch):
+def test_hash_is_that_of_the_mask(monkeypatch):
     from cyclictri import posets
     monkeypatch.setattr(posets, "_enum_cache", {})
     ts = posets.enumerate_triangulations(7, 3)
@@ -113,8 +113,8 @@ def test_hash_is_that_of_the_member_tuple(monkeypatch):
     t = Triangulation(7, 3, ts[3].simplices)
     flipped = [apply_flip(s, cand) for s in ts for cand in increasing_flips(s)]
     for s in [t, ts[3], bottom(7, 3)] + list(ts) + flipped:
-        assert hash(s) == hash((s.n, s.d, s.simplices))
-        assert hash(s) == hash(s)   # the cached value
+        assert hash(s) == hash((s.n, s.d, s.mask))
+        assert hash(s) == hash(s)
     assert t == ts[3] and hash(t) == hash(ts[3])
     at = {s: i for i, s in enumerate(ts)}
     assert all(ts[at[s]] == s for s in flipped)
@@ -173,6 +173,37 @@ def test_color_rule_small():
     for t in _all_triangulations(6, 2):
         want = "green" if s0 not in t.simplices else "red"  # d even
         assert color(t) == want
+
+
+def _reference_color(t):
+    present = terminal_simplex(t.n, t.d) in t.simplices    # a member tuple
+    return "green" if present == (t.d % 2 == 1) else "red"
+
+
+def test_maps_match_member_formulas():
+    # the three maps and the colouring on every triangulation of the
+    # criterion-07 instances and of their C(n-1, d), against the maps
+    # written on member tuples, the stars read off the facets of C(n, d+1)
+    for d in (1, 2, 3, 4):
+        for n in range(d + 3, 9):
+            facets = gale_facets(n, d + 1)
+            star = [f for f, cls in facets.items() if cls == "lower" and f[-1] == n]
+            cap = [f for f, cls in facets.items() if cls == "upper" and f[-2:] == (n - 1, n)]
+            for t in _all_triangulations(n, d):
+                members = {s if s[-1] != n else s[:-1] + (n - 1,)
+                           for s in t.simplices if s[-1] != n or s[-2] != n - 1}
+                got = contract_last(t)
+                assert got == Triangulation(n - 1, d, members), t.key()
+                assert got.simplices == tuple(sorted(members)), t.key()
+                assert color(t) == _reference_color(t), t.key()
+            for t in _all_triangulations(n - 1, d):
+                for got, members in (
+                        (insert_bottom(t), list(t.simplices) + star),
+                        (insert_top(t), [s if s[-1] != n - 1 else s[:-1] + (n,)
+                                         for s in t.simplices] + cap)):
+                    assert got == Triangulation(n, d, members), t.key()
+                    assert got.simplices == tuple(sorted(members)), t.key()
+                assert color(t) == _reference_color(t), t.key()
 
 
 def test_contract_insert_identities():
@@ -416,3 +447,9 @@ def test_table_size_guard():
         table(30, 14)
     assert "155117520" in str(e.value) and "1000000" in str(e.value)
     assert len(table(11, 4).simplices) == 462   # largest ladder instance
+    # a Triangulation is a mask over the table; its shape is checked first
+    with pytest.raises(ResourceBudgetError):
+        Triangulation(30, 14, [range(1, 16)])
+    with pytest.raises(ValueError):
+        Triangulation(30, 14, [(1, 2)])
+    assert validate([(1, 2)], 30, 14).rule == "shape"
