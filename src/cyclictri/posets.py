@@ -18,9 +18,10 @@ The lattice verdict on a bounded poset is one join test per pair of upper
 covers of a common element (Bjorner-Edelman-Ziegler 1990, Lemma 2.1); a
 refutation scans pairs in key order, with the small side of each row, meets
 or joins, settled in bulk.  Enumeration walks the members of each flip-search
-mask once, for its flips and its validation, and keeps one record: the masks,
-sorted in key order by a compact bytes key, and the flip edges in flat arrays
-that the S1 closure reads, and S2 reads its submersion masks off the masks.
+mask once, for its flips, its validation and its compact bytes sort key, and
+keeps one record: the masks, sorted in key order by those keys, and the flip
+edges in flat arrays that the S1 closure reads, and S2 reads its submersion
+masks off the masks.
 A Triangulation is its mask, wrapped when it is read, and a key string is
 built from the mask when it is read: a poset on C(n, d), its proper part and
 its restrictions name their elements and carry their triangulations through
@@ -657,24 +658,24 @@ def _edge_arrays(edges):
 
 class _FlipEdges(Sequence):
     """The flip search's steps: edge k goes from element src[k] to element
-    dst[k] of the sorted enumeration by the flip simplex simplices[flip[k]],
-    src, dst and flip being array('I').  Read as a sequence, edge k is the
-    tuple (i, j, flip simplex), built when it is read."""
+    dst[k] of the sorted enumeration by the flip simplex move(flip[k])[0],
+    src, dst and flip being array('I') and move the table's (_Table.move).
+    Read as a sequence, edge k is the tuple (i, j, flip simplex), built when
+    it is read."""
 
-    __slots__ = ("src", "dst", "flip", "simplices")
+    __slots__ = ("src", "dst", "flip", "move")
 
-    def __init__(self):
-        self.src, self.dst, self.flip = array("I"), array("I"), array("I")
-        self.simplices = []
+    def __init__(self, src, dst, flip, move):
+        self.src, self.dst, self.flip, self.move = src, dst, flip, move
 
     def __len__(self):
         return len(self.src)
 
     def __getitem__(self, k):
-        return self.src[k], self.dst[k], self.simplices[self.flip[k]]
+        return self.src[k], self.dst[k], self.move(self.flip[k])[0]
 
     def __iter__(self):
-        return zip(self.src, self.dst, map(self.simplices.__getitem__, self.flip))
+        return zip(self.src, self.dst, (self.move(k)[0] for k in self.flip))
 
 
 class _Enumeration(Sequence):
@@ -705,14 +706,14 @@ class _Enumeration(Sequence):
 
     def find(self, key):
         """The index of the element whose key is key; KeyError if none.  A
-        key must start with this table's head, so no other instance's table
-        is built; it is read by from_json and must be the key of what it
-        reads, whose mask is then bisected for in masks by its place in key
-        order."""
+        key must start with this table's head and name this instance in its
+        last n and d fields, so no other instance's table is built; it is
+        read by from_json and must be the key of what it reads, whose mask
+        is then bisected for in masks by its place in key order."""
         tab = self.table
         if isinstance(key, str) and key.startswith(tab.head):
             try:
-                t = tri.Triangulation.from_json(key)
+                t = tri.Triangulation.from_json(key, tab.n, tab.d)
             except (ValueError, TypeError, ResourceBudgetError):
                 t = None    # not JSON, or not a set of d-simplices of [n]
             if t is not None and t.key() == key:
@@ -737,12 +738,12 @@ _s2_cache = {}
 def enumerate_triangulations(n, d, cap=None):
     """All triangulations of C(n, d), by breadth-first search along upward
     flips from the bottom element.  One walk over the members of each mask
-    gives its increasing flips and its validation sums, and every mask is
-    judged before it is kept.  Returns the enumeration's record
-    (_Enumeration): the masks sorted in key order, read as a sequence of
-    Triangulations built when they are read, and the flip step edges, in
-    flat arrays re-ranked in place to the sorted order.  The sort reads
-    each mask's compact bytes key (table.key_order), not its key string."""
+    gives its validation sums, its increasing flips, each with its bit in
+    table(n, d+1) as its id, and its compact bytes sort key (table.key_order), and
+    every mask is judged before it is kept.  Returns the enumeration's
+    record (_Enumeration): the masks sorted in key order by those bytes,
+    read as a sequence of Triangulations built when they are read, and the
+    flip step edges, in flat arrays re-ranked in place to the sorted order."""
     key = (n, d)
     got = _enum_cache.get(key)
     if cap is None:
@@ -752,15 +753,18 @@ def enumerate_triangulations(n, d, cap=None):
         start = tab.bottom.mask
         seen = {start: 0}
         masks = [start]
-        edges = _FlipEdges()
-        src, dst, flip = edges.src.append, edges.dst.append, edges.flip.append
-        number = {}     # flip simplex -> its index in edges.simplices
+        sort_keys = []
+        end = tab._text_ranks[1]
+        ends = array("I"), array("I"), array("I")     # src, dst, flip
+        src, dst, flip = (a.append for a in ends)
         for i, t in enumerate(masks):   # masks grows: the BFS queue
-            flips = []
-            v = tab._judge(t, tab._accumulate(t, flips))
+            flips, ranks = [], []
+            v = tab._judge(t, tab._accumulate(t, flips, ranks))
             if v is not None:
                 raise AssertionError("enumerated an invalid triangulation: %s" % (v,))
-            for cand, low, up in flips:
+            ranks.append(end)
+            sort_keys.append(b"".join(ranks))
+            for _, low, up, k in flips:
                 nxt = (t ^ low) | up
                 j = seen.get(nxt)
                 if j is None:
@@ -772,13 +776,13 @@ def enumerate_triangulations(n, d, cap=None):
                     masks.append(nxt)
                 src(i)
                 dst(j)
-                flip(number.setdefault(cand, len(number)))
+                flip(k)
         if tab.top.mask not in seen:
             raise AssertionError("flip search failed to reach the top element")
         del seen
-        edges.simplices = list(number)
-        key_order = tab.key_order
-        order = sorted(range(len(masks)), key=lambda i: key_order(masks[i]))
+        edges = _FlipEdges(*ends, tab.move)
+        order = sorted(range(len(masks)), key=sort_keys.__getitem__)
+        del sort_keys
         rank = array("I", [0]) * len(order)
         for r, i in enumerate(order):
             rank[i] = r
@@ -797,7 +801,7 @@ def flip_step_edges(n, d, cap=None):
     """Single-flip steps (i, j, flip_simplex), one per flip found by
     enumeration: element i of enumerate_triangulations(n, d) flips up to
     element j.  A read-only view over the enumeration's flat arrays
-    (source, target, and the flip simplex's index in its own list): its
+    (source, target, and the flip simplex's bit in table(n, d+1)): its
     length costs nothing, and each tuple is built when it is read."""
     return enumerate_triangulations(n, d, cap).edges
 
@@ -894,8 +898,14 @@ def compare_relations(p, q):
     Each is contained in the other iff every cover of each holds in the
     other (the other is transitive), so only a mismatch costs a scan."""
     # the keys are matched by sorting them once each: where[x] is the
-    # position in q of the key at position x in p, back the inverse
-    pk, qk = list(p.elements), list(q.elements)
+    # position in q of the key at position x in p, back the inverse.  Two
+    # posets on one enumeration's triangulations are matched by element
+    # number, equal exactly when the keys are, so no key is built.
+    pk, qk = p.elements, q.elements
+    if isinstance(pk, _Record) and isinstance(qk, _Record) and pk.enum is qk.enum:
+        pk, qk = pk.at, qk.at
+    else:
+        pk, qk = list(pk), list(qk)
     ps = sorted(range(len(pk)), key=pk.__getitem__)
     qs = sorted(range(len(qk)), key=qk.__getitem__)
     if [pk[x] for x in ps] != [qk[y] for y in qs]:

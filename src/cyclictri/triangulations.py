@@ -18,12 +18,14 @@ Triangulation, its key string and its place in key order on demand
 (`triangulation`, `key`, `key_order`), so a set of triangulations can be
 kept as masks alone; `key` is the one writer of key strings, and
 `Triangulation.from_json` the one reader.  Submersion masks are ORs of
-per-simplex deny masks kept on the table."""
+per-simplex deny masks kept on the table, and the suspension maps (f, i,
+j) and the connecting sets are per-table index maps, one OR per member."""
 
 import json
+from bisect import bisect_right
 from collections import namedtuple
 from functools import cached_property
-from itertools import combinations, product
+from itertools import accumulate, combinations, product
 from math import comb
 
 from . import geometry
@@ -112,8 +114,12 @@ class Triangulation:
         return table(self.n, self.d).key(self.mask)
 
     @staticmethod
-    def from_json(text):
+    def from_json(text, n=None, d=None):
+        """The Triangulation a key names.  Given n and d, a text naming
+        another instance is a ValueError, raised before any table is built."""
         obj = json.loads(text)
+        if n is not None and (obj["n"], obj["d"]) != (n, d):
+            raise ValueError("not a key of C(%d, %d)" % (n, d))
         return Triangulation(obj["n"], obj["d"], [tuple(s) for s in obj["simplices"]])
 
 
@@ -269,11 +275,13 @@ class _Table:
         set of d-simplices of [n]: admissibility, volume, walls, labels."""
         return self._judge(mask, self._accumulate(mask))
 
-    def _accumulate(self, mask, flips=None):
+    def _accumulate(self, mask, flips=None, ranks=None):
         """One walk over the members of a mask, in lexicographic order, for
-        the sums _judge reads.  When flips is a list, each increasing flip
-        (cand, low, up) is appended to it on the way, in lexicographic
-        order of cand, as flips() lists them.
+        the sums _judge reads.  The flip search passes two lists: each
+        increasing flip (cand, low, up, k) is appended to flips on the way,
+        in lexicographic order of cand, as flips() lists them, and each
+        member's text rank to ranks, so ranks and the sentinel joined are
+        key_order(mask).
 
         The sums are (clash, volume, once, twice, thrice, labels): clash the
         first member meeting a later one improperly (the walk stops there)
@@ -281,20 +289,25 @@ class _Table:
         covered at least once, twice, three times) and the OR of the label
         masks."""
         rows, exts = self._rows, self._extensions
+        text = self._text_ranks[0] if ranks is not None else None
         clash = None
         vol = once = twice = thrice = labels = 0
-        for i in bits(mask):
-            row = rows[i] or self.row(i)
-            if mask & row[0]:
+        m = mask
+        while m:
+            b = m & -m
+            i = b.bit_length() - 1
+            m ^= b
+            conflicts, volume, facets, label_mask = rows[i] or self.row(i)
+            if mask & conflicts:
                 clash = i
                 break
-            vol += row[1]
-            facets = row[2]
+            vol += volume
             thrice |= twice & facets
             twice |= once & facets
             once |= facets
-            labels |= row[3]
+            labels |= label_mask
             if flips is not None:
+                ranks.append(text[i])
                 ext = exts[i]
                 if ext is None:
                     ext = self.extensions(i)
@@ -353,24 +366,40 @@ class _Table:
         raise AssertionError("a bad wall that no member has")
 
     def extensions(self, i):
-        """(cand, low, up) for each (d+2)-set cand = simplices[i] + (v,) with
-        v above the last label, low and up the masks of its lower and upper
-        facets.  The facet dropping the last label is always lower, so each
-        (d+2)-set is an extension of exactly one simplex, and each increasing
-        flip of t an extension of a member of t."""
+        """(cand, low, up, k) for each (d+2)-set cand = simplices[i] + (v,)
+        with v above the last label, low and up the masks of its lower and
+        upper facets, k its bit in table(n, d+1) (see move).  The facet
+        dropping the last label is always lower, so each (d+2)-set is an
+        extension of exactly one simplex, and each increasing flip of t an
+        extension of a member of t."""
         got = self._extensions[i]
         if got is None:
             s = self.simplices[i]
+            k = self._first_moves[i] - s[-1] - 1
             got = []
             for v in range(s[-1] + 1, self.n + 1):
                 cand = s + (v,)
                 lower, upper = facet_split(cand)
-                got.append((cand, self.mask(lower), self.mask(upper)))
+                got.append((cand, self.mask(lower), self.mask(upper), k + v))
             self._extensions[i] = got
         return got
 
+    @cached_property
+    def _first_moves(self):
+        """Per simplex, the count of the extensions of the simplices before,
+        and last the count of all."""
+        return list(accumulate((self.n - s[-1] for s in self.simplices), initial=0))
+
+    def move(self, k):
+        """The extension of the (d+2)-set at bit k of table(n, d+1): the
+        extensions of the simplices in turn list every (d+2)-set of [n]
+        once, in lexicographic order."""
+        first = self._first_moves
+        i = bisect_right(first, k) - 1
+        return self.extensions(i)[k - first[i]]
+
     def flips(self, mask):
-        """(cand, low, up) for each increasing flip of the mask, in
+        """(cand, low, up, k) for each increasing flip of the mask, in
         lexicographic order of cand."""
         return [f for i in bits(mask) for f in self.extensions(i)
                 if mask & f[1] == f[1]]
@@ -380,8 +409,64 @@ class _Table:
         i = self.index.get(cand[:-1])
         if i is None or cand[-1] > self.n:
             raise ValueError("%r is not a (d+2)-set of [%d]" % (cand, self.n))
-        _, low, up = self.extensions(i)[cand[-1] - cand[-2] - 1]
+        _, low, up, _ = self.extensions(i)[cand[-1] - cand[-2] - 1]
         return low, up
+
+    # contract_last, insert_bottom, insert_top and the connecting sets as
+    # index maps: per simplex of one table, its image as a bit of the other
+    # (0 for none), so a map takes a mask by one OR over its members.
+
+    @cached_property
+    def _contraction(self):
+        """Into table(n-1, d): label n moved to n - 1, 0 if both are held."""
+        n = self.n
+        if n < self.d + 2:
+            raise ValueError("nothing to contract")
+        index = table(n - 1, self.d).index
+        return [0 if s[-2:] == (n - 1, n) else 1 << index[s[:-1] + (min(s[-1], n - 1),)]
+                for s in self.simplices]
+
+    def contract(self, mask):
+        """contract_last of a mask, a mask of table(n-1, d)."""
+        return _image(mask, self._contraction)
+
+    @cached_property
+    def _insertion(self):
+        """From table(n-1, d): each simplex as it is (bottom) and with label
+        n - 1 moved to n (top); then the star of n in bottom(n, d), its
+        members with a label between n - 1 and n + 1, and the cap, the
+        members of top(n, d) with labels n - 1 and n."""
+        n, index, gaps = self.n, self.index, self.gaps
+        old = table(n - 1, self.d).simplices
+        return ([1 << index[s] for s in old],
+                [1 << index[s[:-1] + (n if s[-1] == n - 1 else s[-1],)] for s in old],
+                self.bottom.mask & gaps[n - 1][n + 1],
+                self.top.mask & gaps[n - 1][n + 1] & gaps[n - 2][n])
+
+    def insert(self, mask, at_top):
+        """insert_bottom (insert_top if at_top) of a mask of table(n-1, d)."""
+        low, high, star, cap = self._insertion
+        return cap | _image(mask, high) if at_top else star | _image(mask, low)
+
+    @cached_property
+    def _widening(self):
+        """Into table(n, d+1): A~ widens the simplices holding n but not
+        n - 1 by n - 1, B~ those ending in n - 1 by n."""
+        n = self.n
+        index = table(n, self.d + 1).index if n > self.d + 1 else None
+        return ([1 << index[s[:-1] + (n - 1, n)] if s[-1] == n and s[-2] != n - 1 else 0
+                 for s in self.simplices],
+                [1 << index[s + (n,)] if s[-1] == n - 1 else 0 for s in self.simplices])
+
+    def connecting(self, mask):
+        """The connecting sets A~ and B~ of a mask, masks of table(n, d+1)."""
+        a, b = self._widening
+        return _image(mask, a), _image(mask, b)
+
+    def green(self, mask):
+        """Whether a mask is green: it holds the terminal simplex, the last
+        d + 1 labels, iff d is odd."""
+        return (mask >> self.index[terminal_simplex(self.n, self.d)]) & 1 == self.d % 2
 
     @cached_property
     def _intertwining(self):
@@ -423,6 +508,16 @@ class _Table:
                 denies[i] = m
             deny |= m
         return cells & ~deny
+
+
+def _image(mask, images):
+    """The OR of images[i] over the set bits i of mask."""
+    m = 0
+    while mask:
+        b = mask & -mask
+        m |= images[b.bit_length() - 1]
+        mask ^= b
+    return m
 
 
 def _facets(s):
@@ -491,7 +586,7 @@ def top(n, d):
 def increasing_flips(t):
     """All (d+2)-subsets whose lower facets all lie in t, in lexicographic
     order; each is a valid upward bistellar move."""
-    return [cand for cand, _, _ in table(t.n, t.d).flips(t.mask)]
+    return [f[0] for f in table(t.n, t.d).flips(t.mask)]
 
 
 def apply_flip(t, cand):
@@ -509,36 +604,23 @@ def apply_flip(t, cand):
 def contract_last(t):
     """Contract vertex n onto n-1: keep members avoiding n, and slide the
     link of n over to n-1 where that does not collapse the simplex."""
-    n, d = t.n, t.d
-    if n < d + 2:
+    if t.n < t.d + 2:
         raise ValueError("nothing to contract")
-    # a member ending in n but avoiding n-1 slides to s[:-1] + (n-1,)
-    tab = table(n - 1, d)
-    return tab.triangulation(tab.mask(s if s[-1] != n else s[:-1] + (n - 1,)
-                                      for s in t.simplices
-                                      if s[-1] != n or s[-2] != n - 1))
+    return table(t.n - 1, t.d).triangulation(table(t.n, t.d).contract(t.mask))
 
 
 def insert_bottom(t):
     """Extend a triangulation of C(n-1, d) to C(n, d) by coning the new last
-    vertex from below (adds the star of n in bottom(n, d): its members with
-    a label between n - 1 and n + 1)."""
-    n = t.n + 1
-    tab = table(n, t.d)
-    star = tab.bottom.mask & tab.gaps[n - 1][n + 1]
-    return tab.triangulation(tab.mask(t.simplices) | star)
+    vertex from below (adds the star of n in bottom(n, d))."""
+    tab = table(t.n + 1, t.d)
+    return tab.triangulation(tab.insert(t.mask, False))
 
 
 def insert_top(t):
     """Extend to C(n, d) by pushing the old last vertex's star up to the new
-    vertex and capping with the top star of {n-1, n} (the members of top(n,
-    d) with labels n - 1 and n)."""
-    n = t.n + 1
-    tab = table(n, t.d)
-    cap = tab.top.mask & tab.gaps[n - 1][n + 1] & tab.gaps[n - 2][n]
-    # n-1 is the last label of the members holding it; they move to n
-    return tab.triangulation(cap | tab.mask(s if s[-1] != n - 1 else s[:-1] + (n,)
-                                            for s in t.simplices))
+    vertex and capping with the top star of {n-1, n}."""
+    tab = table(t.n + 1, t.d)
+    return tab.triangulation(tab.insert(t.mask, True))
 
 
 def terminal_simplex(n, d):
@@ -554,11 +636,7 @@ def color(t):
     """Two-coloring by membership of the terminal simplex: green iff the
     parity of d and the membership disagree in the fixed pattern (even d:
     green = absent; odd d: green = present)."""
-    s0 = terminal_simplex(t.n, t.d)
-    present = s0 in t
-    if t.d % 2 == 0:
-        return GREEN if not present else RED
-    return GREEN if present else RED
+    return GREEN if table(t.n, t.d).green(t.mask) else RED
 
 
 def submersion_mask(t):

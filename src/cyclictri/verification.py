@@ -3,13 +3,15 @@ supposed to satisfy: the suspension-map hypotheses, connecting sets of
 (d+1)-simplices witnessing flip-order comparability, and monotonicity of the
 terminal simplex.
 
-The checks read masks.  The suspension maps are position lists between the
-two posets, and a map is checked monotone on the covers of its source only.
-A connecting set is checked on the triangulation tables: pairwise
-admissibility by the conflict rows of table(n, d+1), the face conditions by
-the lower/upper facet masks of its members in table(n, d) and a two-level
-count of the faces they cover.  Members and faces are walked one by one only
-to name the witness of a failure.
+The checks read masks, and no member tuple.  The suspension maps are
+position lists between the two posets, computed on the masks by the
+tables' index maps, and a map is checked monotone on the covers of its
+source only.  A connecting set is a mask over table(n, d+1), checked by one
+mask-level core: pairwise admissibility by the conflict rows of
+table(n, d+1), the face conditions by the lower/upper facet masks of its
+members in table(n, d) and a two-level count of the faces they cover.
+Members and faces are walked one by one only to name the witness of a
+failure.
 """
 
 from collections import deque
@@ -29,24 +31,24 @@ def verify_suspension(n, d, order="s1", cap=None):
         raise ValueError("need n > d+2 so the smaller poset is nontrivial")
     p = build_order(order, n, d, cap)
     q = build_order(order, n - 1, d, cap)
-    # triangulations and the three maps by position: f from p to q, i and
-    # j from q to p.  Witnesses are the first in key order: elements are
-    # walked by by_key, and the first of a position mask picked by key rank.
-    p_ts = list(p.data)
-    q_ts = list(q.data)
-    p_at = {t: x for x, t in enumerate(p_ts)}
-    q_at = {t: x for x, t in enumerate(q_ts)}
-    i_ts = [tri.insert_bottom(t) for t in q_ts]
-    j_ts = [tri.insert_top(t) for t in q_ts]
-    f = [q_at[tri.contract_last(t)] for t in p_ts]
-    i = [p_at[t] for t in i_ts]
-    j = [p_at[t] for t in j_ts]
+    # masks and the three maps by position, f from p to q, i and j from q
+    # to p, each computed on the masks by the table's index maps.
+    # Witnesses are the first in key order: elements are walked by by_key,
+    # and the first of a position mask picked by key rank.
+    tab = tri.table(n, d)
+    p_masks = [t.mask for t in p.data]
+    q_masks = [t.mask for t in q.data]
+    p_at = {m: x for x, m in enumerate(p_masks)}
+    q_at = {m: y for y, m in enumerate(q_masks)}
+    f = [q_at[tab.contract(m)] for m in p_masks]
+    i = [p_at[tab.insert(m, False)] for m in q_masks]
+    j = [p_at[tab.insert(m, True)] for m in q_masks]
     report = {"n": n, "d": d, "order": order}
 
     def entry(name, witness):
         report[name] = {"pass": witness is None, "witness": witness}
 
-    green = [tri.color(t) == tri.GREEN for t in p_ts]
+    green = list(map(tab.green, p_masks))
     red_mask = sum(1 << x for x, g in enumerate(green) if not g)
     w = None
     for a in p.by_key:
@@ -56,26 +58,23 @@ def verify_suspension(n, d, order="s1", cap=None):
             break
     entry("green_ideal", w)
 
-    w = next((q.elements[y] for y in q.by_key
-              if tri.contract_last(i_ts[y]) != q_ts[y]), None)
+    w = next((q.elements[y] for y in q.by_key if f[i[y]] != y), None)
     entry("f_i_identity", w)
-    w = next((q.elements[y] for y in q.by_key
-              if tri.contract_last(j_ts[y]) != q_ts[y]), None)
+    w = next((q.elements[y] for y in q.by_key if f[j[y]] != y), None)
     entry("f_j_identity", w)
 
-    w = next((q.elements[y] for y in q.by_key
-              if tri.color(i_ts[y]) != tri.GREEN), None)
+    w = next((q.elements[y] for y in q.by_key if not green[i[y]]), None)
     if w is None:
-        w = next((q.elements[y] for y in q.by_key
-                  if tri.color(j_ts[y]) != tri.RED), None)
+        w = next((q.elements[y] for y in q.by_key if green[j[y]]), None)
     entry("image_colors", w)
 
     w = next((p.elements[x] for x in p.by_key
               if not p.le(i[f[x]], x) or not p.le(x, j[f[x]])), None)
     entry("sandwich", w)
 
-    bot_p, top_p = p_at[tri.bottom(n, d)], p_at[tri.top(n, d)]
-    bot_q, top_q = q_at[tri.bottom(n - 1, d)], q_at[tri.top(n - 1, d)]
+    bot_p, top_p = p_at[tab.bottom.mask], p_at[tab.top.mask]
+    small = tri.table(n - 1, d)
+    bot_q, top_q = q_at[small.bottom.mask], q_at[small.top.mask]
     w = next((p.elements[x] for x in p.by_key
               if f[x] == bot_q and x != bot_p and green[x]), None)
     entry("fiber_bottom", w)
@@ -152,81 +151,85 @@ def verify_connecting_set(t, t2, tilde):
     n, d = t.n, t.d
     if (t2.n, t2.d) != (n, d):
         raise ValueError("triangulations on different polytopes")
-    tilde = sorted({tuple(sorted(s)) for s in tilde})
+    tilde = {tuple(sorted(s)) for s in tilde}
     for s in tilde:
         if len(s) != d + 2 or len(set(s)) != d + 2:
             raise ValueError("connecting sets consist of (d+2)-vertex simplices")
         if s[0] < 1 or s[-1] > n:
             raise ValueError("member %r has a label outside 1..%d" % (s, n))
-    result = {"pass": True, "condition": None, "witness": None}
+    mask = sum(1 << tri.table(n, d + 1).index[s] for s in tilde)
+    return _connecting_report(tri.table(n, d), t.mask, t2.mask, mask)
 
-    def fail(cond, witness):
-        result.update({"pass": False, "condition": cond, "witness": witness})
-        return result
 
-    if tilde:
-        big = tri.table(n, d + 1)
-        members = [big.index[s] for s in tilde]
-        mask = sum(1 << k for k in members)
-        for a, k in zip(tilde, members):
-            bad = mask & big.row(k)[0]
-            if bad:
-                return fail("i", (a, big.simplices[(bad & -bad).bit_length() - 1]))
+def _report(cond=None, witness=None):
+    return {"pass": cond is None, "condition": cond, "witness": witness}
 
-    tab = tri.table(n, d)
-    splits = [tab.split(s) for s in tilde]
+
+def _connecting_report(tab, low, high, tilde):
+    """verify_connecting_set's report on masks: low and high over tab =
+    table(n, d), tilde over table(n, d+1).  The members are tilde's bits,
+    in lexicographic order; bit k has its conflict row in table(n, d+1) and
+    its lower and upper facet masks in tab.move(k)."""
+    members = list(map(tab.move, bits(tilde)))
+    big = tri.table(tab.n, tab.d + 1) if tilde else None
     once = twice = lowers = uppers = 0      # twice: facets of two members
-    for low, up in splits:
-        twice |= once & (low | up)
-        once |= low | up
-        lowers |= low
+    for s, lo, up, k in members:
+        bad = tilde & big.row(k)[0]
+        if bad:
+            return _report("i", (s, big.simplices[(bad & -bad).bit_length() - 1]))
+        twice |= once & (lo | up)
+        once |= lo | up
+        lowers |= lo
         uppers |= up
-    in_t, in_t2 = t.mask, t2.mask
-    for s, (low, up) in zip(tilde, splits):
-        for cond, faces, own, end in (("ii", low, 0, in_t), ("iii", up, 1, in_t2)):
+    for s, lo, up, _ in members:
+        for cond, faces, own, end in (("ii", lo, 0, low), ("iii", up, 1, high)):
             bad = faces & ~twice & ~end
             if bad:
                 # the first such face as facet_split lists them
-                return fail(cond, (s, next(f for f in simplices.facet_split(s)[own]
-                                           if (bad >> tab.index[f]) & 1)))
-    only_t, only_t2 = in_t & ~in_t2, in_t2 & ~in_t
-    for cond, bad in (("iv", only_t & ~lowers), ("v", only_t2 & ~uppers),
-                      ("vi", (only_t | only_t2) & twice)):
+                return _report(cond, (s, next(f for f in simplices.facet_split(s)[own]
+                                              if (bad >> tab.index[f]) & 1)))
+    only_low, only_high = low & ~high, high & ~low
+    for cond, bad in (("iv", only_low & ~lowers), ("v", only_high & ~uppers),
+                      ("vi", (only_low | only_high) & twice)):
         if bad:
-            return fail(cond, tab.simplices[(bad & -bad).bit_length() - 1])
-    return result
+            return _report(cond, tab.simplices[(bad & -bad).bit_length() - 1])
+    return _report()
 
 
 def connecting_a(t):
     """The witness set for i(f(t)) <= t: members containing the last vertex
     but not the second-to-last, widened by the second-to-last."""
-    n = t.n
-    return frozenset(s[:-1] + (n - 1, n) for s in t.simplices
-                     if s[-1] == n and s[-2] != n - 1)
+    return _connecting(t, 0)
 
 
 def connecting_b(t):
     """The witness set for t <= j(f(t)): members containing the
     second-to-last vertex but not the last, widened by the last."""
-    n = t.n
-    return frozenset(s + (n,) for s in t.simplices if s[-1] == n - 1)
+    return _connecting(t, 1)
+
+
+def _connecting(t, which):
+    mask = tri.table(t.n, t.d).connecting(t.mask)[which]
+    return frozenset(tri.table(t.n, t.d + 1).simplices[k] for k in bits(mask))
 
 
 def verify_connecting_sets(n, d, cap=None):
     """Check A~ as the witness for i(f(t)) <= t and B~ for t <= j(f(t)), for
     every triangulation t of C(n, d).  Returns the number of triangulations
     and the failures, each with t's key, the set ("A" or "B") and the report
-    of verify_connecting_set."""
+    of verify_connecting_set.  Every set, map and condition is read on the
+    enumeration's masks through the table's index maps."""
     ts = enumerate_triangulations(n, d, cap)
+    tab = ts.table
     failures = []
-    for t in ts:
-        f_t = tri.contract_last(t)
-        ra = verify_connecting_set(tri.insert_bottom(f_t), t, connecting_a(t))
-        rb = verify_connecting_set(t, tri.insert_top(f_t), connecting_b(t))
-        if not ra["pass"]:
-            failures.append({"t": t.key(), "set": "A", "report": ra})
-        if not rb["pass"]:
-            failures.append({"t": t.key(), "set": "B", "report": rb})
+    for r, m in enumerate(ts.masks):
+        f = tab.contract(m)
+        a, b = tab.connecting(m)
+        for name, low, high, tilde in (("A", tab.insert(f, False), m, a),
+                                       ("B", m, tab.insert(f, True), b)):
+            report = _connecting_report(tab, low, high, tilde)
+            if not report["pass"]:
+                failures.append({"t": ts.key(r), "set": name, "report": report})
     return len(ts), failures
 
 

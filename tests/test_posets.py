@@ -473,6 +473,73 @@ def test_compact_sort_key_is_the_key_string_order():
         assert sorted(masks, key=tab.key) == sorted(masks, key=tab.key_order), (n, d)
 
 
+@pytest.mark.parametrize("n,d", [(8, 1), (9, 3), (9, 5), (10, 4)])
+def test_walk_sort_keys_are_key_order(n, d):
+    # the flip search reads each mask's sort key off its one member walk:
+    # the ranks it collects, closed by the sentinel, are key_order's bytes
+    from cyclictri.triangulations import table
+    ts = enumerate_triangulations(n, d)
+    tab = table(n, d)
+    end = tab._text_ranks[1]
+    for m in ts.masks:
+        flips, ranks = [], []
+        tab._accumulate(m, flips, ranks)
+        assert b"".join(ranks + [end]) == tab.key_order(m)
+        assert flips == tab.flips(m)
+    assert ts.masks == sorted(ts.masks, key=tab.key_order)
+
+
+def test_find_reads_no_other_instance(monkeypatch):
+    # a key with this instance's head and a later "n" (or "d") field naming
+    # another instance is a KeyError before that instance's table is built
+    from cyclictri import triangulations
+    from cyclictri.triangulations import table
+    p = build_s1(7, 3)
+    monkeypatch.setattr(triangulations, "_table_cache", {(7, 3): table(7, 3)})
+    key = p.elements[0]
+    for bad in (key[:-1] + ',"n":30}', key[:-1] + ',"d":5}', key[:-1] + ',"n":30,"d":2}'):
+        with pytest.raises(KeyError):
+            p.index[bad]
+        assert bad not in p.index
+    assert list(triangulations._table_cache) == [(7, 3)]
+    assert p.index[key] == 0
+
+
+def test_compare_relations_on_one_record_builds_no_key(monkeypatch):
+    # S1 and S2 on one enumeration are matched by element number: no key
+    # string is built when they agree, and a divergence names the same pair
+    # as the key-string route does
+    from cyclictri import triangulations
+    from cyclictri.posets import FinitePoset
+    s1, s2 = build_s1(8, 3), build_s2(8, 3)
+    ts = enumerate_triangulations(8, 3)
+    n = len(ts)
+    chain = FinitePoset._native(ts, None, [(1 << (n - x)) - 1 for x in range(n)],
+                                [(1 << (x + 1)) - 1 for x in range(n)], range(n))
+
+    def plain(p):
+        return p.relabel(list(p.elements), None, p.by_key)
+
+    want = [compare_relations(plain(s1), plain(chain)),
+            compare_relations(plain(chain), plain(s2))]
+    keys = []
+    method = triangulations._Table.key
+
+    def counted(tab, mask):
+        keys.append(mask)
+        return method(tab, mask)
+    monkeypatch.setattr(triangulations._Table, "key", counted)
+    assert compare_relations(s1, s2) is None and keys == []
+    got = [compare_relations(s1, chain), compare_relations(chain, s2)]
+    assert got == want and None not in got
+    assert len(keys) == 4       # the two witness pairs
+    with pytest.raises(ValueError, match="different element sets"):
+        compare_relations(s1, s1.restrict(range(1, n)).relabel(
+            list(s1.elements)[1:], None, range(n - 1)))
+    with pytest.raises(ValueError, match="different element sets"):
+        compare_relations(s1, s1.restrict(range(n - 1)))
+
+
 def test_enumeration_record_views():
     ts = enumerate_triangulations(8, 3)
     p = build_s1(8, 3)

@@ -180,10 +180,26 @@ def _reference_color(t):
     return "green" if present == (t.d % 2 == 1) else "red"
 
 
+def _reference_connecting_a(t):
+    """A~ on member tuples: the members holding n but not n - 1, widened
+    by n - 1."""
+    n = t.n
+    return frozenset(s[:-1] + (n - 1, n) for s in t.simplices
+                     if s[-1] == n and s[-2] != n - 1)
+
+
+def _reference_connecting_b(t):
+    """B~ on member tuples: the members whose last label is n - 1, widened
+    by n."""
+    return frozenset(s + (t.n,) for s in t.simplices if s[-1] == t.n - 1)
+
+
 def test_maps_match_member_formulas():
-    # the three maps and the colouring on every triangulation of the
-    # criterion-07 instances and of their C(n-1, d), against the maps
-    # written on member tuples, the stars read off the facets of C(n, d+1)
+    # the three maps, the colouring and the connecting sets on every
+    # triangulation of the criterion-07 instances and of their C(n-1, d),
+    # against the maps written on member tuples, the stars read off the
+    # facets of C(n, d+1)
+    from cyclictri.verification import connecting_a, connecting_b
     for d in (1, 2, 3, 4):
         for n in range(d + 3, 9):
             facets = gale_facets(n, d + 1)
@@ -196,6 +212,8 @@ def test_maps_match_member_formulas():
                 assert got == Triangulation(n - 1, d, members), t.key()
                 assert got.simplices == tuple(sorted(members)), t.key()
                 assert color(t) == _reference_color(t), t.key()
+                assert connecting_a(t) == _reference_connecting_a(t), t.key()
+                assert connecting_b(t) == _reference_connecting_b(t), t.key()
             for t in _all_triangulations(n - 1, d):
                 for got, members in (
                         (insert_bottom(t), list(t.simplices) + star),
@@ -318,8 +336,10 @@ def test_table_rows_match_zig_zag(n, d):
 @pytest.mark.parametrize("n,d", [(6, 2), (8, 3), (9, 4), (9, 5)])
 def test_table_candidate_masks_match_facet_split(n, d):
     tab = table(n, d)
-    listed = [cand for i in range(len(tab.simplices))
-              for cand, _, _ in tab.extensions(i)]
+    moves = [f for i in range(len(tab.simplices)) for f in tab.extensions(i)]
+    assert [k for *_, k in moves] == list(range(len(moves)))
+    assert list(map(tab.move, range(len(moves)))) == moves
+    listed = [cand for cand, *_ in moves]
     assert listed == sorted(listed)
     assert listed == list(combinations(range(1, n + 1), d + 2))
     for cand in listed:

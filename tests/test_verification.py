@@ -232,6 +232,74 @@ def test_connecting_set_matches_pairwise_reference(n, d):
     assert seen == {None, "i", "ii", "iii", "iv", "v", "vi"}
 
 
+@pytest.mark.parametrize("n,d", [(7, 2), (8, 3), (7, 4)])
+def test_mask_core_matches_pairwise_reference_on_perturbed_sets(n, d):
+    # the mask core that verify_connecting_sets runs, on the A~ and B~
+    # masks of sampled triangulations and on perturbations of them: a member
+    # of C(n, d+1) added or dropped, a facet of a member or any simplex
+    # added to or dropped from one end
+    from cyclictri.triangulations import table
+    rng = random.Random(2500 + 10 * n + d)
+    ts = enumerate_triangulations(n, d)
+    tab, big = table(n, d), table(n, d + 1)
+    seen = set()
+    for r in rng.sample(range(len(ts)), min(60, len(ts))):
+        m = ts.masks[r]
+        f = tab.contract(m)
+        a, b = tab.connecting(m)
+        for ends in ((tab.insert(f, False), m, a), (m, tab.insert(f, True), b)):
+            cases = [ends]
+            for _ in range(8):
+                low, high, tilde = ends
+                faces = 0
+                for _, lo, up, _ in map(tab.move, bits(tilde)):
+                    faces |= lo | up
+                kind = rng.randrange(5)
+                if kind == 0:
+                    tilde ^= 1 << rng.randrange(len(big.simplices))
+                else:
+                    pool = list(bits(faces)) if kind < 3 and faces else \
+                        range(len(tab.simplices))
+                    bit = 1 << rng.choice(pool)
+                    if kind % 2:
+                        low ^= bit
+                    else:
+                        high ^= bit
+                cases.append((low, high, tilde))
+            for low, high, tilde in cases:
+                want = _reference_connecting_set(
+                    tab.triangulation(low), tab.triangulation(high),
+                    [big.simplices[k] for k in bits(tilde)])
+                got = verification._connecting_report(tab, low, high, tilde)
+                assert got == want, (low, high, tilde)
+                seen.add(want["condition"])
+    assert seen == {None, "i", "ii", "iii", "iv", "v", "vi"}
+
+
+def test_connecting_sets_and_suspension_read_no_member_tuples(monkeypatch):
+    # every map, set and condition is read on masks: with the member
+    # tuples of Triangulations and the simplex constructor refused, and the
+    # tables' index maps rebuilt, both checks still pass
+    from cyclictri import simplices, triangulations
+    from cyclictri.triangulations import table
+    count = len(enumerate_triangulations(8, 3))
+    assert verification.verify_connecting_sets(8, 3) == (count, [])
+    for order in ("s1", "s2"):
+        assert verify_suspension(8, 3, order)["pass"]
+    for nd in ((8, 3), (7, 3)):
+        for name in ("_contraction", "_insertion", "_widening"):
+            monkeypatch.delitem(table(*nd).__dict__, name, raising=False)
+
+    def refuse(*args):
+        raise AssertionError("member tuples read")
+    monkeypatch.setattr(triangulations.Triangulation, "simplices", property(refuse))
+    monkeypatch.setattr(simplices, "simplex", refuse)
+    monkeypatch.setattr(triangulations, "simplex", refuse)
+    assert verification.verify_connecting_sets(8, 3) == (count, [])
+    for order in ("s1", "s2"):
+        assert verify_suspension(8, 3, order)["pass"]
+
+
 def _reference_monotone(src, dst, image):
     """First pair x <= y of src, in key order, with image[x] not <=
     image[y] in dst, by testing every related pair."""
