@@ -21,7 +21,7 @@ from . import baues as baues_mod
 from . import topology, verification
 from .posets import (ResourceBudgetError, build_order, build_s1, build_s2,
                      compare_relations, enumerate_triangulations,
-                     flip_cover_discrepancies, flip_step_edges)
+                     flip_cover_discrepancies)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -173,7 +173,7 @@ def cmd_oracle_crosscheck(args):
 
 def cmd_flip_graph(args):
     ts = enumerate_triangulations(args.n, args.d, args.cap)
-    edges = sorted((i, j) for i, j, _ in flip_step_edges(args.n, args.d, args.cap))
+    edges = sorted(zip(ts.edges.src, ts.edges.dst))
     stray = flip_cover_discrepancies(args.n, args.d, args.cap)
     lines = ["flip graph of C(%d,%d): %d nodes, %d edges, %d non-cover flips"
              % (args.n, args.d, len(ts), len(edges), len(stray))]

@@ -23,16 +23,17 @@ keeps one record: the masks, sorted in key order by those keys, and the flip
 edges in flat arrays that the S1 closure reads, and S2 reads its submersion
 masks off the masks.
 A Triangulation is its mask, wrapped when it is read, and a key string is
-built from the mask when it is read: a poset on C(n, d), its proper part and
-its restrictions name their elements and carry their triangulations through
-views over the record (_Record, _Index), so none of them holds a key string
-or a Triangulation of its own.
+built from the mask when it is read: a poset on C(n, d), its proper part,
+its restrictions and its interval posets name their elements through
+positional views (_Record), so none of them holds a key string or a
+Triangulation of its own, and index, key -> position, is a dict built from
+the keys on first read.
 """
 
 import json
 from array import array
-from bisect import bisect_left
-from collections.abc import Mapping, Sequence
+from collections.abc import Sequence
+from functools import cached_property
 from itertools import accumulate, combinations
 
 from . import triangulations as tri
@@ -89,11 +90,11 @@ class FinitePoset:
         None where the elements carry none), by_key the positions in key
         order.  elements may be an enumeration (the record
         enumerate_triangulations returns) whose triangulations are the
-        elements in key order, or the keys of a poset on one (a _Record,
-        from restrict or proper_part, data its triangulations): elements
-        and data are then read-only views over the record, keys and
-        triangulations built on each read, and index finds a key's element
-        in the record (_Index)."""
+        elements in key order, or a _Record (the keys of a poset on one,
+        from restrict or proper_part, data its triangulations, or an
+        interval poset's keys): elements, and data where it is a _Record,
+        are then kept as read-only views, each key built when it is read.
+        Plain keys must be distinct."""
         self.by_key = array("I", by_key)
         self.rank = array("I", [0]) * len(self.by_key)
         for r, x in enumerate(self.by_key):
@@ -104,16 +105,19 @@ class FinitePoset:
             elements = _Record(enum, self.rank, enum.key)
             data = _Record(enum, self.rank, enum.__getitem__)
         if isinstance(elements, _Record):
-            self.elements, self.data = elements, data
-            self.index = _Index(elements, self.by_key)
+            self.elements = elements
         else:
             self.elements = tuple(elements)
-            self.data = None if data is None else tuple(data)
-            self.index = {e: x for x, e in enumerate(self.elements)}
             if len(self.index) != len(self.elements):
                 raise ValueError("repeated element key")
+        self.data = data if data is None or isinstance(data, _Record) else tuple(data)
         if self.data is not None and len(self.data) != len(self.elements):
             raise ValueError("data size mismatch")
+
+    @cached_property
+    def index(self):
+        """Key -> position, a dict built from elements on first read."""
+        return {e: x for x, e in enumerate(self.elements)}
 
     def _set_rows(self, up, down, first):
         """Rows stored at positions first .. first + len - 1 of the lists up
@@ -458,17 +462,17 @@ class _Rows(Sequence):
 
 
 class _Record(Sequence):
-    """The keys or the data, by position, of a poset on an enumeration's
-    triangulations: position x holds element at[x] of the enumeration enum,
-    read as read(at[x]), enum.key for the keys and enum.__getitem__ for the
-    Triangulations, each built on each read.  A slice, or take(positions),
-    is the same view over those positions; a slice shares at (a memoryview
-    of it), so a proper part copies no positions."""
+    """Keys or data by position, built on each read: position x holds item
+    at[x] of source, read as read(at[x]); source is an enumeration (read by
+    its key or its Triangulation) or an interval poset's intervals (read by
+    their keys).  A slice, or take(positions), is the same view over those
+    positions; a slice shares at (a memoryview of it), so a proper part
+    copies no positions."""
 
-    __slots__ = ("enum", "at", "_read")
+    __slots__ = ("source", "at", "_read")
 
-    def __init__(self, enum, at, read):
-        self.enum = enum
+    def __init__(self, source, at, read):
+        self.source = source
         self.at = at
         self._read = read
 
@@ -477,14 +481,14 @@ class _Record(Sequence):
 
     def __getitem__(self, x):
         if isinstance(x, slice):
-            return _Record(self.enum, memoryview(self.at)[x], self._read)
+            return _Record(self.source, memoryview(self.at)[x], self._read)
         return self._read(self.at[x])
 
     def __iter__(self):
         return map(self._read, self.at)
 
     def take(self, positions):
-        return _Record(self.enum, array("I", map(self.at.__getitem__, positions)),
+        return _Record(self.source, array("I", map(self.at.__getitem__, positions)),
                        self._read)
 
 
@@ -496,34 +500,6 @@ def _take(seq, positions):
     if isinstance(seq, _Record):
         return seq.take(positions)
     return [seq[x] for x in positions]
-
-
-class _Index(Mapping):
-    """Key -> position in a poset on an enumeration's triangulations, whose
-    keys are the _Record keys: the key's element r of the enumeration
-    (_Enumeration.find), then the position holding r, bisected for in key
-    order, which is the enumeration's order of the poset's elements.  Any
-    other key raises KeyError."""
-
-    __slots__ = ("_keys", "_by_key")
-
-    def __init__(self, keys, by_key):
-        self._keys = keys
-        self._by_key = by_key
-
-    def __getitem__(self, key):
-        at, by_key = self._keys.at, self._by_key
-        r = self._keys.enum.find(key)
-        k = bisect_left(by_key, r, key=at.__getitem__)
-        if k == len(by_key) or at[by_key[k]] != r:
-            raise KeyError(key)
-        return by_key[k]
-
-    def __iter__(self):
-        return iter(self._keys)
-
-    def __len__(self):
-        return len(self._keys)
 
 
 def _meets(dx, down, up):
@@ -682,8 +658,8 @@ class _Enumeration(Sequence):
     """The one record of an enumeration of C(n, d): masks, the table masks
     of its triangulations in key order, and edges, its flip steps
     (_FlipEdges).  Read as a sequence it gives the Triangulations, each
-    wrapping its mask when it is read; key(r) builds the key of element r,
-    and find(key) finds the element of a key."""
+    wrapping its mask when it is read, and key(r) builds the key of element
+    r."""
 
     __slots__ = ("table", "masks", "edges")
 
@@ -703,24 +679,6 @@ class _Enumeration(Sequence):
 
     def key(self, r):
         return self.table.key(self.masks[r])
-
-    def find(self, key):
-        """The index of the element whose key is key; KeyError if none.  A
-        key must start with this table's head and name this instance in its
-        last n and d fields, so no other instance's table is built; it is
-        read by from_json and must be the key of what it reads, whose mask
-        is then bisected for in masks by its place in key order."""
-        tab = self.table
-        if isinstance(key, str) and key.startswith(tab.head):
-            try:
-                t = tri.Triangulation.from_json(key, tab.n, tab.d)
-            except (ValueError, TypeError, ResourceBudgetError):
-                t = None    # not JSON, or not a set of d-simplices of [n]
-            if t is not None and t.key() == key:
-                k = bisect_left(self.masks, tab.key_order(t.mask), key=tab.key_order)
-                if k < len(self.masks) and self.masks[k] == t.mask:
-                    return k
-        raise KeyError(key)
 
 
 def _dot_escape(s):
@@ -899,10 +857,10 @@ def compare_relations(p, q):
     other (the other is transitive), so only a mismatch costs a scan."""
     # the keys are matched by sorting them once each: where[x] is the
     # position in q of the key at position x in p, back the inverse.  Two
-    # posets on one enumeration's triangulations are matched by element
+    # posets whose keys are views over one source are matched by item
     # number, equal exactly when the keys are, so no key is built.
     pk, qk = p.elements, q.elements
-    if isinstance(pk, _Record) and isinstance(qk, _Record) and pk.enum is qk.enum:
+    if isinstance(pk, _Record) and isinstance(qk, _Record) and pk.source is qk.source:
         pk, qk = pk.at, qk.at
     else:
         pk, qk = list(pk), list(qk)
@@ -936,7 +894,9 @@ def flip_cover_discrepancies(n, d, cap=None):
     every verified instance; reported, never assumed)."""
     cov = set(build_s1(n, d, cap).covers())
     ts = enumerate_triangulations(n, d, cap)
-    return [(ts.key(i), ts.key(j), cand) for i, j, cand in ts.edges if (i, j) not in cov]
+    e = ts.edges
+    return [(ts.key(i), ts.key(j), e.move(k)[0])
+            for i, j, k in zip(e.src, e.dst, e.flip) if (i, j) not in cov]
 
 
 def interval_poset(p, variant="all"):
@@ -947,7 +907,8 @@ def interval_poset(p, variant="all"):
     Intervals sit in order of size, a linear extension of inclusion, and
     their relation is built by columns: [x, y] <= [v, w] iff v <= x and
     y <= w, so the intervals above [x, y] are those with their low end in
-    down[x] and their high end in up[y].
+    down[x] and their high end in up[y].  Interval z's data is its ends
+    (x, y); its key, the JSON list of their keys, is written when read.
     """
     if variant not in ("all", "proper", "proper_coatomic"):
         raise ValueError("unknown interval variant %r" % (variant,))
@@ -986,7 +947,8 @@ def interval_poset(p, variant="all"):
     low_down, low_up = gather(low, p.down), gather(low, p.up)
     high_down, high_up = gather(high, p.down), gather(high, p.up)
     names = [str(e) for e in p.elements]    # each key read once
-    keys = [json.dumps([names[x], names[y]], separators=(",", ":")) for x, y in pairs]
+    keys = _Record(pairs, array("I", range(len(pairs))), lambda z: json.dumps(
+        [names[x] for x in pairs[z]], separators=(",", ":")))
     by_key = sorted(range(len(pairs)), key=lambda z: (names[pairs[z][0]],
                                                       names[pairs[z][1]]))
     # the intervals holding interval z sit at z or later

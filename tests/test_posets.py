@@ -420,7 +420,6 @@ def test_restrict_builds_no_key_and_no_triangulation(monkeypatch):
 
     counted(triangulations._Table, "key")
     counted(triangulations._Table, "triangulation")
-    counted(posets._Enumeration, "find")
     cores = {at: poset_core(q) for at, q in parts.items()}
     mu = s2.mobius(s2.bottom(), s2.top())
     assert made == []
@@ -565,6 +564,35 @@ def test_enumeration_record_views():
     with pytest.raises(TypeError):
         p.data[0] = None
     assert sorted(p.index) == sorted(p.elements) == [ts.key(r) for r in range(len(ts))]
+
+
+def test_index_is_one_dict_built_on_first_read():
+    for p in (build_s1(8, 3), boolean_lattice(3)):
+        assert p.index == {k: x for x, k in enumerate(p.elements)}
+        assert type(p.index) is dict and p.index is p.index
+
+
+def test_lattice_verdict_and_topology_build_no_index(monkeypatch):
+    # the proper part, the lattice scan, the Mobius value and the core read
+    # positions only: a key string is written for a witness, never for an
+    # index
+    from cyclictri import posets, triangulations
+    for cache in ("_enum_cache", "_s1_cache"):
+        monkeypatch.setattr(posets, cache, {})
+    keys = []
+    method = triangulations._Table.key
+
+    def counted(tab, mask):
+        keys.append(mask)
+        return method(tab, mask)
+    monkeypatch.setattr(triangulations._Table, "key", counted)
+    p = build_s1(9, 3)
+    q = p.proper_part()
+    w = p.is_lattice()
+    q.hall_mobius()
+    core = poset_core(q)
+    assert len(keys) == (0 if w is True else 2)
+    assert all("index" not in vars(r) for r in (p, q, core))
 
 
 def _payload_cases():
@@ -853,6 +881,40 @@ def test_interval_poset_order_is_containment():
             assert ip.le(a, b) == want
 
 
+def test_interval_keys_are_written_when_read():
+    for p in (boolean_lattice(3), build_s2(6, 2)):
+        names = [str(e) for e in p.elements]
+        for variant in ("all", "proper", "proper_coatomic"):
+            ip = interval_poset(p, variant)
+            want = [json.dumps([names[x], names[y]], separators=(",", ":"))
+                    for x, y in ip.data]
+            assert list(ip.elements) == want
+            assert [ip.elements[z] for z in range(len(ip))] == want
+            assert list(ip.elements[1:-1]) == want[1:-1]
+            assert list(ip.restrict(range(0, len(ip), 3)).elements) == want[::3]
+            assert ip.index == {k: z for z, k in enumerate(want)}
+            # key order: by the keys of the low end, then of the high end
+            assert [tuple(json.loads(k)) for k in ip.keys()] == \
+                sorted((names[x], names[y]) for x, y in ip.data)
+
+
+def test_baues_poset_writes_no_interval_key(monkeypatch):
+    # baues_poset relabels the coatomic interval poset by subdivision keys,
+    # so no interval key is read: 8,214 of them (2.8 MB) were written and
+    # dropped at (9,3)
+    from types import SimpleNamespace
+
+    from cyclictri import posets
+    written = []
+
+    def dumps(obj, **kwargs):
+        written.append(obj)
+        return json.dumps(obj, **kwargs)
+    monkeypatch.setattr(posets, "json", SimpleNamespace(dumps=dumps))
+    p = baues_poset(8, 3)
+    assert len(p) > 0 and written == []
+
+
 def test_coatomic_intervals_of_s2_52():
     s2 = build_s2(5, 2)
     coat = interval_poset(s2, "proper_coatomic")
@@ -1017,6 +1079,28 @@ def test_only_triangulations_masks_member_tuples():
             bad += [(name, node.lineno) for arg in node.args for sub in ast.walk(arg)
                     if isinstance(sub, ast.Attribute) and sub.attr == "simplices"]
     assert not bad
+
+
+def test_no_package_path_parses_a_key():
+    # keys are written, never read back: only the two readers of keys from
+    # outside, Triangulation.from_json and Subdivision.from_json, parse JSON
+    # (the oracles are not a package path)
+    readers = {("triangulations.py", "Triangulation"), ("baues.py", "Subdivision")}
+    nodes = list(_package_nodes("oracles.py"))
+    inside = set()      # the nodes of the two readers' bodies
+    for name, node in nodes:
+        if isinstance(node, ast.ClassDef) and (name, node.name) in readers:
+            for fn in node.body:
+                if isinstance(fn, ast.FunctionDef) and fn.name == "from_json":
+                    inside.update(map(id, ast.walk(fn)))
+    bad = []
+    for name, node in nodes:
+        if isinstance(node, ast.Call) and id(node) not in inside:
+            f = node.func
+            called = f.attr if isinstance(f, ast.Attribute) else getattr(f, "id", None)
+            if called in ("from_json", "loads"):
+                bad.append((name, node.lineno, called))
+    assert inside and not bad, bad
 
 
 def test_only_posets_reads_the_stored_rows():
