@@ -75,11 +75,10 @@ def _certificate(p, k, budget):
 
 def cmd_enumerate(args):
     ts = enumerate_triangulations(args.n, args.d, args.cap)
-    # the _json text of the whole export, one triangulation's text at a
-    # time: no nested lists of every member are built
+    # the _json text of the whole export, joined from the table's member
+    # texts: no nested lists of every member are built
     payload = '{"count":%d,"d":%d,"n":%d,"triangulations":[%s]}\n' % (
-        len(ts), args.d, args.n,
-        ",".join(json.dumps(t.simplices, separators=(",", ":")) for t in ts))
+        len(ts), args.d, args.n, ",".join(map(ts.table.members_text, ts.masks)))
     return 0, ["triangulations of C(%d,%d): %d" % (args.n, args.d, len(ts))], payload
 
 

@@ -1,7 +1,8 @@
 """Exact geometry on the moment curve, in integers only.
 
-The normalized volumes and the hull of C(n, d) (its facets found by
-orientation signs) are Vandermonde determinants, computed by one
+The normalized volume of a simplex is a Vandermonde determinant, so it is
+the product of its label differences.  The hull of C(n, d), its facets
+found by orientation signs, is summed from determinants computed by one
 fraction-free Bareiss elimination, `_det`.  The LP side that tests check
 heights and intersections with lives in `oracles`.
 """
@@ -10,7 +11,7 @@ from itertools import combinations
 
 from .simplices import simplex
 
-_volume_cache = {}
+_hull_cache = {}
 
 
 def moment_point(i, d):
@@ -46,21 +47,15 @@ def _det(rows):
 
 
 def normalized_volume(s, d):
-    """|det| of the edge-vector matrix of a d-simplex on the moment curve.
-
-    Equals the Vandermonde product prod_{i<j}(s_j - s_i), which the tests
-    use as the independent route.
-    """
+    """|det| of the edge-vector matrix of a d-simplex on the moment curve:
+    a Vandermonde determinant, so the product of s_j - s_i over i < j."""
     s = simplex(s)
     if len(s) != d + 1:
         raise ValueError("normalized volume needs a full-dimensional simplex")
-    key = (s, d)
-    v = _volume_cache.get(key)
-    if v is None:
-        p0 = moment_point(s[0], d)
-        rows = [[moment_point(si, d)[k] - p0[k] for k in range(d)] for si in s[1:]]
-        v = abs(_det(rows))
-        _volume_cache[key] = v
+    v = 1
+    for j, b in enumerate(s):
+        for a in s[:j]:
+            v *= b - a
     return v
 
 
@@ -72,8 +67,7 @@ def cyclic_volume(n, d):
     in F; (1, m(v))] has one nonzero sign over every other label v; a zero
     means "not a facet".  Its absolute value at v = 1 is the volume of the
     fan's simplex (1,) + F."""
-    key = ("hull", n, d)
-    v = _volume_cache.get(key)
+    v = _hull_cache.get((n, d))
     if v is not None:
         return v
     points = [None] + [(1,) + moment_point(i, d) for i in range(1, n + 1)]
@@ -86,5 +80,5 @@ def cyclic_volume(n, d):
         if all(_det(rows + [points[v]]) * apex > 0
                for v in range(2, n + 1) if v not in face):
             total += abs(apex)
-    _volume_cache[key] = total
+    _hull_cache[n, d] = total
     return total

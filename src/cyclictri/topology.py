@@ -2,12 +2,16 @@
 
 Chains of a finite poset become simplices (vertex set = poset elements); the
 boundary matrices are reduced over the integers, so Betti numbers and torsion
-are exact.  Poset homology is computed on the core, what is left after
-repeatedly removing beat points, which keeps the homotopy type (Stong 1966;
-Barmak 2011).  The reduced Euler characteristic is mu(0, 1) of the
-unreduced poset with bounds adjoined (Hall's theorem), so the core's Betti
-numbers are cross-checked against the Mobius function across the reduction.
-The core and mu come from `posets`; this module reads only `up` and `down`.
+are exact.  Each boundary matrix goes through one column reduction against
++-1 pivots, which leaves it equivalent to an identity block beside a small
+residual, and a dense Smith normal form of the residual gives the rest of
+the rank and the torsion.  Poset homology is computed on the core, what is
+left after repeatedly removing beat points, which keeps the homotopy type
+(Stong 1966; Barmak 2011).  The reduced Euler characteristic is mu(0, 1)
+of the unreduced poset with bounds adjoined (Hall's theorem), so the core's
+Betti numbers are cross-checked against the Mobius function across the
+reduction.  The core and mu come from `posets`; this module reads only `up`
+and `down`.
 
 The empty face is kept as a dimension -1 simplex throughout, which makes all
 homology reduced and gives the empty complex H~_{-1} = Z.  The tests build
@@ -15,7 +19,7 @@ complexes from their facets with `oracles.complex_from_maximal`.
 """
 
 import json
-from collections import deque
+from heapq import heapify, heappop, heappush
 from math import gcd
 
 from .posets import ResourceBudgetError, interval_poset, poset_core
@@ -111,59 +115,56 @@ def _boundary_columns(upper, index_low):
     return cols
 
 
-def _eliminate_units(cols):
-    """Pivot out all +-1 entries; returns (unit_rank, residual dense matrix)."""
-    live = set(range(len(cols)))
-    row_cols = {}
-    for c, col in enumerate(cols):
-        for r in col:
-            row_cols.setdefault(r, set()).add(c)
-    queue = deque()
-    for c, col in enumerate(cols):
+def _clear(col, pivots):
+    """Subtract pivot columns from col until it holds no pivot row.  pivots
+    maps a pivot row to (its rank, its column, scaled to 1 there).  A pivot
+    column holds no row of an earlier pivot, so clearing the present pivot
+    rows earliest first never brings back one already cleared."""
+    heap = [(pivots[r][0], r) for r in col if r in pivots]
+    heapify(heap)
+    while heap:
+        r = heappop(heap)[1]
+        f = col.get(r)
+        if f is None:
+            continue
+        for rr, v in pivots[r][1].items():
+            nv = col.get(rr, 0) - f * v
+            if not nv:
+                del col[rr]
+                continue
+            if rr not in col and rr in pivots:
+                heappush(heap, (pivots[rr][0], rr))
+            col[rr] = nv
+
+
+def _reduce_units(cols):
+    """Column reduction against +-1 pivots; returns (unit rank, residual).
+
+    Each column in turn is cleared against the pivots before it; its first
+    +-1 row then becomes a pivot, or else a nonzero column is kept.  The
+    kept columns are cleared at the end against every pivot, so the matrix
+    is equivalent to a unit-triangular block (the pivots) beside the
+    residual, whose rows are all non-pivot rows."""
+    pivots = {}
+    kept = []
+    for col in cols:
+        _clear(col, pivots)
+        r = next((r for r, v in col.items() if v in (1, -1)), None)
+        if r is not None:
+            if col[r] == -1:
+                for rr in col:
+                    col[rr] = -col[rr]
+            pivots[r] = (len(pivots), col)
+        elif col:
+            kept.append(col)
+    for col in kept:
+        _clear(col, pivots)
+    rows = {r: i for i, r in enumerate(sorted({r for col in kept for r in col}))}
+    dense = [[0] * len(kept) for _ in rows]
+    for j, col in enumerate(kept):
         for r, v in col.items():
-            if v in (1, -1):
-                queue.append((r, c))
-    rank = 0
-    dead_rows = set()
-    while queue:
-        r, c = queue.popleft()
-        if c not in live or r in dead_rows:
-            continue
-        v = cols[c].get(r)
-        if v not in (1, -1):
-            continue
-        piv = cols[c]
-        for c2 in list(row_cols.get(r, ())):
-            if c2 == c or c2 not in live:
-                continue
-            w = cols[c2].get(r)
-            if w is None:
-                continue
-            f = w * v
-            col2 = cols[c2]
-            for rr, vv in piv.items():
-                nv = col2.get(rr, 0) - f * vv
-                if nv:
-                    col2[rr] = nv
-                    row_cols.setdefault(rr, set()).add(c2)
-                    if nv in (1, -1):
-                        queue.append((rr, c2))
-                elif rr in col2:
-                    del col2[rr]
-                    row_cols[rr].discard(c2)
-        for rr in piv:
-            row_cols.get(rr, set()).discard(c)
-        live.discard(c)
-        dead_rows.add(r)
-        rank += 1
-    rows = sorted({r for c in live for r in cols[c] if r not in dead_rows})
-    rind = {r: i for i, r in enumerate(rows)}
-    dense = [[0] * len(live) for _ in rows]
-    for j, c in enumerate(sorted(live)):
-        for r, v in cols[c].items():
-            if r not in dead_rows:
-                dense[rind[r]][j] = v
-    return rank, dense
+            dense[rows[r]][j] = v
+    return len(pivots), dense
 
 
 def _dense_snf(a):
@@ -300,7 +301,7 @@ def homology(k_complex):
             continue
         index_low = {f: i for i, f in enumerate(lower)}
         cols = _boundary_columns(upper, index_low)
-        units, residual = _eliminate_units(cols)
+        units, residual = _reduce_units(cols)
         extra = _dense_snf(residual) if residual else []
         rank[k] = units + len(extra)
         invf[k] = extra

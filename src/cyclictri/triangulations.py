@@ -136,7 +136,7 @@ class _Table:
         self.d = d
         self.simplices = list(combinations(range(1, n + 1), d + 1))
         self.index = {s: i for i, s in enumerate(self.simplices)}
-        self.head = '{"n":%d,"d":%d,"simplices":[' % (n, d)     # of every key
+        self.head = '{"n":%d,"d":%d,"simplices":' % (n, d)     # of every key
         self._rows = [None] * len(self.simplices)
         self._extensions = [None] * len(self.simplices)
         self._denies = [None] * len(self.simplices)
@@ -185,10 +185,14 @@ class _Table:
         """texts[i]: the JSON text "[a,b,c]" of simplices[i]."""
         return ["[%s]" % ",".join(map(str, s)) for s in self.simplices]
 
+    def members_text(self, mask):
+        """The JSON text "[[a,b,c],...]" of the mask's members, joined from
+        texts: the one writer of simplex lists, in keys and exports."""
+        return "[%s]" % ",".join(map(self.texts.__getitem__, bits(mask)))
+
     def key(self, mask):
-        """The key of the mask's Triangulation, joined from texts: the one
-        writer of key strings."""
-        return "%s%s]}" % (self.head, ",".join(map(self.texts.__getitem__, bits(mask))))
+        """The key of the mask's Triangulation: the one writer of key strings."""
+        return "%s%s}" % (self.head, self.members_text(mask))
 
     @cached_property
     def _text_ranks(self):

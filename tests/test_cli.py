@@ -228,6 +228,10 @@ def test_cli_import_stays_light():
      "d708148d5a4bff287947a2c40722232c9c50b336829912ba597a6bd54c3069a2"),
     ("baues --n 7 --d 1 --certificate",
      "bfdd2215fa436d56ee9102f06a6f5e3447c611fa52906bfc3d5a8ab626fc7f8a"),
+    # a 4-dimensional core complex of about 100k faces for the reduction,
+    # recorded before the column reduction replaced the unit elimination
+    ("baues --n 8 --d 2 --certificate",
+     "98a3a5a63fa76ca34426a76f0d88ce299bdab2ec0be384579c9076762117aef5"),
 ])
 def test_payload_bytes_pinned(capsys, argv, digest):
     # whole stdout, as printed before the triangulation table existed
