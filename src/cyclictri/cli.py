@@ -17,11 +17,10 @@ import json
 import os
 import sys
 
-from . import baues as baues_mod
-from . import topology, verification
-from .posets import (ResourceBudgetError, build_order, build_s1, build_s2,
-                     compare_relations, enumerate_triangulations,
-                     flip_cover_discrepancies)
+# submodules, not names: the package registers them lazily, and a
+# from-import would run each at import time, whether the subcommand uses it
+# or not
+from . import posets, topology, verification, baues as baues_mod
 
 
 class _Parser(argparse.ArgumentParser):
@@ -74,7 +73,7 @@ def _certificate(p, k, budget):
 
 
 def cmd_enumerate(args):
-    ts = enumerate_triangulations(args.n, args.d, args.cap)
+    ts = posets.enumerate_triangulations(args.n, args.d, args.cap)
     # the _json text of the whole export, joined from the table's member
     # texts: no nested lists of every member are built
     payload = '{"count":%d,"d":%d,"n":%d,"triangulations":[%s]}\n' % (
@@ -83,16 +82,16 @@ def cmd_enumerate(args):
 
 
 def cmd_poset(args):
-    p = build_order(args.order, args.n, args.d, args.cap)
+    p = posets.build_order(args.order, args.n, args.d, args.cap)
     line = "%s(%d,%d): %d elements, %d cover relations" % (
         args.order, args.n, args.d, len(p.elements), len(p.covers()))
     return 0, [line], _poset_payload(p, args.format)
 
 
 def cmd_compare_orders(args):
-    s1 = build_s1(args.n, args.d, args.cap)
-    s2 = build_s2(args.n, args.d, args.cap)
-    diff = compare_relations(s1, s2)
+    s1 = posets.build_s1(args.n, args.d, args.cap)
+    s2 = posets.build_s2(args.n, args.d, args.cap)
+    diff = posets.compare_relations(s1, s2)
     if diff is None:
         return 0, ["s1(%d,%d) and s2(%d,%d) are equal as relations"
                    % (args.n, args.d, args.n, args.d)], None
@@ -101,7 +100,7 @@ def cmd_compare_orders(args):
 
 
 def cmd_check_lattice(args):
-    p = build_order(args.order, args.n, args.d, args.cap)
+    p = posets.build_order(args.order, args.n, args.d, args.cap)
     w = p.is_lattice()
     name = "%s(%d,%d)" % (args.order, args.n, args.d)
     if w is True:
@@ -111,7 +110,7 @@ def cmd_check_lattice(args):
 
 
 def cmd_mobius(args):
-    p = build_order(args.order, args.n, args.d, args.cap)
+    p = posets.build_order(args.order, args.n, args.d, args.cap)
     mu = p.mobius_bottom_top()
     k = args.n - args.d - 3
     expected = -1 if k % 2 else 1
@@ -121,7 +120,7 @@ def cmd_mobius(args):
 
 
 def cmd_sphere(args):
-    p = build_order(args.order, args.n, args.d, args.cap)
+    p = posets.build_order(args.order, args.n, args.d, args.cap)
     k = args.k if args.k is not None else args.n - args.d - 3
     report, lines = _certificate(p.proper_part(), k, args.budget)
     payload = report["homology"].to_json(
@@ -162,7 +161,7 @@ def cmd_verify_connecting(args):
 
 def cmd_oracle_crosscheck(args):
     from . import oracles   # the only subcommand that needs a reference implementation
-    ours = enumerate_triangulations(args.n, args.d, args.cap)
+    ours = posets.enumerate_triangulations(args.n, args.d, args.cap)
     oracle = oracles.brute_force_triangulations(args.n, args.d, args.max_candidates)
     same = list(map(ours.key, range(len(ours)))) == [t.key() for t in oracle]
     line = "flip search found %d, brute force found %d: %s" % (
@@ -171,9 +170,9 @@ def cmd_oracle_crosscheck(args):
 
 
 def cmd_flip_graph(args):
-    ts = enumerate_triangulations(args.n, args.d, args.cap)
+    ts = posets.enumerate_triangulations(args.n, args.d, args.cap)
     edges = sorted(zip(ts.edges.src, ts.edges.dst))
-    stray = flip_cover_discrepancies(args.n, args.d, args.cap)
+    stray = posets.flip_cover_discrepancies(args.n, args.d, args.cap)
     lines = ["flip graph of C(%d,%d): %d nodes, %d edges, %d non-cover flips"
              % (args.n, args.d, len(ts), len(edges), len(stray))]
     if args.format == "dot":
@@ -248,15 +247,17 @@ def main(argv=None):
             except OSError as exc:
                 raise ValueError("cannot write %s: %s" % (args.output, exc.strerror))
             payload = None
-    except ResourceBudgetError as exc:
+    except ValueError as exc:
+        # first: an argument error is caught before the next clause reads
+        # posets.ResourceBudgetError, which would run posets and its imports
+        print("error: %s" % exc, file=sys.stderr)
+        return 3
+    except posets.ResourceBudgetError as exc:
         print("resource budget exceeded: %s" % exc, file=sys.stderr)
         return 2
     except MemoryError:
         print("resource budget exceeded: out of memory", file=sys.stderr)
         return 2
-    except ValueError as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return 3
     try:
         sys.stdout.write("".join(line + "\n" for line in lines))
         if payload is not None:

@@ -12,7 +12,7 @@ import tracemalloc
 
 import pytest
 
-from cyclictri import cli
+from cyclictri import cli, posets
 from cyclictri.cli import main
 from cyclictri.posets import FinitePoset, build_s2
 
@@ -65,7 +65,7 @@ def test_compare_orders_difference_is_refuted_in_any_dimension(capsys, monkeypat
         p = build_s2(n, d, cap)
         return FinitePoset(p.elements, [1 << i for i in range(len(p))])
 
-    monkeypatch.setattr(cli, "build_s2", discrete_s2)
+    monkeypatch.setattr(posets, "build_s2", discrete_s2)
     code, out, _ = run(capsys, "compare-orders", "--n", "7", "--d", "4")
     assert code == 1
     assert "orders differ" in out
@@ -203,6 +203,66 @@ def test_cli_import_stays_light():
                           capture_output=True, text=True, env=env, timeout=30)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+SUBMODULES = sorted(name[:-3] for name in os.listdir(os.path.join(SRC, "cyclictri"))
+                    if name.endswith(".py") and name != "__init__.py")
+
+# Runs `import cyclictri.cli` and then, given arguments, the CLI, and prints
+# as its last line which submodules are in sys.modules and which have run.
+# It reads no attribute of a module that has not run, which would run it: a
+# lazily registered module's type is types.ModuleType only once it has run.
+_MODULES_RUN = """
+import json, sys, types
+import cyclictri.cli
+argv = json.loads(sys.argv[1])
+code = cyclictri.cli.main(argv) if argv else None
+mods = [(name[len("cyclictri."):], type(mod) is types.ModuleType)
+        for name, mod in sorted(sys.modules.items()) if name.startswith("cyclictri.")]
+print(json.dumps({"code": code, "loaded": [m for m, _ in mods],
+                  "ran": [m for m, ran in mods if ran]}))
+"""
+
+
+def _modules_run(argv):
+    proc = subprocess.run([sys.executable, "-c", _MODULES_RUN, json.dumps(argv)],
+                          capture_output=True, text=True, timeout=60,
+                          env=dict(os.environ, PYTHONPATH=SRC))
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout.splitlines()[-1]), proc.stderr
+
+
+def test_cli_import_registers_every_submodule_and_runs_only_cli():
+    # perfbench/tracer.py wraps the modules `import cyclictri.cli` leaves in
+    # sys.modules, so all of them must be there, though none but cli has run
+    got, _ = _modules_run([])
+    assert got["loaded"] == [m for m in SUBMODULES if m != "oracles"]
+    assert got["ran"] == ["cli"]
+
+
+@pytest.mark.parametrize("argv,not_run", [
+    ("check-lattice --n 6 --d 2", {"topology", "baues", "verification"}),
+    ("mobius --n 7 --d 2", {"topology", "baues", "verification"}),
+    ("compare-orders --n 6 --d 2", {"topology", "baues", "verification"}),
+    ("sphere --n 6 --d 2", {"baues", "verification"}),
+])
+def test_subcommand_runs_only_the_modules_it_uses(argv, not_run):
+    got, _ = _modules_run(argv.split())
+    assert got["code"] == 0
+    assert not_run.isdisjoint(got["ran"]) and "oracles" not in got["loaded"]
+    assert "posets" in got["ran"]
+
+
+def test_argument_error_runs_no_computing_module(tmp_path):
+    missing = str(tmp_path / "missing" / "x")
+    for argv, err in [
+            (["check-lattice", "--n", "2", "--d", "3"], "error: need n > d >= 1\n"),
+            (["enumerate", "--n", "6", "--d", "2", "--output", missing],
+             "error: cannot write %s: No such file or directory\n" % missing)]:
+        got, stderr = _modules_run(argv)
+        assert (got["code"], stderr) == (3, err)
+        assert got["ran"] == ["cli"]
 
 
 @pytest.mark.parametrize("argv,digest", [

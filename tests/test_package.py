@@ -1,0 +1,50 @@
+"""The package namespace: public names resolve to their home modules, and
+the oracles stay out of it."""
+
+import importlib
+import os
+import subprocess
+import sys
+
+import pytest
+
+import cyclictri
+
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+
+
+def test_public_names_are_their_home_modules_objects():
+    names = [name for name in cyclictri.__all__ if name != "__version__"]
+    assert sorted(cyclictri._HOME) == sorted(names)
+    for name in names:
+        home = importlib.import_module("cyclictri." + cyclictri._HOME[name])
+        assert getattr(cyclictri, name) is getattr(home, name), name
+    assert cyclictri.homology is cyclictri.topology.homology
+    assert cyclictri.ResourceBudgetError is cyclictri.triangulations.ResourceBudgetError
+    assert cyclictri.__version__ == "0.1.0"
+
+
+def test_star_import_binds_every_public_name():
+    namespace = {}
+    exec("from cyclictri import *", namespace)
+    assert set(cyclictri.__all__) <= set(namespace)
+    assert namespace["build_s2"] is cyclictri.posets.build_s2
+
+
+def test_unknown_name_raises_attribute_error():
+    with pytest.raises(AttributeError, match="no_such_name"):
+        cyclictri.no_such_name
+    with pytest.raises(ImportError):
+        exec("from cyclictri import no_such_name", {})
+    assert set(cyclictri.__all__) <= set(dir(cyclictri))
+
+
+def test_oracles_are_not_registered_but_import():
+    code = ("import sys, cyclictri; "
+            "print('cyclictri.oracles' in sys.modules, hasattr(cyclictri, 'oracles')); "
+            "import cyclictri.oracles; "
+            "print(cyclictri.oracles.brute_force_triangulations.__module__)")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, timeout=30, env=dict(os.environ, PYTHONPATH=SRC))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "False False\ncyclictri.oracles\n"
