@@ -5,13 +5,16 @@ Importing the package runs none of its submodules.  Each one in _EXPORTS
 is registered lazily: it is in sys.modules and bound on the package from
 the start, and its body runs (and is compiled) on the first read of one of
 its attributes, so a CLI process compiles only the modules its subcommand
-uses.  The public names in __all__ resolve through the module __getattr__
+uses.  Where bytecode is written, the first import still writes the cache
+of every registered submodule, as an eager import would, so no later
+process compiles a module on its first use.  The public names in __all__ resolve through the module __getattr__
 (PEP 562) to their home module.  `cyclictri.cli` is imported by whoever
 runs it, as any module.  The reference implementations the tests check
 against live in `cyclictri.oracles`, which this package never registers
 or imports."""
 
 import importlib.util
+import os
 import sys
 
 # each lazily registered submodule and the public names it defines
@@ -46,6 +49,9 @@ __all__ = [name for names in _EXPORTS.values() for name in names] + ["__version_
 def _register(short):
     name = "%s.%s" % (__name__, short)
     spec = importlib.util.find_spec(name)
+    if not sys.dont_write_bytecode and spec.cached and not os.path.exists(spec.cached):
+        # compiles and writes the bytecode cache; the module does not run
+        spec.loader.get_code(name)
     spec.loader = importlib.util.LazyLoader(spec.loader)
     module = importlib.util.module_from_spec(spec)
     sys.modules[name] = module

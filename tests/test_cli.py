@@ -241,6 +241,25 @@ def test_cli_import_registers_every_submodule_and_runs_only_cli():
     assert got["ran"] == ["cli"]
 
 
+@pytest.mark.parametrize("write", [True, False])
+def test_cli_import_writes_every_bytecode_cache_and_runs_only_cli(tmp_path, write):
+    # the first process caches what an eager import would, so a module first
+    # used by a later process is not compiled there
+    env = dict(os.environ, PYTHONPATH=SRC, PYTHONPYCACHEPREFIX=str(tmp_path))
+    env.pop("PYTHONDONTWRITEBYTECODE", None)
+    if not write:
+        env["PYTHONDONTWRITEBYTECODE"] = "1"
+    proc = subprocess.run([sys.executable, "-c", _MODULES_RUN, "[]"],
+                          capture_output=True, text=True, timeout=60, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout.splitlines()[-1])["ran"] == ["cli"]
+    cached = sorted(name.split(".")[0] for path, _, files in os.walk(tmp_path)
+                    if os.path.basename(path) == "cyclictri"
+                    for name in files if name.endswith(".pyc"))
+    registered = [m for m in SUBMODULES if m != "oracles"]
+    assert cached == (sorted(["__init__"] + registered) if write else [])
+
+
 @pytest.mark.parametrize("argv,not_run", [
     ("check-lattice --n 6 --d 2", {"topology", "baues", "verification"}),
     ("mobius --n 7 --d 2", {"topology", "baues", "verification"}),
