@@ -6,6 +6,7 @@ import importlib.util
 import json
 import os
 import re
+import resource
 import subprocess
 import sys
 import tracemalloc
@@ -158,6 +159,22 @@ def test_size_guard_exits_before_any_work():
                           capture_output=True, text=True, env=env, timeout=30)
     assert proc.returncode == 2
     assert "budget" in proc.stderr
+
+
+def test_mobius_size_guard_on_middle_cells():
+    # C(40, 38) has two triangulations, but the height order would list its
+    # C(40, 20) middle cells: the guard refuses them before building any.
+    # A child capped at 1 GiB of address space turns a regressed guard into
+    # an out-of-memory exit instead of a host-wide one
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run(
+        [sys.executable, "-m", "cyclictri.cli", "mobius", "--n", "40", "--d", "38"],
+        capture_output=True, text=True, env=env, timeout=60,
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30)))
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr == ("resource budget exceeded: C(40, 38): 137846528820 vertex sets"
+                           " of size 20 exceed the size bound 1000000\n")
 
 
 def test_check_lattice_s1_10_3_within_a_minute():

@@ -771,6 +771,18 @@ def test_enumeration_counts():
     assert len(enumerate_triangulations(5, 1)) == 8
 
 
+@pytest.mark.parametrize("d", range(10, 19))
+def test_enumeration_counts_at_large_d(d):
+    # C(d+3, d) has d+3 triangulations; a conflict row costs time polynomial
+    # in d, so these take a fraction of a second each
+    assert len(enumerate_triangulations(d + 3, d)) == d + 3
+
+
+def test_s1_40_38_is_a_lattice():
+    assert len(enumerate_triangulations(40, 38)) == 2
+    assert build_s1(40, 38).is_lattice() is True
+
+
 def test_enumeration_validates_every_mask(monkeypatch):
     # a wrong volume in one table row must stop the flip search
     from cyclictri import posets
@@ -817,6 +829,24 @@ def test_order_builders_cap_when_cached(build):
     with pytest.raises(ResourceBudgetError) as e:
         build(7, 3, cap=5)
     assert (e.value.kind, e.value.limit, e.value.reached) == ("enum_cap", 5, 25)
+
+
+def test_s2_middle_cells_size_guard(monkeypatch):
+    # the height order's middle cells are counted, with table()'s bound,
+    # before any is listed; a fresh table of C(9, 4) and caches that miss
+    # let the guard, not a cache, decide
+    from cyclictri import posets, triangulations
+    tab = triangulations._Table(9, 4)
+    monkeypatch.setattr(triangulations, "_table_cache", {(9, 4): tab})
+    monkeypatch.setattr(posets, "_enum_cache", {})
+    monkeypatch.setattr(posets, "_s2_cache", {})
+    monkeypatch.setattr(triangulations, "DEFAULT_ENUM_CAP", 83)
+    with pytest.raises(ResourceBudgetError) as e:
+        build_s2(9, 4)
+    err = e.value
+    assert (err.kind, err.limit, err.reached, err.where) == ("size_guard", 83, 84, "C(9, 4)")
+    assert str(err) == "C(9, 4): 84 vertex sets of size 3 exceed the size bound 83"
+    assert "_intertwining" not in vars(tab)
 
 
 def test_s1_s2_small_equal():

@@ -150,7 +150,7 @@ def test_zig_zag_geometry_agreement_lower_faces(n, d):
             assert zig_zag_admissible(s1, s2, d) == admissible_geometric(s1, s2, d), (s1, s2)
 
 
-@pytest.mark.parametrize("n,d", [(6, 1), (6, 2), (7, 2), (7, 3), (8, 4)])
+@pytest.mark.parametrize("n,d", [(6, 1), (6, 2), (7, 2), (7, 3), (8, 4), (9, 6), (10, 8)])
 def test_zig_zag_agrees_with_geometry(n, d):
     # combinatorial DP vs exact intersection testing, exhaustive
     for s1 in combinations(range(1, n + 1), d + 1):

@@ -322,7 +322,8 @@ def _rule_witness(v):
     return None if v is None else (v.rule, v.witness, v.message)
 
 
-@pytest.mark.parametrize("n,d", [(7, 2), (8, 3), (9, 4), (9, 5), (8, 1), (8, 6), (10, 4)])
+@pytest.mark.parametrize("n,d", [(7, 2), (8, 3), (9, 4), (9, 5), (8, 1), (8, 6), (10, 4),
+                                 (15, 12), (21, 18)])
 def test_table_rows_match_zig_zag(n, d):
     tab = table(n, d)
     for i, a in enumerate(tab.simplices):
