@@ -6,8 +6,10 @@ Each oracle reaches its answer by a route independent of the rule it checks:
 
 - `exact_lp`, an exact two-phase simplex (Bland's rule, so termination is
   unconditional) on an integer tableau;
+- `_det`, a fraction-free Bareiss determinant, and `hull_volume`, the route
+  to `geometry.cyclic_volume` by orientation signs, not Gale's evenness rule;
 - per-simplex lift functionals and barycentric halfspace systems (Cramer's
-  rule over `geometry._det`) that turn relative-height, submersion and
+  rule over `_det`) that turn relative-height, submersion and
   intersection queries into very small LPs: `submersion_set` is the LP route
   to `triangulations.submersion_mask`, `admissible_geometric` the LP route to
   `zig_zag_admissible`, the label-level conflict rule that
@@ -30,7 +32,7 @@ from math import lcm
 
 from . import triangulations as tri
 from .baues import Subdivision
-from .geometry import _det, cyclic_volume, moment_point, normalized_volume
+from .geometry import moment_point, normalized_volume
 from .simplices import simplex
 from .topology import SimplicialComplex
 
@@ -44,6 +46,47 @@ _lift_cache = {}
 _bary_cache = {}
 _pair_height_cache = {}
 _pair_submerged_cache = {}
+
+
+def _det(rows):
+    """Exact determinant of a square int matrix, fraction-free by Bareiss:
+    each update divides exactly by the previous pivot."""
+    n = len(rows)
+    m = [list(r) for r in rows]
+    if any(len(r) != n for r in m):
+        raise ValueError("determinant needs a square matrix")
+    sign = 1
+    prev = 1
+    for k in range(n - 1):
+        if m[k][k] == 0:
+            for r in range(k + 1, n):
+                if m[r][k] != 0:
+                    m[k], m[r] = m[r], m[k]
+                    sign = -sign
+                    break
+            else:
+                return 0
+        for r in range(k + 1, n):
+            for c in range(k + 1, n):
+                m[r][c] = (m[r][c] * m[k][k] - m[r][k] * m[k][c]) // prev
+        prev = m[k][k]
+    return sign * m[-1][-1]
+
+
+def hull_volume(n, d):
+    """Normalized volume of C(n, d), via the fan from vertex 1 over the hull
+    facets that avoid it: a d-set F of {2..n} is a facet iff the orientation
+    det[(1, m(f)) for f in F; (1, m(v))] has one nonzero sign over every
+    other label v, and its absolute value at v = 1 is the volume of (1,) + F."""
+    points = [None] + [(1,) + moment_point(i, d) for i in range(1, n + 1)]
+    total = 0
+    for face in combinations(range(2, n + 1), d):
+        rows = [points[f] for f in face]
+        apex = _det(rows + [points[1]])
+        if apex and all(_det(rows + [points[v]]) * apex > 0
+                        for v in range(2, n + 1) if v not in face):
+            total += abs(apex)
+    return total
 
 
 def _solve_linear(a_rows, rhs, den=None):
@@ -457,7 +500,7 @@ def brute_force_triangulations(n, d, max_candidates=25):
         raise ValueError("%d candidate simplices exceed the guard %d"
                          % (len(cands), max_candidates))
     vols = [normalized_volume(s, d) for s in cands]
-    target = cyclic_volume(n, d)
+    target = hull_volume(n, d)
     ok = [[zig_zag_admissible(a, b, d) for b in cands] for a in cands]
     found = []
 

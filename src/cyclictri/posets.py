@@ -798,6 +798,7 @@ def build_s2(n, d, cap=None):
     x lacks.  Containment is reflexive and transitive; it is antisymmetric
     iff the masks are pairwise distinct."""
     key = (n, d)
+    tri.table(n, d)._middle     # the middle cells' size guard, before enumerating
     ts = enumerate_triangulations(n, d, cap)    # the cap holds on a cache hit too
     p = _s2_cache.get(key)
     if p is None:

@@ -18,14 +18,14 @@ A mask gives its Triangulation, its key string and its place in key order
 on demand (`triangulation`, `key`, `key_order`), so a set of triangulations
 can be kept as masks alone; `key` is the one writer of key strings, and
 `Triangulation.from_json` the one reader.  Submersion masks are ORs of
-per-simplex deny masks kept on the table, and the suspension maps (f, i, j)
-and the connecting sets are per-table index maps, one OR per member."""
+per-simplex deny masks, alternating-path scans too, and the suspension maps
+(f, i, j) and the connecting sets are per-table index maps, one OR each."""
 
 import json
 from bisect import bisect_right
 from collections import namedtuple
 from functools import cached_property
-from itertools import accumulate, combinations, product
+from itertools import accumulate, combinations
 from math import comb
 
 from . import geometry
@@ -126,9 +126,9 @@ class _Table:
     standing for simplices[i], with what validation and flips need of each:
     its row and its extensions, both filled in on first use, so only the
     simplices that occur cost anything, and likewise its deny mask for
-    submersion.  The per-label masks the rows are built from, the hull
-    volume, the numbering of the d-subsets of [n] (the facets), the boundary
-    and the middle cells are computed once, on first use.
+    submersion.  The per-label masks of the simplices and of the middle
+    cells (for _alternating), the hull volume, the numbering of the
+    d-subsets of [n] (the facets) and the boundary are computed once.
     """
 
     def __init__(self, n, d):
@@ -221,43 +221,22 @@ class _Table:
     def holders(self):
         """holders[v]: the mask of the simplices holding label v, for
         0 <= v <= n (none holds 0)."""
-        holders = [0] * (self.n + 1)
-        for i, s in enumerate(self.simplices):
-            for v in s:
-                holders[v] |= 1 << i
-        return holders
+        return _holders(self.n, self.d + 1)
 
     def row(self, i):
         """(conflicts, volume, facets, labels) of simplices[i]: the mask of
-        the later simplices it is not zig-zag admissible with, its
-        normalized volume, the mask of its facets over facet_index and the
-        mask of its labels (bit v for label v).
-
-        Two simplices meet improperly iff some x_1 < ... < x_{d+2} has its
-        odd positions in one and its even positions in the other (a label of
-        both may play either part).  oracles.zig_zag_admissible's scan runs
-        for every later simplex t at once: after label x, mine[j] (theirs[j])
-        masks the t with such a sequence of j labels ending in simplices[i]
-        (in t); only the j with j + n - x >= d + 2 can still reach d + 2."""
+        the later simplices it is not zig-zag admissible with (those with an
+        alternating sequence of d + 2 labels, _alternating), its normalized
+        volume, the mask of its facets over facet_index and the mask of its
+        labels (bit v for label v)."""
         got = self._rows[i]
         if got is None:
-            s, n, d = self.simplices[i], self.n, self.d
-            mine = [0] * (d + 3)
-            theirs = [0] * (d + 3)
-            mine[0] = theirs[0] = (1 << len(self.simplices)) - (2 << i)    # the later ones
-            for x, h in enumerate(self.holders):
-                # longest first, so each j reads the j - 1 of label x - 1
-                span = range(min(x, d + 2), max(0, x + d + 1 - n), -1)
-                if x in s:
-                    for j in span:
-                        mine[j] |= theirs[j - 1]
-                        theirs[j] |= mine[j - 1] & h
-                else:
-                    for j in span:
-                        theirs[j] |= mine[j - 1] & h
+            s, d = self.simplices[i], self.d
+            later = (1 << len(self.simplices)) - (2 << i)
+            mine, theirs = _alternating(s, self.holders, later, d + 2)
             index = self.facet_index
             got = self._rows[i] = (
-                mine[d + 2] | theirs[d + 2], geometry.normalized_volume(s, d),
+                mine | theirs, geometry.normalized_volume(s, d),
                 sum(1 << index[f] for f in _facets(s)), sum(1 << v for v in s))
         return got
 
@@ -460,47 +439,72 @@ class _Table:
         return (mask >> self.index[terminal_simplex(self.n, self.d)]) & 1 == self.d % 2
 
     @cached_property
-    def _intertwining(self):
-        """(cells, masks): the mask of all middle cells of [n], the
-        (ceil(d/2)+1)-subsets in lexicographic order, and for each
-        (floor(d/2)+1)-subset B of [n] the mask of the cells B denies.
-
-        With k = floor(d/2), B denies the cell s iff b0<s0<b1<...<bk<sk for
-        even d, and iff s0<b0<s1<...<bk<s(k+1) for odd d (Oppermann-Thomas
-        2012; Williams 2023).  The denied cells are enumerated directly:
-        each s_j ranges over the open gap between its two neighbouring b's.
-        The cells and the B are counted first, by table()'s size guard.
-        """
-        n, d = self.n, self.d
-        _size_guard(n, d, (d + 1) // 2 + 1, d // 2 + 1)
-        cells = list(combinations(range(1, n + 1), (d + 1) // 2 + 1))
-        index = {c: j for j, c in enumerate(cells)}
-        masks = {}
-        for b in combinations(range(1, n + 1), d // 2 + 1):
-            walls = (b if d % 2 == 0 else (0,) + b) + (n + 1,)
-            m = 0
-            for s in product(*(range(lo + 1, hi) for lo, hi in zip(walls, walls[1:]))):
-                m |= 1 << index[s]
-            masks[b] = m
-        return (1 << len(cells)) - 1, masks
+    def _middle(self):
+        """(cells, holders): the mask of the middle cells, the (ceil(d/2)+1)-
+        subsets of [n] in lexicographic order, and holders[v] that of those
+        holding label v; counted first by the size guard, never listed."""
+        size = (self.d + 1) // 2 + 1
+        _size_guard(self.n, self.d, size)
+        return (1 << comb(self.n, size)) - 1, _holders(self.n, size)
 
     def submersion(self, mask):
-        """The submersion mask of a mask: the middle cells that no
-        (floor(d/2)+1)-face of a member denies, the complement of the OR of
-        the members' deny masks.  A simplex's deny mask, the OR over its
-        faces, is filled in on first use."""
-        cells, masks = self._intertwining
-        denies, k = self._denies, self.d // 2 + 1
+        """The submersion mask of a mask: the middle cells that no member
+        denies, the complement of the OR of the members' deny masks.
+
+        A d-simplex s denies the cell c iff some (floor(d/2)+1)-face b of s
+        interleaves c: b0<c0<b1<...<bk<ck for even d, c0<b0<...<bk<c(k+1)
+        for odd d (Oppermann-Thomas 2012; Williams 2023).  These are the
+        alternating sequences of d + 2 labels ending in c (_alternating): they
+        take all ceil(d/2)+1 labels of c and floor(d/2)+1 of s, a face."""
+        cells, holders = self._middle
+        denies, d = self._denies, self.d
         deny = 0
         for i in bits(mask):
             m = denies[i]
             if m is None:
-                m = 0
-                for b in combinations(self.simplices[i], k):
-                    m |= masks[b]
-                denies[i] = m
+                m = denies[i] = _alternating(self.simplices[i], holders, cells, d + 2)[1]
             deny |= m
         return cells & ~deny
+
+
+def _alternating(s, holders, start, length):
+    """(mine, theirs): the members of start, given by the masks holders[v]
+    of those holding label v (0 <= v <= n), with `length` labels
+    x_1 < x_2 < ... alternating between s and the member, ending in s
+    (mine) or in the member (theirs); a label of both may play either part.
+    oracles.zig_zag_admissible's scan for every member at once: after label
+    x, mine[j] (theirs[j]) masks those with such j labels ending in s (in
+    the member); only the j with j + n - x >= length can reach length."""
+    n = len(holders) - 1
+    mine = [start] + [0] * length
+    theirs = mine[:]
+    for x, h in enumerate(holders):
+        # longest first, so each j reads the j - 1 of label x - 1
+        span = range(min(x, length), max(0, x + length - 1 - n), -1)
+        if x in s:
+            for j in span:
+                mine[j] |= theirs[j - 1]
+                theirs[j] |= mine[j - 1] & h
+        else:
+            for j in span:
+                theirs[j] |= mine[j - 1] & h
+    return mine[length], theirs[length]
+
+
+def _holders(n, size):
+    """Per label v, 0 <= v <= n, the mask of the size-subsets of [n] (in
+    lexicographic order) holding v, grown by whole-mask shifts and ORs: the
+    j-subsets of {a..n} list a before each (j-1)-subset of {a+1..n}, then
+    the j-subsets of {a+1..n}.  Only the j > size - a reach size, and those
+    j-subsets of {a..n} number at most C(n, size)."""
+    masks = [[0] * (n + 1) for _ in range(size + 1)]  # masks[j]: j-subsets of {a..n}
+    for a in range(n, 0, -1):
+        for j in range(min(size, n + 1 - a), max(0, size - a), -1):   # masks[j - 1]: a + 1's
+            with_a = comb(n - a, j - 1)
+            row = [(m << with_a) | low for m, low in zip(masks[j], masks[j - 1])]
+            row[a] = (1 << with_a) - 1
+            masks[j] = row
+    return masks[size]
 
 
 def _image(mask, images):
@@ -641,5 +645,5 @@ def color(t):
 def submersion_mask(t):
     """Bitmask over the middle cells of [n] (the (ceil(d/2)+1)-subsets, in
     lexicographic order) marking those submerged under t: the cells no
-    (floor(d/2)+1)-vertex face of t denies (_Table.submersion)."""
+    member of t denies (_Table.submersion)."""
     return table(t.n, t.d).submersion(t.mask)

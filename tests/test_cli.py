@@ -177,6 +177,19 @@ def test_mobius_size_guard_on_middle_cells():
                            " of size 20 exceed the size bound 1000000\n")
 
 
+def test_mobius_size_guard_before_enumeration():
+    # C(24, 20) has 28,648 triangulations, and its C(24, 11) middle cells
+    # pass the bound: the guard fires before the flip search starts
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run(
+        [sys.executable, "-m", "cyclictri.cli", "mobius", "--n", "24", "--d", "20"],
+        capture_output=True, text=True, env=env, timeout=5)
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr == ("resource budget exceeded: C(24, 20): 2496144 vertex sets"
+                           " of size 11 exceed the size bound 1000000\n")
+
+
 def test_check_lattice_s1_10_3_within_a_minute():
     # 8,477 elements: a lattice certified by joins of cover pairs, where a
     # meet and join test of every pair takes minutes

@@ -19,15 +19,17 @@ import pytest
 from scipy.optimize import linprog
 from scipy.spatial import ConvexHull
 
-from cyclictri.geometry import _det, cyclic_volume, moment_point, normalized_volume
+from cyclictri.geometry import cyclic_volume, moment_point, normalized_volume
 from cyclictri.oracles import (
     BELOW,
     ABOVE,
     EQUAL,
     INCOMPARABLE,
     CROSSING,
+    _det,
     _solve_linear,
     exact_lp,
+    hull_volume,
     lift_functional,
     relative_height,
     submerged,
@@ -188,6 +190,13 @@ def test_cyclic_volume_matches_scipy_hull():
         pts = np.array([[float(x) for x in moment_point(i, d)] for i in range(1, n + 1)])
         want = ConvexHull(pts).volume * math.factorial(d)
         assert abs(float(cyclic_volume(n, d)) - want) < 1e-6 * want
+
+
+def test_cyclic_volume_matches_orientation_hull():
+    # Gale's facets against the facets found by orientation determinants
+    for d in range(1, 9):
+        for n in range(d + 1, d + 6):
+            assert cyclic_volume(n, d) == hull_volume(n, d), (n, d)
 
 
 def test_cyclic_volume_is_triangulation_sum():

@@ -778,6 +778,20 @@ def test_enumeration_counts_at_large_d(d):
     assert len(enumerate_triangulations(d + 3, d)) == d + 3
 
 
+# Regression pins: the brute-force oracle cannot reach these counts.
+@pytest.mark.parametrize("d,count", zip(range(4, 15), [40, 67, 102, 165, 244, 387, 562,
+                                                        881, 1264, 1967, 2798]))
+def test_enumeration_counts_d_plus_4(d, count):
+    assert len(enumerate_triangulations(d + 4, d)) == count
+
+
+@pytest.mark.parametrize("n,d", [(15, 12), (21, 18)])
+def test_s1_equals_s2_at_large_d(n, d):
+    # S1 = S2 (Williams 2023); the deny masks take O(n(n-d)) mask
+    # operations per simplex, so (21,18) takes well under a second
+    assert compare_relations(build_s1(n, d), build_s2(n, d)) is None
+
+
 def test_s1_40_38_is_a_lattice():
     assert len(enumerate_triangulations(40, 38)) == 2
     assert build_s1(40, 38).is_lattice() is True
@@ -846,7 +860,7 @@ def test_s2_middle_cells_size_guard(monkeypatch):
     err = e.value
     assert (err.kind, err.limit, err.reached, err.where) == ("size_guard", 83, 84, "C(9, 4)")
     assert str(err) == "C(9, 4): 84 vertex sets of size 3 exceed the size bound 83"
-    assert "_intertwining" not in vars(tab)
+    assert "_middle" not in vars(tab)
 
 
 def test_s1_s2_small_equal():

@@ -2,7 +2,7 @@
 
 import json
 import random
-from itertools import combinations
+from itertools import combinations, product
 
 import pytest
 
@@ -253,6 +253,34 @@ def test_submersion_set_rule_matches_lp():
         for t in _all_triangulations(n, d):
             decoded = frozenset(cells[j] for j in bits(submersion_mask(t)))
             assert decoded == submersion_set(t, mid), t.key()
+
+
+def _face_denies(n, d):
+    """For each (floor(d/2)+1)-subset B of [n], the mask of the middle cells
+    it denies, each cell label ranging over the open gap between two
+    neighbouring labels of B (b0<c0<b1<...<bk<ck for even d,
+    c0<b0<...<bk<c(k+1) for odd d)."""
+    cells = list(combinations(range(1, n + 1), (d + 1) // 2 + 1))
+    index = {c: j for j, c in enumerate(cells)}
+    masks = {}
+    for b in combinations(range(1, n + 1), d // 2 + 1):
+        walls = (b if d % 2 == 0 else (0,) + b) + (n + 1,)
+        gaps = [range(lo + 1, hi) for lo, hi in zip(walls, walls[1:])]
+        masks[b] = sum(1 << index[c] for c in product(*gaps))
+    return len(cells), masks
+
+
+@pytest.mark.parametrize("n,d", [(10, 4), (11, 5), (12, 8), (13, 10), (15, 12)])
+def test_deny_masks_match_face_enumeration(n, d):
+    # each simplex's deny mask, from the alternating scan, against the OR of
+    # its faces' denied cells, bit for bit
+    count, masks = _face_denies(n, d)
+    tab = table(n, d)
+    for i, s in enumerate(tab.simplices):
+        deny = 0
+        for b in combinations(s, d // 2 + 1):
+            deny |= masks[b]
+        assert tab.submersion(1 << i) == ((1 << count) - 1) & ~deny, s
 
 
 def test_submersion_set_monotone_under_flip():
