@@ -14,6 +14,7 @@ the pairwise refinement test the tests check against are in `oracles`.
 
 import json
 from collections import namedtuple
+from functools import reduce
 from itertools import combinations
 
 from . import simplices, triangulations as tri
@@ -278,14 +279,10 @@ def baues_poset(n, d, cap=None):
             if c & ~big == 0:
                 inside[c] |= where
     p = coat.relabel(keys, deltas, sorted(range(len(keys)), key=keys.__getitem__))
-    for x in p.by_key:
-        m = -1
-        for c in cells[x]:
-            m &= inside[c]
-        bad = m ^ p.up[x]
-        if bad:
-            raise AssertionError("refinement disagrees with interval inclusion: "
-                                 "%s vs %s" % (keys[x], keys[p.first_in_key_order(bad)]))
+    w = p.first_pair(lambda x: p.up[x] ^ reduce(int.__and__, map(inside.get, cells[x])))
+    if w is not None:
+        raise AssertionError("refinement disagrees with interval inclusion: "
+                             "%s vs %s" % (keys[w[0]], keys[w[1]]))
     return p
 
 

@@ -12,7 +12,7 @@ closure, covers, meets and joins, coatomic intervals, restriction, the
 beat-point core and the Mobius function read the stored rows directly (the
 top set bit of a down-set is the only candidate for its maximum, the lowest
 bit of an up-set for its minimum).  Keys are mapped to their own order, the
-sorted order for S1 and S2, only at export: JSON, DOT, covers and witnesses.
+sorted order for S1 and S2, only in exports (covers) and witnesses (first_pair).
 
 The lattice verdict on a bounded poset is one join test per pair of upper
 covers of a common element (Bjorner-Edelman-Ziegler 1990, Lemma 2.1); a
@@ -154,10 +154,30 @@ class FinitePoset:
     def le_keys(self, a, b):
         return self.le(self.index[a], self.index[b])
 
-    def first_in_key_order(self, mask):
-        """The position in a nonempty mask whose key comes first in key
-        order."""
-        return min(bits(mask), key=self.rank.__getitem__)
+    def first_pair(self, bad):
+        """The first pair (x, y) of positions, in key order, with y in the
+        position mask bad(x): x the first whose mask is nonempty, y the
+        first member of that mask; None if every mask is empty."""
+        for x in self.by_key:
+            m = bad(x)
+            if m:
+                return x, min(bits(m), key=self.rank.__getitem__)
+        return None
+
+    def monotone_witness(self, dst, image):
+        """None if x -> image[x], from positions here to those of dst, keeps
+        the order, else first_pair's pair x <= y with image[x] not <=
+        image[y].  dst is transitive, so the map is monotone iff every cover
+        maps to a related pair; only a failing cover costs a full scan."""
+        le = dst.le
+        if all(le(image[x], image[y]) for x in range(len(self.elements))
+               for y in self._upper_covers(x)):
+            return None
+        w = self.first_pair(lambda x: sum(1 << y for y in bits(self.up[x])
+                                          if not le(image[x], image[y])))
+        if w is None:
+            raise AssertionError("a cover fails but every pair holds")
+        return w
 
     @staticmethod
     def from_edges(elements, edges):
@@ -339,7 +359,7 @@ class FinitePoset:
                 bad |= full & ~joins
             stop = n    # the key-order index of the first y a bulk side rejects
             if bad:
-                stop = rank[self.first_in_key_order(bad)]
+                stop = min(map(rank.__getitem__, bits(bad)))
             if meets is None or joins is None:
                 for y in order[r + 1:stop]:
                     if meets is None:
@@ -386,18 +406,18 @@ class FinitePoset:
         return -1 - sum(_mobius_values(rows).values())
 
     def is_coatomic(self, i, j):
-        """Whether the meet of the coatoms of [i, j], in a lattice, is i: k
-        in [i, j] is a coatom iff [k, j] has two members."""
-        up = self._up
-        inner = up[i] & (self.down[j] >> i)     # [i, j], stored from i
-        coatoms = [i + k for k in bits(inner ^ (1 << (j - i)))
-                   if (up[i + k] & (inner >> k)).bit_count() == 2]
-        cur = None
-        for c in coatoms:
-            cur = c if cur is None else self.meet(cur, c)
-            if cur is None:
-                return False
-        return (cur if cur is not None else j) == i
+        """Whether i is the meet of the coatoms of [i, j] ([i, i] is
+        coatomic).  The coatoms, j's lower covers above i, are found as
+        _upper_covers finds covers, on the down-rows and highest first; i
+        is their greatest common lower bound iff their down-sets AND to
+        down[i], a rule that holds in any finite poset."""
+        down = self.down
+        rest, lows = (self.up[i] & down[j]) ^ (1 << j), down[j]
+        while rest:
+            under = down[rest.bit_length() - 1]     # the next coatom's down-set
+            lows &= under
+            rest &= ~under
+        return lows == down[i]
 
     def relabel(self, keys, data, by_key):
         """This order under new keys and data, keys[x] naming position x and
@@ -873,38 +893,32 @@ def compare_relations(p, q):
     for x, y in zip(ps, qs):
         where[x], back[y] = y, x
 
-    def covers_hold(a, b, image):
-        order = a.by_key
-        return all(b.le(image[order[i]], image[order[j]]) for i, j in a.covers())
-
-    if covers_hold(p, q, where) and covers_hold(q, p, back):
+    if p.monotone_witness(q, where) is None and q.monotone_witness(p, back) is None:
         return None
-    for x in p.by_key:
-        row, qrow = p.up[x], q.up[where[x]]
-        for y in p.by_key:
-            pin = (row >> y) & 1
-            qin = (qrow >> where[y]) & 1
-            if pin != qin:
-                return {"pair": (p.elements[x], p.elements[y]),
-                        "in_first": bool(pin), "in_second": bool(qin)}
-    raise AssertionError("covers disagree but the relations are equal")
+    # the positions whose relation to x differs: q's up-set of x, moved to p
+    w = p.first_pair(lambda x: p.up[x] ^ sum(1 << back[y] for y in bits(q.up[where[x]])))
+    if w is None:
+        raise AssertionError("covers disagree but the relations are equal")
+    pin = p.le(*w)
+    return {"pair": (p.elements[w[0]], p.elements[w[1]]),
+            "in_first": pin, "in_second": not pin}
 
 
 def flip_cover_discrepancies(n, d, cap=None):
     """Flip edges that are not cover relations of the flip order (empty in
     every verified instance; reported, never assumed)."""
-    cov = set(build_s1(n, d, cap).covers())
-    ts = enumerate_triangulations(n, d, cap)
-    e = ts.edges
-    return [(ts.key(i), ts.key(j), e.move(k)[0])
-            for i, j, k in zip(e.src, e.dst, e.flip) if (i, j) not in cov]
+    p, ts = build_s1(n, d, cap), enumerate_triangulations(n, d, cap)
+    e, at, up, down = ts.edges, p.by_key, p._up, p.down
+    # y covers x iff [x, y] has two members
+    return [(ts.key(i), ts.key(j), e.move(k)[0]) for i, j, k in zip(e.src, e.dst, e.flip)
+            if (up[at[i]] & (down[at[j]] >> at[i])).bit_count() != 2]
 
 
 def interval_poset(p, variant="all"):
     """Poset of intervals [x, y] of p ordered by inclusion.
 
     variant: all | proper | proper_coatomic.  The coatomic variant needs p
-    to be a lattice (meets are used).
+    to be a lattice.
     Intervals sit in order of size, a linear extension of inclusion, and
     their relation is built by columns: [x, y] <= [v, w] iff v <= x and
     y <= w, so the intervals above [x, y] are those with their low end in

@@ -6,12 +6,13 @@ terminal simplex.
 The checks read masks, and no member tuple.  The suspension maps are
 position lists between the two posets, computed on the masks by the
 tables' index maps, and a map is checked monotone on the covers of its
-source only.  A connecting set is a mask over table(n, d+1), checked by one
-mask-level core: pairwise admissibility by the conflict rows of
-table(n, d+1), the face conditions by the lower/upper facet masks of its
-members in table(n, d) and a two-level count of the faces they cover.
-Members and faces are walked one by one only to name the witness of a
-failure.
+source only (FinitePoset.monotone_witness); every witness pair is the
+first in key order (FinitePoset.first_pair).  A connecting set is a mask
+over table(n, d+1), checked by one mask-level core: pairwise admissibility
+by the conflict rows of table(n, d+1), the face conditions by the
+lower/upper facet masks of its members in table(n, d) and a two-level count
+of the faces they cover.  Members and faces are walked one by one only to
+name the witness of a failure.
 """
 
 from collections import deque
@@ -33,8 +34,7 @@ def verify_suspension(n, d, order="s1", cap=None):
     q = build_order(order, n - 1, d, cap)
     # masks and the three maps by position, f from p to q, i and j from q
     # to p, each computed on the masks by the table's index maps.
-    # Witnesses are the first in key order: elements are walked by by_key,
-    # and the first of a position mask picked by key rank.
+    # Witnesses are the first in key order: elements are walked by by_key.
     tab = tri.table(n, d)
     p_masks = [t.mask for t in p.data]
     q_masks = [t.mask for t in q.data]
@@ -50,13 +50,8 @@ def verify_suspension(n, d, order="s1", cap=None):
 
     green = list(map(tab.green, p_masks))
     red_mask = sum(1 << x for x, g in enumerate(green) if not g)
-    w = None
-    for a in p.by_key:
-        bad = p.down[a] & red_mask if green[a] else 0
-        if bad:
-            w = (p.elements[p.first_in_key_order(bad)], p.elements[a])
-            break
-    entry("green_ideal", w)
+    w = p.first_pair(lambda a: p.down[a] & red_mask if green[a] else 0)
+    entry("green_ideal", _keys(p, w and w[::-1]))
 
     w = next((q.elements[y] for y in q.by_key if f[i[y]] != y), None)
     entry("f_i_identity", w)
@@ -84,31 +79,18 @@ def verify_suspension(n, d, order="s1", cap=None):
 
     # order preservation of the three maps, checked because the interval
     # conditions above only make sense for monotone data
-    entry("f_monotone", _monotone_witness(p, q, f))
-    entry("i_monotone", _monotone_witness(q, p, i))
-    entry("j_monotone", _monotone_witness(q, p, j))
+    for name, src, dst, image in (("f_monotone", p, q, f), ("i_monotone", q, p, i),
+                                  ("j_monotone", q, p, j)):
+        entry(name, _keys(src, src.monotone_witness(dst, image)))
 
     report["pass"] = all(v["pass"] for k, v in report.items()
                          if isinstance(v, dict))
     return report
 
 
-def _monotone_witness(src, dst, image):
-    """None if the map x -> image[x] from the positions of src to those of
-    dst preserves the order, else the first pair (x, y) of src keys with
-    x <= y but image[x] not <= image[y]: x first in key order, then y.
-
-    dst is transitive, so the map is monotone iff every cover of src maps
-    to a related pair; only a failing cover costs the scan of all pairs."""
-    order, le = src.by_key, dst.le
-    if all(le(image[order[a]], image[order[b]]) for a, b in src.covers()):
-        return None
-    for x in order:
-        row = dst.up[image[x]]
-        bad = [y for y in bits(src.up[x] & ~(1 << x)) if not (row >> image[y]) & 1]
-        if bad:
-            return (src.elements[x], src.elements[min(bad, key=src.rank.__getitem__)])
-    raise AssertionError("a cover fails but every pair holds")
+def _keys(poset, pair):
+    """The keys of a pair of positions of poset; None for None."""
+    return pair and (poset.elements[pair[0]], poset.elements[pair[1]])
 
 
 def find_connecting_set(t, t2):
@@ -219,6 +201,8 @@ def verify_connecting_sets(n, d, cap=None):
     and the failures, each with t's key, the set ("A" or "B") and the report
     of verify_connecting_set.  Every set, map and condition is read on the
     enumeration's masks through the table's index maps."""
+    if n < d + 2:
+        raise ValueError("need n >= d+2 so the last vertex can be contracted")
     ts = enumerate_triangulations(n, d, cap)
     tab = ts.table
     failures = []
@@ -235,16 +219,10 @@ def verify_connecting_sets(n, d, cap=None):
 
 def verify_s0_monotone(n, d, order="s1", cap=None):
     """Terminal-simplex membership is monotone along the order: upward for
-    even d, downward for odd d.  Returns pass or the first witness pair."""
+    even d, downward for odd d, so the rising set (s0's holders for even d,
+    the rest for odd d) is an up-set.  Returns pass or the first witness."""
     p = build_order(order, n, d, cap)
     s0 = tri.terminal_simplex(n, d)
-    has = sum(1 << x for x, t in enumerate(p.data) if s0 in t)
-    for a in p.by_key:
-        if (has >> a) & 1:
-            bad = p.up[a] & ~has if d % 2 == 0 else 0
-        else:
-            bad = 0 if d % 2 == 0 else p.up[a] & has
-        if bad:
-            b = p.first_in_key_order(bad)
-            return {"pass": False, "witness": (p.elements[a], p.elements[b])}
-    return {"pass": True, "witness": None}
+    rising = sum(1 << x for x, t in enumerate(p.data) if (s0 in t) == (d % 2 == 0))
+    w = p.first_pair(lambda a: p.up[a] & ~rising if (rising >> a) & 1 else 0)
+    return {"pass": w is None, "witness": _keys(p, w)}

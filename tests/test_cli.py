@@ -131,6 +131,15 @@ def test_verify_connecting(capsys):
     assert "0 failures" in out
 
 
+@pytest.mark.parametrize("n,d", [(3, 2), (2, 1)])
+def test_verify_connecting_needs_a_vertex_to_contract(capsys, n, d):
+    # the smallest instance, n = d + 2, still runs
+    assert run(capsys, "verify-connecting", "--n", "4", "--d", "2") == (
+        0, "connecting sets for C(4,2): 2 triangulations, 0 failures\n", "")
+    assert run(capsys, "verify-connecting", "--n", str(n), "--d", str(d)) == (
+        3, "", "error: need n >= d+2 so the last vertex can be contracted\n")
+
+
 def test_oracle_crosscheck(capsys):
     code, out, _ = run(capsys, "oracle-crosscheck", "--n", "5", "--d", "2")
     assert code == 0

@@ -965,6 +965,54 @@ def test_coatomic_intervals_of_s2_52():
     assert len(coat) == 10
 
 
+def _reference_coatomic(p, i, j):
+    """The rule for lattices by pairwise meets: k in [i, j] is a coatom iff
+    [k, j] has two members, and [i, j] is coatomic iff the pairwise meets
+    of its coatoms fold to i ([i, i], with none, is coatomic)."""
+    cur = None
+    for k in bits(p.up[i] & p.down[j]):
+        if (p.up[k] & p.down[j]).bit_count() == 2:
+            cur = k if cur is None else p.meet(cur, k)
+            if cur is None:
+                return False
+    return (j if cur is None else cur) == i
+
+
+def test_is_coatomic_matches_pairwise_meets():
+    # the lower-cover walk against the meet fold on every comparable pair
+    # of the height orders whose Baues posets criterion 05 certifies
+    verdicts = set()
+    for n, d in [(4, 2), (5, 2), (6, 2), (7, 2), (5, 3), (6, 3), (7, 3), (8, 3),
+                 (3, 1), (4, 1), (5, 1), (6, 1), (7, 1)]:
+        p = build_s2(n, d)
+        for i in range(len(p)):
+            for j in bits(p.up[i]):
+                got = p.is_coatomic(i, j)
+                assert got == _reference_coatomic(p, i, j), (n, d, i, j)
+                verdicts.add(got)
+    assert verdicts == {True, False}
+
+
+def test_is_coatomic_off_lattices():
+    # S2(9,4) is not a lattice, and the rule holds in any finite poset: [i, j]
+    # is coatomic iff i is the greatest of the lower bounds, below j, of its
+    # coatoms (j itself when there are none)
+    p = build_s2(9, 4)
+    assert p.is_lattice() is not True
+    with pytest.raises(ValueError, match="need a lattice"):
+        interval_poset(p, "proper_coatomic")
+    verdicts = set()
+    for i in range(len(p)):
+        for j in bits(p.up[i]):
+            coatoms = [k for k in bits(p.up[i] & p.down[j])
+                       if (p.up[k] & p.down[j]).bit_count() == 2]
+            lows = [z for z in bits(p.down[j]) if all(p.le(z, c) for c in coatoms)]
+            want = all(p.le(z, i) for z in lows)
+            assert p.is_coatomic(i, j) == want, (i, j)
+            verdicts.add(want)
+    assert verdicts == {True, False}
+
+
 # ---------------------------------------------------------------------------
 # The coordinate system against naive references, on random DAGs whose key
 # order is not a linear extension.
@@ -1145,6 +1193,25 @@ def test_no_package_path_parses_a_key():
             if called in ("from_json", "loads"):
                 bad.append((name, node.lineno, called))
     assert inside and not bad, bad
+
+
+def test_covers_is_an_export_format_only():
+    # the sorted cover list is an export format: in the package only the two
+    # writers and the poset subcommand call covers(), and every relation
+    # check walks the covers by position
+    allowed = {("posets.py", "to_json"), ("posets.py", "to_dot"), ("cli.py", "cmd_poset")}
+    calls, callers = [], {}
+    for name, node in list(_package_nodes(None)):     # listed: no node id reused
+        if isinstance(node, ast.Call):
+            f = node.func
+            if (f.attr if isinstance(f, ast.Attribute) else getattr(f, "id", None)) == "covers":
+                calls.append((name, node))
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            # walked outside in, so a nested function names its own calls
+            for sub in ast.walk(node):
+                callers[id(sub)] = (name, node.name)
+    found = {callers.get(id(node), (name, None)) for name, node in calls}
+    assert found == allowed
 
 
 def test_only_posets_reads_the_stored_rows():

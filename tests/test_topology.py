@@ -7,13 +7,14 @@ checked against the full order complex.
 """
 
 import itertools
+import math
 import random
 
 import pytest
 
 from cyclictri import topology
 from cyclictri.baues import baues_poset
-from cyclictri.oracles import complex_from_maximal
+from cyclictri.oracles import _det, complex_from_maximal
 from cyclictri.posets import (
     FinitePoset,
     ResourceBudgetError,
@@ -148,6 +149,37 @@ def _oracle_complexes():
     yield "core Baues(6,2)", order_complex(poset_core(baues_poset(6, 2)))
     for i, k in enumerate(_random_complexes(100)):
         yield "random %d" % i, k
+
+
+def _determinantal_factors(a):
+    """Invariant factors of an integer matrix from its determinantal
+    divisors: d_k, the gcd of the k x k minors, up to the rank, and the
+    factors d_k / d_(k-1)."""
+    rows, cols = len(a), len(a[0])
+    out, prev = [], 1
+    for k in range(1, min(rows, cols) + 1):
+        g = 0
+        for rs in itertools.combinations(range(rows), k):
+            for cs in itertools.combinations(range(cols), k):
+                g = math.gcd(g, _det([[a[r][c] for c in cs] for r in rs]))
+        if not g:
+            break
+        out.append(g // prev)
+        prev = g
+    return out
+
+
+def test_dense_snf_matches_determinantal_divisors():
+    # diag(2, 3) needs the divisibility fix-up; in [[3, 2], [4, 6]] the first
+    # pivot is the 2, a column away, and leaves a remainder in its row
+    assert topology._dense_snf([[2, 0], [0, 3]]) == [1, 6]
+    assert topology._dense_snf([[3, 2], [4, 6]]) == [1, 10]
+    rng = random.Random(32)
+    for _ in range(600):
+        rows, cols = rng.randint(1, 4), rng.randint(1, 4)
+        a = [[rng.choice((0, 0, rng.randint(-6, 6))) for _ in range(cols)]
+             for _ in range(rows)]
+        assert topology._dense_snf(a) == _determinantal_factors(a), a
 
 
 def test_homology_matches_dense_snf_of_whole_boundaries():

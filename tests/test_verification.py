@@ -25,7 +25,7 @@ from cyclictri.triangulations import (
     top,
 )
 from cyclictri.verification import (
-    _monotone_witness,
+    _keys,
     connecting_a,
     connecting_b,
     find_connecting_set,
@@ -318,7 +318,7 @@ def test_monotone_helper_matches_pair_scan(n, d, order):
     p, q = build_order(order, n, d), build_order(order, n - 1, d)
     q_at = {t: y for y, t in enumerate(q.data)}
     f = [q_at[contract_last(t)] for t in p.data]
-    assert _monotone_witness(p, q, f) is None
+    assert p.monotone_witness(q, f) is None
     assert _reference_monotone(p, q, f) is None
     rng = random.Random(90 + n + d)
     broken = 0
@@ -327,6 +327,6 @@ def test_monotone_helper_matches_pair_scan(n, d, order):
         g = list(f)
         g[a], g[b] = g[b], g[a]
         want = _reference_monotone(p, q, g)
-        assert _monotone_witness(p, q, g) == want
+        assert _keys(p, p.monotone_witness(q, g)) == want
         broken += want is not None
     assert broken
