@@ -4,12 +4,15 @@ construction from coatomic intervals, and the refinement poset.
 
 Cells are vertex subsets, checked and compared as vertex masks (bit v for
 label v); a subdivision is valid when cells are large enough, pairwise meet
-in a common face (combinatorially: their intersection lies in a facet of
-each cell, and cells are simplicial so any such subset spans a face), the
-glued bottom triangulations of the cells form a triangulation of the whole
-polytope, and cell volumes sum to the hull volume.  Together these
-force the cell hulls to meet face to face.  The polygon-dissection oracle and
-the pairwise refinement test the tests check against are in `oracles`.
+in a common face (combinatorially: their shared vertex mask is in each
+cell's set of face masks, the subsets of its facets, as cells are
+simplicial), the glued bottom triangulations of the cells form a
+triangulation of the whole polytope, and cell volumes sum to the hull
+volume.  Together these force the cell hulls to meet face to face.  The
+cell walk's round trip from a coatomic interval is end-mask equality: the
+glued cell bottoms and tops must be the interval's two ends.  The
+polygon-dissection oracle and the pairwise refinement test the tests check
+against are in `oracles`.
 """
 
 import json
@@ -70,21 +73,22 @@ def cell_top(labels, d):
     return _relabel(tri.top(len(labels), d).simplices, labels)
 
 
-_Cell = namedtuple("_Cell", "mask facets bottom top volume")
+_Cell = namedtuple("_Cell", "mask faces bottom top volume")
 
 
 def _cell(c, tab, memo):
-    """A cell's vertex mask, the vertex masks of the facets of its
-    subpolytope (simplicial, so its proper faces are the subsets of
-    facets), the table masks of its bottom and top triangulations and its
-    volume: built once per cell, in memo."""
+    """A cell's vertex mask, the set of vertex masks of the faces of its
+    subpolytope (simplicial, so every subset of a facet, the empty face
+    included: at most 2^d per facet), the table masks of its bottom and top
+    triangulations and its volume: built once per cell, in memo."""
     got = memo.get(c)
     if got is None:
         d = tab.d
         bottom = tab.mask(cell_bottom(c, d))
         got = memo[c] = _Cell(
             sum(1 << v for v in c),
-            [sum(1 << c[i - 1] for i in f) for f in simplices.gale_facets(len(c), d)],
+            {sum(1 << c[i - 1] for i in s) for f in simplices.gale_facets(len(c), d)
+             for k in range(d + 1) for s in combinations(f, k)},
             bottom, tab.mask(cell_top(c, d)),
             sum(tab.row(i)[1] for i in simplices.bits(bottom)))
     return got
@@ -97,52 +101,51 @@ def validate_subdivision(cells, n, d):
 
 
 def _checked_subdivision(cells, n, d, memo):
-    """(violation, glued): validate_subdivision's verdict, and the table
-    mask of the glued cell bottoms once the checks reach them (else None).
-    memo holds the _cell data of the cells seen so far."""
+    """(violation, low, high): validate_subdivision's verdict, and the table
+    masks of the glued cell bottoms and tops once the checks reach them
+    (else None).  memo holds the _cell data of the cells seen so far."""
     if isinstance(cells, Subdivision):
         if (cells.n, cells.d) != (n, d):
-            return tri.Violation("shape", cells, "ambient (n, d) mismatch"), None
+            return tri.Violation("shape", cells, "ambient (n, d) mismatch"), None, None
         cells = cells.cells
     cells = [tuple(sorted(c)) for c in cells]
     if not cells:
-        return tri.Violation("shape", (), "no cells"), None
+        return tri.Violation("shape", (), "no cells"), None, None
     if len(set(cells)) != len(cells):
-        return tri.Violation("shape", cells, "repeated cell"), None
+        return tri.Violation("shape", cells, "repeated cell"), None, None
     for c in cells:
         if len(set(c)) != len(c) or len(c) < d + 1:
-            return tri.Violation("cell-size", c,
-                                 "cell needs at least %d distinct vertices" % (d + 1)), None
+            return tri.Violation("cell-size", c, "cell needs at least %d distinct "
+                                 "vertices" % (d + 1)), None, None
         if c[0] < 1 or c[-1] > n:
-            return tri.Violation("cell-size", c, "vertex label out of range"), None
+            return tri.Violation("cell-size", c, "vertex label out of range"), None, None
     tab = tri.table(n, d)
     data = [_cell(c, tab, memo) for c in cells]
     for a, b in combinations(range(len(cells)), 2):
         ma, mb = data[a].mask, data[b].mask
         if not ma & ~mb or not mb & ~ma:
             return tri.Violation("nesting", (cells[a], cells[b]),
-                                 "one cell contains another"), None
+                                 "one cell contains another"), None, None
         w = ma & mb
-        if not w:
-            continue
         for k in (a, b):
-            if all(w & ~f for f in data[k].facets):
+            if w not in data[k].faces:
                 return tri.Violation(
                     "face-to-face", (cells[a], cells[b]),
-                    "shared vertices do not span a face of cell %s" % (cells[k],)), None
-    glued = 0
+                    "shared vertices do not span a face of cell %s" % (cells[k],)), None, None
+    low = high = 0
     for cell in data:
-        glued |= cell.bottom
-    v = tab.violation(glued)
+        low |= cell.bottom
+        high |= cell.top
+    v = tab.violation(low)
     if v is not None:
         return tri.Violation("refinement", v.witness,
-                             "glued cell triangulations fail: %s" % v.message), glued
+                             "glued cell triangulations fail: %s" % v.message), low, high
     total = sum(cell.volume for cell in data)
     if total != tab.hull:
         return tri.Violation("coverage", cells,
                              "cell volumes sum to %d, hull needs %d" %
-                             (total, tab.hull)), glued
-    return None, glued
+                             (total, tab.hull)), low, high
+    return None, low, high
 
 
 def make_subdivision(n, d, cells):
@@ -156,22 +159,14 @@ def phi(delta):
     """The interval [T, T'] of triangulations refining the subdivision:
     T glues cell bottoms, T' glues cell tops.  Requires a proper subdivision
     of dimension at most 3."""
-    return _phi(delta, {})
-
-
-def _phi(delta, memo):
-    """phi, with the _cell data of the cells seen so far in memo."""
     if delta.d > 3:
         raise ValueError("interval map implemented for d <= 3 only")
-    v, low = _checked_subdivision(delta, delta.n, delta.d, memo)
+    v, low, high = _checked_subdivision(delta, delta.n, delta.d, {})
     if v is not None:
         raise ValueError("invalid subdivision: %s" % (v.message,))
     if not delta.is_proper():
         raise ValueError("trivial subdivision maps to the improper interval")
     tab = tri.table(delta.n, delta.d)
-    high = 0
-    for c in delta.cells:
-        high |= memo[c].top
     # the check has just validated the glued bottoms
     t_low = tab.triangulation(low)
     v = tab.violation(high)
@@ -212,7 +207,8 @@ def interval_to_subdivision(t_low, t_high, s2=None):
 
 def _cells_of_interval(t_low, t_high, memo):
     """The subdivision of the proper coatomic interval [t_low, t_high] of
-    S2, checked by the phi round trip (memo as for _phi).  Its cells join
+    S2, checked by end-mask equality (memo as for _checked_subdivision), as
+    t_low and t_high are valid, ordered and not both ends.  Its cells join
     t_high's members across the walls t_low lacks, on the table rows:
     t_low's walls are the OR of its members' facet masks, members merge
     when their masks of walls outside t_low meet, a cell is the OR of
@@ -240,8 +236,9 @@ def _cells_of_interval(t_low, t_high, memo):
         # must pick up the vertices the fine end uses inside each span
         cells = [c | used & ((1 << (c.bit_length() - 1)) - (c & -c)) for c in cells]
     delta = Subdivision(n, d, [tuple(simplices.bits(c)) for c in cells])
-    back = _phi(delta, memo)
-    if back != (t_low, t_high):
+    v, low, high = _checked_subdivision(delta, n, d, memo)
+    if v is not None or (low, high) != (t_low.mask, t_high.mask):
+        back = v or tuple(map(tab.triangulation, (low, high)))
         raise AssertionError("interval does not come from a subdivision: "
                              "round trip gave %s" % (back,))
     return delta
@@ -268,7 +265,7 @@ def baues_poset(n, d, cap=None):
         raise AssertionError("interval map is not injective")
     # cells as vertex masks; has[c]: the positions of the subdivisions with
     # cell c, inside[c]: those with a cell containing c
-    cells = [[sum(1 << v for v in c) for c in delta.cells] for delta in deltas]
+    cells = [[memo[c].mask for c in delta.cells] for delta in deltas]
     has = {}
     for x, row in enumerate(cells):
         for c in row:
@@ -291,11 +288,13 @@ def interval_product_check(n, d, cap=None):
     posets: compare element counts and Mobius values multiplicatively."""
     s2 = build_s2(n, d, cap)
     p = baues_poset(n, d, cap)
+    tab = tri.table(n, d)
     bad = []
     memo = {}
     for key, delta in zip(p.elements, p.data):
-        t_low, t_high = _phi(delta, memo)
-        i, j = s2.index[t_low.key()], s2.index[t_high.key()]
+        # baues_poset has validated delta; its interval's ends are its glued masks
+        _, low, high = _checked_subdivision(delta, n, d, memo)
+        i, j = s2.index[tab.key(low)], s2.index[tab.key(high)]
         size = (s2.up[i] & s2.down[j]).bit_count()
         mu = s2.mobius(i, j)
         want_size = 1

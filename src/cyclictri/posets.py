@@ -36,7 +36,7 @@ from collections.abc import Sequence
 from functools import cached_property
 from itertools import accumulate, combinations
 
-from . import triangulations as tri
+from . import simplices, triangulations as tri
 from .simplices import bits
 from .triangulations import DEFAULT_ENUM_CAP, ResourceBudgetError
 
@@ -712,6 +712,25 @@ _enum_cache = {}
 _s1_cache = {}
 _s2_cache = {}
 
+# The bound on the rows of one dense relation, about N^2 / 8 bytes for N
+# elements, checked before build_s1, build_s2 or interval_poset allocates
+# any: 2 GiB holds S1 and S2 of C(11, 4) (1.16 GB) and the Baues relations
+# of C(10, 3) and C(11, 2) (1.90 and 1.33 GB), and refuses C(12, 6) (14.5 GB)
+# right after its enumeration.  Fixed, so the verdict does not depend on
+# the machine.
+RELATION_BYTES = 2 << 30
+
+
+def _relation_guard(count, where):
+    """Raise ResourceBudgetError (relation_bytes) when the rows of a dense
+    relation on count elements, count^2 // 8 bytes, exceed RELATION_BYTES."""
+    need = count * count // 8
+    if need > RELATION_BYTES:
+        raise ResourceBudgetError(
+            "%s: %d elements need %d bytes of relation rows, over the bound of %d bytes"
+            % (where, count, need, RELATION_BYTES),
+            "relation_bytes", RELATION_BYTES, need, where)
+
 
 def enumerate_triangulations(n, d, cap=None):
     """All triangulations of C(n, d), by breadth-first search along upward
@@ -798,6 +817,7 @@ def build_s1(n, d, cap=None):
     read from the enumeration's flat edge arrays."""
     key = (n, d)
     ts = enumerate_triangulations(n, d, cap)    # the cap holds on a cache hit too
+    _relation_guard(len(ts), "flip order of C(%d, %d)" % key)    # and so does the bound
     p = _s1_cache.get(key)
     if p is None:
         _, up, down, by_key = _closure(len(ts), ts.edges.src, ts.edges.dst)
@@ -820,6 +840,7 @@ def build_s2(n, d, cap=None):
     key = (n, d)
     tri.table(n, d)._middle     # the middle cells' size guard, before enumerating
     ts = enumerate_triangulations(n, d, cap)    # the cap holds on a cache hit too
+    _relation_guard(len(ts), "height order of C(%d, %d)" % key)  # and so does the bound
     p = _s2_cache.get(key)
     if p is None:
         masks = list(map(ts.table.submersion, ts.masks))
@@ -943,6 +964,7 @@ def interval_poset(p, variant="all"):
         pairs = [(x, y) for x, y in pairs if not (x == b and y == t)]
     if variant == "proper_coatomic":
         pairs = [xy for xy in pairs if p.is_coatomic(*xy)]
+    _relation_guard(len(pairs), "interval poset (%s)" % variant)
     pairs.sort(key=lambda xy: (up[xy[0]] & (p.down[xy[1]] >> xy[0])).bit_count())
     low = [0] * n
     high = [0] * n
@@ -1025,6 +1047,11 @@ def boolean_lattice(k):
 
 
 def clear_caches():
+    """Forget every per-(n, d) result: enumerations, S1 and S2, the
+    triangulation tables (with their rows, extensions, deny masks and the
+    hull) and Gale's facets, so the next build of anything starts cold."""
+    tri._table_cache.clear()
+    simplices._gale_cache.clear()
     _enum_cache.clear()
     _s1_cache.clear()
     _s2_cache.clear()

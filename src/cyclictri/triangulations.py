@@ -38,9 +38,9 @@ _table_cache = {}
 
 class ResourceBudgetError(RuntimeError):
     """A configured cap or budget was exceeded.  Besides the message it
-    carries kind (enum_cap, size_guard or face_budget), limit (the bound),
-    reached (the count that crossed it) and where (the instance, C(n, d), or
-    the order-complex dimension)."""
+    carries kind (enum_cap, size_guard, relation_bytes or face_budget),
+    limit (the bound), reached (the count that crossed it) and where (the
+    instance, C(n, d), the relation, or the order-complex dimension)."""
 
     def __init__(self, message, kind, limit, reached, where):
         super().__init__(message)

@@ -23,7 +23,8 @@ from cyclictri.baues import (
 from cyclictri.oracles import dissection_oracle_d2, refinement_leq
 from cyclictri.posets import (FinitePoset, ResourceBudgetError, build_s2,
                               interval_poset)
-from cyclictri.triangulations import Triangulation, top
+from cyclictri.simplices import gale_facets
+from cyclictri.triangulations import Triangulation, _Table, table, top
 
 
 @pytest.mark.parametrize("n,want", [(4, 2), (5, 10), (6, 44), (7, 196)])
@@ -171,7 +172,11 @@ def test_baues_poset_matches_oracle_as_posets():
 
 
 def test_baues_poset_validates_each_subdivision_once(monkeypatch):
-    # phi validates through _checked_subdivision, which validate_subdivision wraps
+    # phi validates through _checked_subdivision, which validate_subdivision
+    # wraps; the round trip compares the glued masks with the interval's
+    # ends, so only the glued bottoms go through the table's validation, and
+    # no submersion mask is read once S2 is built
+    build_s2(7, 2)
     calls = []
     real = baues._checked_subdivision
 
@@ -179,9 +184,49 @@ def test_baues_poset_validates_each_subdivision_once(monkeypatch):
         calls.append(cells)
         return real(cells, n, d, memo)
 
+    reads = {"violation": 0, "submersion": 0}
+    for name in reads:
+        def reading(tab, mask, name=name, real=getattr(_Table, name)):
+            reads[name] += 1
+            return real(tab, mask)
+
+        monkeypatch.setattr(_Table, name, reading)
     monkeypatch.setattr(baues, "_checked_subdivision", counting)
     assert len(baues_poset(7, 2)) == 196
     assert len(calls) == 196
+    assert reads == {"violation": 196, "submersion": 0}
+
+
+def test_cell_faces_are_the_subsets_of_facets():
+    # the face-to-face check looks shared vertices up in each cell's face
+    # set; the reference is the facet scan it replaced: a vertex set spans
+    # a face of a simplicial cell iff it lies in one of the cell's facets
+    for n, d in [(4, 2), (5, 2), (6, 2), (7, 2), (5, 3), (6, 3), (7, 3), (8, 3),
+                 (3, 1), (4, 1), (5, 1), (6, 1), (7, 1)]:
+        tab, memo = table(n, d), {}
+        for c in {c for delta in baues_poset(n, d).data for c in delta.cells}:
+            cell = baues._cell(c, tab, memo)
+            facets = [sum(1 << c[i - 1] for i in f) for f in gale_facets(len(c), d)]
+            w = cell.mask
+            while True:     # every vertex subset of the cell, the cell itself first
+                assert (w in cell.faces) == any(not w & ~f for f in facets), (n, d, c, w)
+                if not w:
+                    break
+                w = (w - 1) & cell.mask
+
+
+def test_cell_walk_rejects_glued_tops_off_the_interval():
+    # [bottom, t_high] of S2(6, 2) is not coatomic: the walk joins one
+    # triangle and the pentagon on 1, 3, 4, 5, 6, whose glued bottoms are
+    # the bottom but whose glued tops are not t_high
+    t_low = Triangulation(6, 2, [(1, 2, 3), (1, 3, 4), (1, 4, 5), (1, 5, 6)])
+    t_high = Triangulation(6, 2, [(1, 2, 3), (1, 3, 6), (3, 4, 5), (3, 5, 6)])
+    glued = Triangulation(6, 2, [(1, 2, 3)] + list(cell_top((1, 3, 4, 5, 6), 2)))
+    assert glued != t_high
+    with pytest.raises(AssertionError) as e:
+        baues._cells_of_interval(t_low, t_high, {})
+    assert str(e.value) == ("interval does not come from a subdivision: "
+                            "round trip gave %s" % ((t_low, glued),))
 
 
 def test_baues_poset_tests_each_interval_once(monkeypatch):

@@ -350,6 +350,10 @@ def test_argument_error_runs_no_computing_module(tmp_path):
     # recorded before the column reduction replaced the unit elimination
     ("baues --n 8 --d 2 --certificate",
      "98a3a5a63fa76ca34426a76f0d88ce299bdab2ec0be384579c9076762117aef5"),
+    # 4,278 subdivisions, recorded before the round trip became end-mask
+    # equality and faces a lookup
+    ("baues --n 9 --d 2",
+     "a396a13ffabc799d4de61013399d55d67cb1af2555cb96add851f33750f90dae"),
 ])
 def test_payload_bytes_pinned(capsys, argv, digest):
     # whole stdout, as printed before the triangulation table existed
@@ -374,6 +378,17 @@ def test_benchmark_digests_in_process(capsys, job):
     code, out, _ = run(capsys, *job.argv)
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == job.sha256
+
+
+@pytest.mark.parametrize("argv,where", [
+    ("sphere --order s1 --n 6 --d 2", "flip order of C(6, 2)"),
+    ("check-lattice --order s2 --n 6 --d 2", "height order of C(6, 2)")])
+def test_relation_bound_exits_2_after_enumeration(capsys, monkeypatch, argv, where):
+    monkeypatch.setattr(posets, "RELATION_BYTES", 10)
+    code, out, err = run(capsys, *argv.split())
+    assert (code, out) == (2, "")
+    assert err == ("resource budget exceeded: %s: 14 elements need 24 bytes of "
+                   "relation rows, over the bound of 10 bytes\n" % where)
 
 
 def test_memory_error_exits_2_without_traceback(capsys, monkeypatch):

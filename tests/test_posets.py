@@ -13,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import cyclictri
+from cyclictri import posets
 from cyclictri.baues import Subdivision, baues_poset
 from cyclictri.oracles import lattice_witness_all_pairs
 from cyclictri.posets import (
@@ -30,9 +31,9 @@ from cyclictri.posets import (
     interval_poset,
     poset_core,
 )
-from cyclictri.simplices import bits
+from cyclictri.simplices import bits, gale_facets
 from cyclictri.topology import chain_counts, poset_homology
-from cyclictri.triangulations import Triangulation, apply_flip, increasing_flips
+from cyclictri.triangulations import Triangulation, apply_flip, increasing_flips, table
 
 
 def _poset(els, edges):
@@ -835,6 +836,51 @@ def test_enumeration_cap_fields_when_cached():
     assert (err.kind, err.limit, err.reached, err.where) == \
         ("enum_cap", 5, 14, "C(6, 2)")
     assert str(err) == "enumeration cap 5 exceeded at C(6, 2)"
+
+
+def test_relation_bound_refuses_each_builder(monkeypatch):
+    # N elements need N^2 // 8 bytes of rows: S1 and S2(6, 2) 24 bytes, the
+    # 13 intervals of S2(5, 2) 21 bytes, S2(5, 2) itself 3 bytes
+    assert len(build_s1(6, 2)) == 14
+    s2 = build_s2(5, 2)
+    monkeypatch.setattr(posets, "RELATION_BYTES", 10)
+    monkeypatch.setattr(posets, "_s2_cache", {})
+    for build, where, count in [
+            (lambda: build_s1(6, 2), "flip order of C(6, 2)", 14),    # cached
+            (lambda: build_s2(6, 2), "height order of C(6, 2)", 14),
+            (lambda: interval_poset(s2), "interval poset (all)", 13)]:
+        with pytest.raises(ResourceBudgetError) as e:
+            build()
+        err = e.value
+        assert (err.kind, err.limit, err.reached, err.where) == \
+            ("relation_bytes", 10, count * count // 8, where)
+        assert str(err) == ("%s: %d elements need %d bytes of relation rows, over "
+                            "the bound of 10 bytes" % (where, count, count * count // 8))
+    # refused before any row was built
+    assert posets._s2_cache == {}
+    assert len(build_s2(5, 2)) == 5
+
+
+def test_relation_bound_keeps_11_4_and_refuses_12_6():
+    # S1 and S2 of C(11, 4) and the Baues poset of C(11, 2) stay under the
+    # default bound; C(12, 6), 340,560 triangulations, is refused
+    posets._relation_guard(96426, "flip order of C(11, 4)")
+    posets._relation_guard(103048, "interval poset (proper_coatomic)")
+    with pytest.raises(ResourceBudgetError) as e:
+        posets._relation_guard(340560, "C(12, 6)")
+    assert (e.value.limit, e.value.reached) == (2 << 30, 14497639200)
+
+
+def test_clear_caches_forgets_tables_and_gale_facets():
+    ts = enumerate_triangulations(6, 2)
+    tab, facets = table(6, 2), gale_facets(6, 2)
+    clear_caches()
+    assert table(6, 2) is not tab
+    assert gale_facets(6, 2) is not facets
+    again = enumerate_triangulations(6, 2)
+    assert again is not ts
+    assert list(again.masks) == list(ts.masks)
+    assert [again.key(r) for r in range(len(again))] == [ts.key(r) for r in range(len(ts))]
 
 
 @pytest.mark.parametrize("build", [build_s1, build_s2])
