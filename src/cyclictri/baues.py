@@ -80,14 +80,23 @@ def _cell(c, tab, memo):
     """A cell's vertex mask, the set of vertex masks of the faces of its
     subpolytope (simplicial, so every subset of a facet, the empty face
     included: at most 2^d per facet), the table masks of its bottom and top
-    triangulations and its volume: built once per cell, in memo."""
+    triangulations and its volume: built once per cell, in memo.  Before
+    listing faces, raises ResourceBudgetError (size_guard) when the facets
+    times 2^d exceed DEFAULT_ENUM_CAP."""
     got = memo.get(c)
     if got is None:
         d = tab.d
+        facets = simplices.gale_facets(len(c), d)
+        count = len(facets) << d
+        if count > tri.DEFAULT_ENUM_CAP:
+            raise tri.ResourceBudgetError(
+                "cell %s: %d facets x 2^%d faces exceed the size bound %d"
+                % (c, len(facets), d, tri.DEFAULT_ENUM_CAP),
+                "size_guard", tri.DEFAULT_ENUM_CAP, count, "C(%d, %d)" % (len(c), d))
         bottom = tab.mask(cell_bottom(c, d))
         got = memo[c] = _Cell(
             sum(1 << v for v in c),
-            {sum(1 << c[i - 1] for i in s) for f in simplices.gale_facets(len(c), d)
+            {sum(1 << c[i - 1] for i in s) for f in facets
              for k in range(d + 1) for s in combinations(f, k)},
             bottom, tab.mask(cell_top(c, d)),
             sum(tab.row(i)[1] for i in simplices.bits(bottom)))
@@ -107,8 +116,9 @@ def _checked_subdivision(cells, n, d, memo):
     if isinstance(cells, Subdivision):
         if (cells.n, cells.d) != (n, d):
             return tri.Violation("shape", cells, "ambient (n, d) mismatch"), None, None
-        cells = cells.cells
-    cells = [tuple(sorted(c)) for c in cells]
+        cells = list(cells.cells)     # canonical by construction
+    else:
+        cells = [tuple(sorted(c)) for c in cells]
     if not cells:
         return tri.Violation("shape", (), "no cells"), None, None
     if len(set(cells)) != len(cells):
@@ -211,19 +221,17 @@ def _cells_of_interval(t_low, t_high, memo):
     t_low and t_high are valid, ordered and not both ends.  Its cells join
     t_high's members across the walls t_low lacks, on the table rows:
     t_low's walls are the OR of its members' facet masks, members merge
-    when their masks of walls outside t_low meet, a cell is the OR of
-    their label masks."""
+    when their masks of walls outside t_low meet, a cell is the union of
+    their labels."""
     n, d = t_high.n, t_high.d
     tab = tri.table(n, d)
-    walls = used = 0
+    walls = 0
     for k in simplices.bits(t_low.mask):
-        _, _, facets, labels = tab.row(k)
-        walls |= facets
-        used |= labels
+        walls |= tab.row(k)[2]
     comps = []      # (walls outside t_low, labels) of each component so far
     for k in simplices.bits(t_high.mask):
-        _, _, facets, labels = tab.row(k)
-        beside = facets & ~walls
+        beside = tab.row(k)[2] & ~walls
+        labels = set(tab.simplices[k])
         joined = [comp for comp in comps if comp[0] & beside]
         comps = [comp for comp in comps if not comp[0] & beside]
         for w, other in joined:
@@ -234,8 +242,9 @@ def _cells_of_interval(t_low, t_high, memo):
     if d == 1:
         # triangulations of a segment may skip interior vertices, so cells
         # must pick up the vertices the fine end uses inside each span
-        cells = [c | used & ((1 << (c.bit_length() - 1)) - (c & -c)) for c in cells]
-    delta = Subdivision(n, d, [tuple(simplices.bits(c)) for c in cells])
+        used = [v for v in range(1, n + 1) if t_low.mask & tab.holders[v]]
+        cells = [c.union(v for v in used if min(c) < v < max(c)) for c in cells]
+    delta = Subdivision(n, d, cells)
     v, low, high = _checked_subdivision(delta, n, d, memo)
     if v is not None or (low, high) != (t_low.mask, t_high.mask):
         back = v or tuple(map(tab.triangulation, (low, high)))

@@ -1048,8 +1048,8 @@ def boolean_lattice(k):
 
 def clear_caches():
     """Forget every per-(n, d) result: enumerations, S1 and S2, the
-    triangulation tables (with their rows, extensions, deny masks and the
-    hull) and Gale's facets, so the next build of anything starts cold."""
+    triangulation tables (with their rows, deny masks and the hull) and
+    Gale's facets, so the next build of anything starts cold."""
     tri._table_cache.clear()
     simplices._gale_cache.clear()
     _enum_cache.clear()

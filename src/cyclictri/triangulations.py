@@ -9,9 +9,12 @@ an int mask and an increasing flip is `t & low == low -> (t ^ low) | up`
 member tuples are built only when they are read.  Validation reads masks
 too: each simplex's row holds its conflict mask (the zig-zag rule, one
 alternating-path scan over the masks of the simplices holding each label),
-its volume, and the masks of its facets and labels, so a mask is checked by
-ANDs, an integer sum and three saturating facet counters.  The check is two
-steps: one walk over the members accumulates these sums (and, for the flip
+its volume, its facet mask and its extensions (the candidate flips of the
+(d+2)-sets it extends by one larger label).  A mask is checked by four sums
+and a few ANDs: a triangulation is a pseudomanifold, each hull facet in one
+member and each other facet met in two, and parity and one incidence count
+decide that (De Loera-Rambau-Santos, Triangulations, 2010).  The check is two
+steps: one walk over the members accumulates the sums (and, for the flip
 search, the increasing flips on the same walk), then a judge reads them.
 Members and facets are walked again only to name the witness of a failure.
 A mask gives its Triangulation, its key string and its place in key order
@@ -124,11 +127,11 @@ class Triangulation:
 class _Table:
     """The d-simplices of [n] in lexicographic order, bit i of a mask
     standing for simplices[i], with what validation and flips need of each:
-    its row and its extensions, both filled in on first use, so only the
-    simplices that occur cost anything, and likewise its deny mask for
-    submersion.  The per-label masks of the simplices and of the middle
-    cells (for _alternating), the hull volume, the numbering of the
-    d-subsets of [n] (the facets) and the boundary are computed once.
+    one row, filled in on first use, so only the simplices that occur cost
+    anything, and likewise its deny mask for submersion.  The per-label
+    masks of the simplices and of the middle cells (for _alternating), the
+    hull volume, the numbering of the d-subsets of [n] (the facets) and the
+    boundary are computed once.
     """
 
     def __init__(self, n, d):
@@ -138,7 +141,6 @@ class _Table:
         self.index = {s: i for i, s in enumerate(self.simplices)}
         self.head = '{"n":%d,"d":%d,"simplices":' % (n, d)     # of every key
         self._rows = [None] * len(self.simplices)
-        self._extensions = [None] * len(self.simplices)
         self._denies = [None] * len(self.simplices)
         if n == d + 1:
             lo = hi = 1
@@ -224,20 +226,30 @@ class _Table:
         return _holders(self.n, self.d + 1)
 
     def row(self, i):
-        """(conflicts, volume, facets, labels) of simplices[i]: the mask of
-        the later simplices it is not zig-zag admissible with (those with an
-        alternating sequence of d + 2 labels, _alternating), its normalized
-        volume, the mask of its facets over facet_index and the mask of its
-        labels (bit v for label v)."""
+        """(conflicts, volume, facets, extensions) of simplices[i]: the mask
+        of the later simplices it is not zig-zag admissible with (those with
+        an alternating sequence of d + 2 labels, _alternating), its
+        normalized volume, the mask of its facets over facet_index, and
+        (cand, low, up, k) for each (d+2)-set cand = simplices[i] + (v,)
+        with v above the last label, low and up the masks of its lower and
+        upper facets, k its bit in table(n, d+1) (see move).  The facet
+        dropping the last label is always lower, so each (d+2)-set is an
+        extension of exactly one simplex, and each increasing flip of t an
+        extension of a member of t."""
         got = self._rows[i]
         if got is None:
             s, d = self.simplices[i], self.d
             later = (1 << len(self.simplices)) - (2 << i)
             mine, theirs = _alternating(s, self.holders, later, d + 2)
             index = self.facet_index
+            k = self._first_moves[i] - s[-1] - 1
+            extensions = []
+            for v in range(s[-1] + 1, self.n + 1):
+                lower, upper = facet_split(s + (v,))
+                extensions.append((s + (v,), self.mask(lower), self.mask(upper), k + v))
             got = self._rows[i] = (
                 mine | theirs, geometry.normalized_volume(s, d),
-                sum(1 << index[f] for f in _facets(s)), sum(1 << v for v in s))
+                sum(1 << index[f] for f in _facets(s)), extensions)
         return got
 
     def violation(self, mask):
@@ -247,55 +259,50 @@ class _Table:
 
     def _accumulate(self, mask, flips=None, ranks=None):
         """One walk over the members of a mask, in lexicographic order, for
-        the sums _judge reads.  The flip search passes two lists: each
+        the four sums _judge reads, one operation each per member: the OR
+        of the conflict masks, the volume sum, and the XOR (odd) and the OR
+        (met) of the facet masks.  The flip search passes two lists: each
         increasing flip (cand, low, up, k) is appended to flips on the way,
         in lexicographic order of cand, as flips() lists them, and each
         member's text rank to ranks, so ranks and the sentinel joined are
-        key_order(mask).
-
-        The sums are (clash, volume, once, twice, thrice, labels): clash the
-        first member meeting a later one improperly (the walk stops there)
-        or None, then the volume sum, three saturating facet masks (facets
-        covered at least once, twice, three times) and the OR of the label
-        masks."""
-        rows, exts = self._rows, self._extensions
+        key_order(mask)."""
+        rows = self._rows
         text = self._text_ranks[0] if ranks is not None else None
-        clash = None
-        vol = once = twice = thrice = labels = 0
+        clash = vol = odd = met = 0
         m = mask
         while m:
             b = m & -m
             i = b.bit_length() - 1
             m ^= b
-            conflicts, volume, facets, label_mask = rows[i] or self.row(i)
-            if mask & conflicts:
-                clash = i
-                break
+            conflicts, volume, facets, extensions = rows[i] or self.row(i)
+            clash |= conflicts
             vol += volume
-            thrice |= twice & facets
-            twice |= once & facets
-            once |= facets
-            labels |= label_mask
+            odd ^= facets
+            met |= facets
             if flips is not None:
                 ranks.append(text[i])
-                ext = exts[i]
-                if ext is None:
-                    ext = self.extensions(i)
-                for f in ext:
+                for f in extensions:
                     if mask & f[1] == f[1]:
                         flips.append(f)
-        return clash, vol, once, twice, thrice, labels
+        return clash, vol, odd, met
 
     def _judge(self, mask, sums):
         """The first violation of a mask given its _accumulate sums, or
-        None.  A bad wall is named by walking the members in lexicographic
-        order and their facets in row order, as a count of facets in that
-        order would meet it."""
-        clash, vol, once, twice, thrice, labels = sums
-        if clash is not None:
-            bad = mask & self._rows[clash][0]
+        None; the rules in validate's order, each decided by an identity.
+
+        Walls: each hull facet must be met once and each other facet met
+        twice or not at all.  That holds iff the facets met an odd number
+        of times are the hull's and the (d + 1)|mask| facet incidences
+        number |boundary| + 2|met outside the boundary|: with odd counts
+        (at least 1) on the hull and even ones (at least 2) elsewhere, the
+        incidences reach that sum only when every count is 1 or 2."""
+        clash, vol, odd, met = sums
+        if mask & clash:
+            rows = self._rows
+            i = next(i for i in bits(mask) if mask & rows[i][0])
+            bad = mask & rows[i][0]
             j = (bad & -bad).bit_length() - 1
-            return Violation("admissible", (self.simplices[clash], self.simplices[j]),
+            return Violation("admissible", (self.simplices[i], self.simplices[j]),
                              "members intersect improperly")
 
         if vol != self.hull:
@@ -303,56 +310,35 @@ class _Table:
                              "simplex volumes sum to %s, hull has %s" % (vol, self.hull))
 
         boundary = self.boundary_mask
-        bad = thrice | (twice & boundary) | (once & ~twice & ~boundary)
-        if bad:
-            return self._wall_violation(mask, bad)
-        if boundary & ~once:
-            index = self.facet_index
-            f = next(f for f in self.boundary if not (once >> index[f]) & 1)
-            return Violation("wall", f, "hull facet not covered")
+        if odd != boundary or (self.d + 1) * mask.bit_count() != \
+                len(self.boundary) + 2 * (met & ~boundary).bit_count():
+            return self._wall_violation(mask)
 
-        extreme = (1 << (self.n + 1)) - 2 if self.d >= 2 else 2 | 1 << self.n
-        missing = extreme & ~labels
-        if missing:
-            return Violation("labels", (missing & -missing).bit_length() - 1,
-                             "extreme label unused")
+        holders = self.holders
+        for v in range(1, self.n + 1) if self.d >= 2 else (1, self.n):
+            if not mask & holders[v]:
+                return Violation("labels", v, "extreme label unused")
         return None
 
-    def _wall_violation(self, mask, bad):
-        """The wall violation of the first facet in bad that the members of
-        mask meet, walked in lexicographic order, facets in row order."""
-        index = self.facet_index
-        members = [(self.simplices[i], self.row(i)[2]) for i in bits(mask)]
-        for s, _ in members:
+    def _wall_violation(self, mask):
+        """The wall violation of a mask failing the wall identity: the first
+        facet met a wrong number of times, walking the members in
+        lexicographic order and their facets as _facets lists them, else
+        the first hull facet not covered."""
+        counts = {}
+        for s in map(self.simplices.__getitem__, bits(mask)):
             for f in _facets(s):
-                k = index[f]
-                if (bad >> k) & 1:
-                    c = sum((facets >> k) & 1 for _, facets in members)
-                    if c == 2:
-                        return Violation("wall", f, "hull facet covered twice")
-                    if c == 1:
-                        return Violation("wall", f, "interior wall covered once")
-                    return Violation("wall", f, "wall covered %d times" % c)
-        raise AssertionError("a bad wall that no member has")
-
-    def extensions(self, i):
-        """(cand, low, up, k) for each (d+2)-set cand = simplices[i] + (v,)
-        with v above the last label, low and up the masks of its lower and
-        upper facets, k its bit in table(n, d+1) (see move).  The facet
-        dropping the last label is always lower, so each (d+2)-set is an
-        extension of exactly one simplex, and each increasing flip of t an
-        extension of a member of t."""
-        got = self._extensions[i]
-        if got is None:
-            s = self.simplices[i]
-            k = self._first_moves[i] - s[-1] - 1
-            got = []
-            for v in range(s[-1] + 1, self.n + 1):
-                cand = s + (v,)
-                lower, upper = facet_split(cand)
-                got.append((cand, self.mask(lower), self.mask(upper), k + v))
-            self._extensions[i] = got
-        return got
+                counts[f] = counts.get(f, 0) + 1
+        boundary = self.boundary
+        for f, c in counts.items():
+            if c > 2:
+                return Violation("wall", f, "wall covered %d times" % c)
+            if c == 2 and f in boundary:
+                return Violation("wall", f, "hull facet covered twice")
+            if c == 1 and f not in boundary:
+                return Violation("wall", f, "interior wall covered once")
+        f = next(f for f in boundary if f not in counts)
+        return Violation("wall", f, "hull facet not covered")
 
     @cached_property
     def _first_moves(self):
@@ -366,12 +352,12 @@ class _Table:
         once, in lexicographic order."""
         first = self._first_moves
         i = bisect_right(first, k) - 1
-        return self.extensions(i)[k - first[i]]
+        return self.row(i)[3][k - first[i]]
 
     def flips(self, mask):
         """(cand, low, up, k) for each increasing flip of the mask, in
         lexicographic order of cand."""
-        return [f for i in bits(mask) for f in self.extensions(i)
+        return [f for i in bits(mask) for f in self.row(i)[3]
                 if mask & f[1] == f[1]]
 
     def split(self, cand):
@@ -379,7 +365,7 @@ class _Table:
         i = self.index.get(cand[:-1])
         if i is None or cand[-1] > self.n:
             raise ValueError("%r is not a (d+2)-set of [%d]" % (cand, self.n))
-        _, low, up, _ = self.extensions(i)[cand[-1] - cand[-2] - 1]
+        _, low, up, _ = self.row(i)[3][cand[-1] - cand[-2] - 1]
         return low, up
 
     # contract_last, insert_bottom, insert_top and the connecting sets as

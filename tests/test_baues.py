@@ -6,6 +6,8 @@ independent count for everything d=2 here (little Schroeder numbers
 minus the trivial dissection: 2, 10, 44, 196).
 """
 
+import time
+
 import pytest
 
 from cyclictri import baues, posets
@@ -59,6 +61,20 @@ def test_validate_subdivision_violations():
     # labels outside 1..n
     v = validate_subdivision([(1, 2, 3, 7)], 5, 2)
     assert v is not None
+
+
+def test_cell_faces_are_counted_before_they_are_listed():
+    # one cell on all 18 labels of C(18, 14): 540 Gale facets x 2^14 face
+    # masks pass the bound, so the check stops before listing them (about
+    # 10 s); the cell at (14, 10) counts 0.2 M and is listed
+    start = time.perf_counter()
+    with pytest.raises(ResourceBudgetError) as e:
+        validate_subdivision([tuple(range(1, 19))], 18, 14)
+    assert time.perf_counter() - start < 1
+    err = e.value
+    assert (err.kind, err.limit, err.reached, err.where) == \
+        ("size_guard", 10 ** 6, len(gale_facets(18, 14)) << 14, "C(18, 14)")
+    assert validate_subdivision([tuple(range(1, 15))], 14, 10) is None
 
 
 def test_subdivision_key_roundtrip():

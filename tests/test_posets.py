@@ -804,9 +804,9 @@ def test_enumeration_validates_every_mask(monkeypatch):
     from cyclictri.triangulations import table
     tab = table(6, 2)
     i = tab.index[tab.bottom.simplices[0]]
-    conflicts, volume, facets, labels = tab.row(i)
+    conflicts, volume, facets, extensions = tab.row(i)
     rows = list(tab._rows)
-    rows[i] = (conflicts, volume + 1, facets, labels)
+    rows[i] = (conflicts, volume + 1, facets, extensions)
     monkeypatch.setattr(tab, "_rows", rows)
     monkeypatch.setattr(posets, "_enum_cache", {})
     with pytest.raises(AssertionError, match="rule='volume'"):

@@ -323,6 +323,11 @@ def _reference_checks(members, n, d, hull=None):
         hull = cyclic_volume(n, d)
     if vol != hull:
         return ("volume", (vol, hull), "simplex volumes sum to %s, hull has %s" % (vol, hull))
+    return _reference_walls(members, n, d)
+
+
+def _reference_walls(members, n, d):
+    """The wall and label checks alone."""
     boundary = gale_facets(n, d)
     seen = {}
     for s in members:
@@ -365,7 +370,7 @@ def test_table_rows_match_zig_zag(n, d):
 @pytest.mark.parametrize("n,d", [(6, 2), (8, 3), (9, 4), (9, 5)])
 def test_table_candidate_masks_match_facet_split(n, d):
     tab = table(n, d)
-    moves = [f for i in range(len(tab.simplices)) for f in tab.extensions(i)]
+    moves = [f for i in range(len(tab.simplices)) for f in tab.row(i)[3]]
     assert [k for *_, k in moves] == list(range(len(moves)))
     assert list(map(tab.move, range(len(moves)))) == moves
     listed = [cand for cand, *_ in moves]
@@ -417,6 +422,89 @@ def test_table_wall_check_matches_reference():
         want = _reference_checks((), n, d, hull=0)
         assert want == ("wall", next(iter(gale_facets(n, d))), "hull facet not covered")
         assert _rule_witness(tab.violation(0)) == want
+
+
+def _table_without_conflicts(n, d):
+    """A fresh table whose rows have no conflicts, so the judge reaches the
+    wall rule on any set once the hull is patched to the set's volume."""
+    tab = _Table(n, d)
+    for i in range(len(tab.simplices)):
+        tab._rows[i] = (0,) + tab.row(i)[1:]
+    return tab
+
+
+def _cycles(n, d):
+    """Per (d+2)-set of [n], the mask of its d-simplices: each of their
+    facets is met twice, so adding one to a set keeps every facet's parity."""
+    tab = table(n, d)
+    return [tab.mask(combinations(q, d + 1)) for q in combinations(range(1, n + 1), d + 2)]
+
+
+@pytest.mark.parametrize("n,d", [(6, 1), (7, 2), (8, 3), (8, 4)])
+def test_wall_identity_counts_what_parity_passes(n, d):
+    # a triangulation plus the d-simplices of a (d+2)-set, none of them in
+    # it: each facet the two have in common is met 2 more times, a hull
+    # facet 3 times and an interior one 4, so the facets met an odd number
+    # of times are still the hull's and only the incidence count sees it
+    tab = _table_without_conflicts(n, d)
+    messages = set()
+    for t in _all_triangulations(n, d):
+        for z in _cycles(n, d):
+            if t.mask & z:
+                continue
+            m = t.mask | z
+            members = [tab.simplices[i] for i in bits(m)]
+            tab.hull = sum(normalized_volume(s, d) for s in members)
+            want = _reference_walls(members, n, d)
+            assert tab._accumulate(m)[2] == tab.boundary_mask
+            assert _rule_witness(tab.violation(m)) == want, members
+            if want is not None:    # None: the (d+2)-set shares no facet with t
+                messages.add((want[1] in gale_facets(n, d), want[2]))
+    assert {(True, "wall covered 3 times"), (False, "wall covered 4 times")} <= messages
+
+
+@pytest.mark.parametrize("n,d", [(5, 1), (8, 2), (7, 3), (11, 4)])
+def test_wall_rule_names_the_uncovered_hull_facet(n, d):
+    # the d-simplices of a (d+2)-set none of whose d-subsets is a hull
+    # facet: every facet met is interior and met twice, and no hull facet
+    # is covered, so the witness is the first hull facet
+    tab = _table_without_conflicts(n, d)
+    hull = gale_facets(n, d)
+    found = 0
+    for q in combinations(range(1, n + 1), d + 2):
+        if any(f in hull for f in combinations(q, d)):
+            continue
+        members = list(combinations(q, d + 1))
+        tab.hull = sum(normalized_volume(s, d) for s in members)
+        want = _reference_walls(members, n, d)
+        assert want == ("wall", next(iter(hull)), "hull facet not covered")
+        assert _rule_witness(tab.violation(tab.mask(members))) == want, q
+        found += 1
+    assert found
+
+
+@pytest.mark.parametrize("n,d", [(7, 2), (8, 3), (9, 4)])
+def test_admissible_rule_names_the_first_member_and_its_first_clash(n, d):
+    # sets with several conflicting pairs: the witness is the first member
+    # meeting a later one improperly, with the first such later member,
+    # which need not be the first member that meets any other improperly
+    rng = random.Random(4100 + 10 * n + d)
+    tab = table(n, d)
+    size = len(tab.simplices)
+    apart = 0
+    for t in rng.sample(_all_triangulations(n, d), 30):
+        for _ in range(5):
+            m = t.mask | sum(1 << i for i in rng.sample(range(size), 2))
+            members = [tab.simplices[i] for i in bits(m)]
+            pairs = [(a, b) for a, b in combinations(members, 2)
+                     if not zig_zag_admissible(a, b, d)]
+            if len(pairs) < 2:
+                continue
+            want = _reference_validate(members, n, d)
+            assert want[:2] == ("admissible", pairs[0])
+            assert _rule_witness(tab.violation(m)) == want, members
+            apart += pairs[0][1] != min(b for _, b in pairs)
+    assert apart
 
 
 @pytest.mark.parametrize("n,d", [(7, 2), (8, 3), (9, 4), (8, 1), (7, 5)])
