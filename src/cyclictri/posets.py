@@ -384,13 +384,14 @@ class FinitePoset:
 
     def mobius(self, x, y):
         """Mobius function of the interval [x, y]: mu(0, 1) of the open
-        interval (x, y) with x and y as its adjoined bounds."""
+        interval (x, y) with x and y as its adjoined bounds, Hall's sum over
+        its positions' down-rows as read (hall_mobius); no subposet is built."""
         if not self.le(x, y):
             raise ValueError("mobius needs x <= y")
         if x == y:
             return 1
         inner = (self.up[x] & self.down[y]) ^ (1 << x) ^ (1 << y)
-        return self.restrict(bits(inner)).hall_mobius()
+        return -1 - sum(_mobius_values((z, self.down[z]) for z in bits(inner)).values())
 
     def mobius_bottom_top(self):
         """mu(bottom, top), that of the proper part with bounds adjoined."""
@@ -1002,32 +1003,27 @@ def poset_core(p):
     whose strict up-set has a minimum.  Each removal keeps the homotopy type
     of the order complex (Stong 1966).
 
-    The rows are read as stored, a proper part's from its order's rows:
-    the live mask leaves out the positions outside p, and the part of it
-    above x is shifted to x's stored up-row, not the row to the mask."""
+    Each round walks the live mask as it stood when the round began and
+    drops each beat point from it at once.  The rows are read as stored, a
+    proper part's from its order's rows: the live mask leaves out the
+    positions outside p, and the part of it above x is shifted to x's
+    stored up-row, not the row to the mask."""
     up, down, first = p._frame
     alive = ((1 << len(p.elements)) - 1) << first
-    live = range(first, first + len(p.elements))
     removed = True
     while removed:
         removed = False
-        kept = []
-        for x in live:
+        for x in bits(alive):
             rest = alive ^ (1 << x)
             below = down[x] & rest
             if below and not below & ~down[below.bit_length() - 1]:
-                alive = rest
-                removed = True
+                alive, removed = rest, True
                 continue
             above = up[x] & (rest >> x)
             k = (above & -above).bit_length() - 1
             if above and not (above >> k) & ~up[x + k]:
-                alive = rest
-                removed = True
-            else:
-                kept.append(x)
-        live = kept
-    return p.restrict([x - first for x in live])
+                alive, removed = rest, True
+    return p.restrict([x - first for x in bits(alive)])
 
 
 def boolean_lattice(k):

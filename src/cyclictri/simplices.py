@@ -2,9 +2,10 @@
 
 Vertices of C(n, d) are the integer labels 1..n sitting on the moment curve;
 everything in this module is pure bookkeeping on sorted label tuples, plus
-one helper for the int bitmasks that index sets of them.  The geometric
-meaning of each predicate is pinned down by the exact-arithmetic oracles in
-`oracles` and the agreement tests between the two routes.
+`bits`, the one walk (by bytes) over the set bits of the int masks that
+index sets of them.  The geometric meaning of each predicate is pinned down
+by the exact-arithmetic oracles in `oracles` and the agreement tests between
+the two routes.
 """
 
 from itertools import combinations
@@ -16,14 +17,22 @@ LOWER = "lower"
 UPPER = "upper"
 
 _gale_cache = {}
+_BYTE_BITS = tuple(tuple(i for i in range(8) if b >> i & 1) for b in range(256))
 
 
 def bits(m):
-    """Indices of the set bits of the mask m, in ascending order."""
-    while m:
-        b = m & -m
-        yield b.bit_length() - 1
-        m ^= b
+    """Indices of the set bits of the mask m, in ascending order: m is
+    shifted to its lowest nonzero byte and written out as bytes once, and
+    each nonzero byte's bits are read from a table, so no step of the walk
+    is a whole-int operation."""
+    if m:
+        low = ((m & -m).bit_length() - 1) & ~7
+        m >>= low
+        for byte in m.to_bytes((m.bit_length() + 7) // 8, "little"):
+            if byte:
+                for i in _BYTE_BITS[byte]:
+                    yield low + i
+            low += 8
 
 
 def simplex(labels):

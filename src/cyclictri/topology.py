@@ -383,24 +383,22 @@ def webb_reduction_check(l_poset, budget=None):
     if w is not True:
         raise ValueError("webb reduction needs a lattice: %r" % (w,))
     intp = interval_poset(l_poset, "proper")
-    keep = []
+    keep = set()
     for idx, (i, j) in enumerate(intp.data):
         strict = l_poset.up[i] & l_poset.down[j] & ~(1 << i) & ~(1 << j)
         hom = poset_homology(l_poset.restrict(bits(strict)), budget)
         if hom.euler != 0 or not hom.is_trivial():
-            keep.append(idx)
-    survivors = intp.restrict(keep)
-    coatomic = set(interval_poset(l_poset, "proper_coatomic").elements)
-    surv_keys = set(survivors.elements)
-    contains = coatomic <= surv_keys
+            keep.add(idx)
+    coatomic = {z for z, (i, j) in enumerate(intp.data) if l_poset.is_coatomic(i, j)}
+    contains = coatomic <= keep
     hom_full = poset_homology(intp, budget)
-    hom_surv = poset_homology(survivors, budget)
+    hom_surv = poset_homology(intp.restrict(keep), budget)
     match = hom_full == hom_surv
     return {"pass": contains and match,
             "removed": len(intp.elements) - len(keep),
             "survivors": len(keep),
             "contains_coatomic": contains,
-            "survivors_equal_coatomic": surv_keys == coatomic,
+            "survivors_equal_coatomic": keep == coatomic,
             "homology_match": match,
             "homology": hom_full,
             "certificate": "homology-level"}

@@ -269,11 +269,7 @@ class _Table:
         rows = self._rows
         text = self._text_ranks[0] if ranks is not None else None
         clash = vol = odd = met = 0
-        m = mask
-        while m:
-            b = m & -m
-            i = b.bit_length() - 1
-            m ^= b
+        for i in bits(mask):
             conflicts, volume, facets, extensions = rows[i] or self.row(i)
             clash |= conflicts
             vol += volume
@@ -496,10 +492,8 @@ def _holders(n, size):
 def _image(mask, images):
     """The OR of images[i] over the set bits i of mask."""
     m = 0
-    while mask:
-        b = mask & -mask
-        m |= images[b.bit_length() - 1]
-        mask ^= b
+    for i in bits(mask):
+        m |= images[i]
     return m
 
 

@@ -18,7 +18,7 @@ name the witness of a failure.
 from collections import deque
 
 from . import simplices, triangulations as tri
-from .posets import bits, build_order, enumerate_triangulations
+from .posets import build_order, enumerate_triangulations
 
 
 def verify_suspension(n, d, order="s1", cap=None):
@@ -152,7 +152,7 @@ def _connecting_report(tab, low, high, tilde):
     table(n, d), tilde over table(n, d+1).  The members are tilde's bits,
     in lexicographic order; bit k has its conflict row in table(n, d+1) and
     its lower and upper facet masks in tab.move(k)."""
-    members = list(map(tab.move, bits(tilde)))
+    members = list(map(tab.move, simplices.bits(tilde)))
     big = tri.table(tab.n, tab.d + 1) if tilde else None
     once = twice = lowers = uppers = 0      # twice: facets of two members
     for s, lo, up, k in members:
@@ -192,7 +192,7 @@ def connecting_b(t):
 
 def _connecting(t, which):
     mask = tri.table(t.n, t.d).connecting(t.mask)[which]
-    return frozenset(tri.table(t.n, t.d + 1).simplices[k] for k in bits(mask))
+    return frozenset(tri.table(t.n, t.d + 1).simplices[k] for k in simplices.bits(mask))
 
 
 def verify_connecting_sets(n, d, cap=None):

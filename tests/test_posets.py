@@ -171,6 +171,37 @@ def test_mobius_is_hall_mobius_of_the_open_interval():
                     assert mu == p.restrict(bits(inner)).hall_mobius()
 
 
+def test_mobius_builds_no_subposet(monkeypatch):
+    # Hall's sum over the interval's positions on the rows as read, a
+    # proper part's too, against the restricted open interval
+    s2 = build_s2(8, 3)
+    cases = []
+    for p in (s2, s2.proper_part()):
+        for x in range(len(p)):
+            for y in bits(p.up[x]):
+                inner = p.up[x] & p.down[y] & ~(1 << x) & ~(1 << y)
+                want = 1 if x == y else p.restrict(bits(inner)).hall_mobius()
+                cases.append((p, x, y, want))
+
+    def no_restrict(self, keep):
+        raise AssertionError("mobius built a subposet")
+    monkeypatch.setattr(FinitePoset, "restrict", no_restrict)
+    for p, x, y, want in cases:
+        assert p.mobius(x, y) == want, (x, y)
+
+
+@pytest.mark.parametrize("n,d", [(8, 3), (9, 4)])
+@pytest.mark.parametrize("build", [build_s1, build_s2], ids=["s1", "s2"])
+def test_join_and_meet_are_symmetric(build, n, d):
+    # join reads the rows from the higher of its two positions, swapping
+    # them when the first is the higher
+    p = build(n, d)
+    for x in range(len(p)):
+        for y in range(x):
+            assert p.join(x, y) == p.join(y, x), (x, y)
+            assert p.meet(x, y) == p.meet(y, x), (x, y)
+
+
 @pytest.mark.parametrize("proper", [False, True], ids=["bounded", "proper_part"])
 def test_restrict_rejects_positions_out_of_range(proper):
     # a proper part's position -1 would read its order's bottom row, and
@@ -1274,3 +1305,43 @@ def test_only_posets_reads_the_stored_rows():
             bad += [(name, node.lineno, a.name) for a in node.names
                     if a.name.startswith("_")]
     assert not bad
+
+
+CRITERION_04 = [(n, d) for d in range(1, 7) for n in range(d + 2, 10)]
+
+
+def _core_by_live_list(p):
+    """poset_core's positions by the loop it replaced, the reference: each
+    round walks a list of the live positions and keeps those it does not
+    remove."""
+    up, down, first = p._frame
+    alive = ((1 << len(p.elements)) - 1) << first
+    live = range(first, first + len(p.elements))
+    removed = True
+    while removed:
+        removed = False
+        kept = []
+        for x in live:
+            rest = alive ^ (1 << x)
+            below = down[x] & rest
+            if below and not below & ~down[below.bit_length() - 1]:
+                alive = rest
+                removed = True
+                continue
+            above = up[x] & (rest >> x)
+            k = (above & -above).bit_length() - 1
+            if above and not (above >> k) & ~up[x + k]:
+                alive = rest
+                removed = True
+            else:
+                kept.append(x)
+        live = kept
+    return [x - first for x in live]
+
+
+def test_poset_core_matches_the_live_list_core():
+    parts = [build(n, d).proper_part() for n, d in CRITERION_04
+             for build in (build_s1, build_s2)]
+    for q in parts + [baues_poset(6, 2), baues_poset(7, 2)]:
+        want = _core_by_live_list(q)
+        assert list(poset_core(q).elements) == [q.elements[x] for x in want]

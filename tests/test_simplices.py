@@ -2,9 +2,11 @@
 
 The oracle below classifies facets of C(n,d) by brute force on
 moment-curve coordinates with Fraction arithmetic.  It shares no code
-with the gap-parity implementation under test.
+with the gap-parity implementation under test.  The walk over a mask's
+set bits is checked against the whole-int lowest-bit loop it replaced.
 """
 
+import random
 from fractions import Fraction
 from itertools import combinations
 
@@ -13,7 +15,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cyclictri.oracles import admissible_geometric, zig_zag_admissible
+from cyclictri.posets import build_s1
 from cyclictri.simplices import (
+    bits,
     facet_class,
     facet_split,
     gale_facets,
@@ -178,3 +182,45 @@ def test_simplex_normalizes():
     assert simplex([3, 1, 2]) == (1, 2, 3)
     with pytest.raises(ValueError):
         simplex([1, 1, 2])
+
+
+def _lowest_bit_walk(m):
+    """The set bits of m by the whole-int loop bits replaced, the reference:
+    isolate the lowest set bit, report it, clear it."""
+    out = []
+    while m:
+        b = m & -m
+        out.append(b.bit_length() - 1)
+        m ^= b
+    return out
+
+
+def test_bits_of_zero_and_of_single_bits():
+    assert list(bits(0)) == _lowest_bit_walk(0) == []
+    for i in [*range(301), 7, 8, 15, 16, 255, 256, 96425]:
+        assert list(bits(1 << i)) == _lowest_bit_walk(1 << i) == [i]
+
+
+def test_bits_of_all_ones():
+    for width in range(1, 131):
+        m = (1 << width) - 1
+        assert list(bits(m)) == _lowest_bit_walk(m) == list(range(width))
+
+
+@pytest.mark.parametrize("width", [1, 7, 8, 9, 64, 65, 972, 4824, 96426])
+def test_bits_matches_the_lowest_bit_walk_on_seeded_masks(width):
+    rng = random.Random(width)
+    for density in (0.001, 0.01, 0.1, 0.5, 1):
+        m = int("".join("1" if rng.random() < density else "0"
+                        for _ in range(width)), 2)
+        assert list(bits(m)) == _lowest_bit_walk(m), density
+
+
+def test_bits_matches_the_lowest_bit_walk_on_poset_rows():
+    # up-views (each row shifted to its position), stored up-rows and
+    # down-rows, of S1(9,3) and of its proper part, whose reads drop the ends
+    p = build_s1(9, 3)
+    for q in (p, p.proper_part()):
+        for rows in (q.up, q._up, q.down):
+            for row in rows:
+                assert list(bits(row)) == _lowest_bit_walk(row)

@@ -21,6 +21,7 @@ from cyclictri.posets import (
     boolean_lattice,
     build_s1,
     build_s2,
+    interval_poset,
 )
 from cyclictri.topology import (
     chain_counts,
@@ -389,6 +390,26 @@ def test_webb_reduction_on_b3():
     assert rep["pass"] is True
     assert rep["contains_coatomic"]
     assert rep["homology_match"]
+
+
+@pytest.mark.parametrize("name", ["B2", "B3", "S2(5,2)", "S2(6,2)"])
+def test_webb_reduction_reports_on_the_criterion_posets(name):
+    # the coatomic intervals are the proper ones that is_coatomic accepts,
+    # the same keys as those of the coatomic interval poset; the reports
+    # are pinned as the route through that poset gave them
+    p = {"B2": boolean_lattice(2), "B3": boolean_lattice(3),
+         "S2(5,2)": build_s2(5, 2), "S2(6,2)": build_s2(6, 2)}[name]
+    intp = interval_poset(p, "proper")
+    assert {intp.elements[z] for z, (i, j) in enumerate(intp.data)
+            if p.is_coatomic(i, j)} == set(interval_poset(p, "proper_coatomic").elements)
+    removed, survivors, sphere = {"B2": (0, 8, 1), "B3": (0, 26, 2),
+                                  "S2(5,2)": (2, 10, 1), "S2(6,2)": (23, 44, 2)}[name]
+    rep = webb_reduction_check(p)
+    assert rep == {"pass": True, "removed": removed, "survivors": survivors,
+                   "contains_coatomic": True, "survivors_equal_coatomic": True,
+                   "homology_match": True, "homology": rep["homology"],
+                   "certificate": "homology-level"}
+    assert rep["homology"].is_sphere(sphere)
 
 
 def test_webb_reduction_requires_lattice():

@@ -483,6 +483,28 @@ def test_wall_rule_names_the_uncovered_hull_facet(n, d):
     assert found
 
 
+@pytest.mark.parametrize("n,d", [(5, 1), (6, 2), (7, 3), (8, 4)])
+def test_wall_rule_names_a_hull_facet_covered_twice(n, d):
+    # two simplices s < s' sharing the hull facet s minus its first label:
+    # that facet is the first one the wall walk meets, so it is the witness
+    tab = _table_without_conflicts(n, d)
+    hull = gale_facets(n, d)
+    found = 0
+    for s in tab.simplices:
+        if s[1:] not in hull:
+            continue
+        for v in range(s[0] + 1, n + 1):
+            if v in s:
+                continue
+            members = [s, tuple(sorted(s[1:] + (v,)))]
+            tab.hull = sum(normalized_volume(w, d) for w in members)
+            want = _reference_walls(members, n, d)
+            assert want == ("wall", s[1:], "hull facet covered twice")
+            assert _rule_witness(tab.violation(tab.mask(members))) == want, members
+            found += 1
+    assert found
+
+
 @pytest.mark.parametrize("n,d", [(7, 2), (8, 3), (9, 4)])
 def test_admissible_rule_names_the_first_member_and_its_first_clash(n, d):
     # sets with several conflicting pairs: the witness is the first member
