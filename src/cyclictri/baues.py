@@ -300,18 +300,23 @@ def interval_product_check(n, d, cap=None):
     tab = tri.table(n, d)
     bad = []
     memo = {}
+    factors = {}     # cell size -> (size, mu(bottom, top)) of its height order
+    for m in sorted({len(c) for delta in p.data for c in delta.cells}):
+        sub = build_s2(m, d, cap)
+        factors[m] = len(sub.elements), sub.mobius_bottom_top()
     for key, delta in zip(p.elements, p.data):
-        # baues_poset has validated delta; its interval's ends are its glued masks
-        _, low, high = _checked_subdivision(delta, n, d, memo)
+        # baues_poset has validated delta; its interval's ends glue its
+        # cells' bottoms and tops
+        low = high = 0
+        want_size = want_mu = 1
+        for c in delta.cells:
+            cell = _cell(c, tab, memo)
+            low, high = low | cell.bottom, high | cell.top
+            want_size *= factors[len(c)][0]
+            want_mu *= factors[len(c)][1]
         i, j = s2.index[tab.key(low)], s2.index[tab.key(high)]
         size = (s2.up[i] & s2.down[j]).bit_count()
         mu = s2.mobius(i, j)
-        want_size = 1
-        want_mu = 1
-        for c in delta.cells:
-            sub = build_s2(len(c), d, cap)
-            want_size *= len(sub.elements)
-            want_mu *= sub.mobius_bottom_top()
         if size != want_size or mu != want_mu:
             bad.append({"subdivision": key, "size": (size, want_size),
                         "mobius": (mu, want_mu)})

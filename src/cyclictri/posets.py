@@ -394,8 +394,10 @@ class FinitePoset:
         return -1 - sum(_mobius_values((z, self.down[z]) for z in bits(inner)).values())
 
     def mobius_bottom_top(self):
-        """mu(bottom, top), that of the proper part with bounds adjoined."""
-        return self.proper_part().hall_mobius() if len(self.elements) != 1 else 1
+        """mu(bottom, top), read on this order's rows (mobius)."""
+        if not self.is_bounded():
+            raise ValueError("poset is not bounded")
+        return self.mobius(self.bottom(), self.top())
 
     def hall_mobius(self):
         """mu(0, 1) of this poset with a bottom 0 and a top 1 adjoined, the

@@ -2,16 +2,17 @@
 
 Chains of a finite poset become simplices (vertex set = poset elements); the
 boundary matrices are reduced over the integers, so Betti numbers and torsion
-are exact.  Each boundary matrix goes through one column reduction against
-+-1 pivots, which leaves it equivalent to an identity block beside a small
-residual, and a dense Smith normal form of the residual gives the rest of
-the rank and the torsion.  Poset homology is computed on the core, what is
-left after repeatedly removing beat points, which keeps the homotopy type
-(Stong 1966; Barmak 2011).  The reduced Euler characteristic is mu(0, 1)
-of the unreduced poset with bounds adjoined (Hall's theorem), so the core's
-Betti numbers are cross-checked against the Mobius function across the
-reduction.  The core and mu come from `posets`; this module reads only `up`
-and `down`.
+are exact.  They are reduced from the top dimension down, each by one
+column reduction against +-1 pivots, which leaves it equivalent to an
+identity block beside a small residual; a face that is a pivot row one
+dimension up gets no column (clearing), and a dense Smith normal form of the
+residual gives the rest of the rank and the torsion.  Poset homology is
+computed on the core, what is left after repeatedly removing beat points,
+which keeps the homotopy type (Stong 1966; Barmak 2011).  The reduced Euler
+characteristic is mu(0, 1) of the unreduced poset with bounds adjoined
+(Hall's theorem), so the core's Betti numbers are cross-checked against the
+Mobius function across the reduction.  The core and mu come from `posets`;
+this module reads only `up` and `down`.
 
 The empty face is kept as a dimension -1 simplex throughout, which makes all
 homology reduced and gives the empty complex H~_{-1} = Z.  The tests build
@@ -20,7 +21,6 @@ complexes from their facets with `oracles.complex_from_maximal`.
 
 import json
 from heapq import heapify, heappop, heappush
-from math import gcd
 
 from .posets import ResourceBudgetError, interval_poset, poset_core
 from .simplices import bits
@@ -105,14 +105,13 @@ def order_complex(p, budget=None):
 # Smith normal form.
 
 def _boundary_columns(upper, index_low):
-    cols = []
+    """The boundary column of each face of upper, one at a time: row
+    index_low[sub] holds the sign of the face with sub's missing vertex."""
     for f in upper:
         col = {}
         for i in range(len(f)):
-            sub = f[:i] + f[i + 1:]
-            col[index_low[sub]] = 1 if i % 2 == 0 else -1
-        cols.append(col)
-    return cols
+            col[index_low[f[:i] + f[i + 1:]]] = 1 if i % 2 == 0 else -1
+        yield col
 
 
 def _clear(col, pivots):
@@ -138,13 +137,16 @@ def _clear(col, pivots):
 
 
 def _reduce_units(cols):
-    """Column reduction against +-1 pivots; returns (unit rank, residual).
+    """Column reduction against +-1 pivots; returns (unit rank, residual,
+    the set of pivot rows).
 
     Each column in turn is cleared against the pivots before it; its first
-    +-1 row then becomes a pivot, or else a nonzero column is kept.  The
-    kept columns are cleared at the end against every pivot, so the matrix
-    is equivalent to a unit-triangular block (the pivots) beside the
-    residual, whose rows are all non-pivot rows."""
+    +-1 row then becomes a pivot, or else a nonzero column is kept, and a
+    zero column is dropped.  The kept columns are cleared at the end
+    against every pivot, so the matrix is equivalent to a unit-triangular
+    block (the pivots) beside the residual, whose rows are all non-pivot
+    rows.  Only the pivot rows are returned, so the pivot columns are freed
+    on return."""
     pivots = {}
     kept = []
     for col in cols:
@@ -164,66 +166,47 @@ def _reduce_units(cols):
     for j, col in enumerate(kept):
         for r, v in col.items():
             dense[rows[r]][j] = v
-    return len(pivots), dense
+    return len(pivots), dense, set(pivots)
 
 
 def _dense_snf(a):
     """Invariant factors (positive, each dividing the next) of a small dense
-    integer matrix, by textbook row/column reduction."""
+    integer matrix.  Each round moves an entry of least absolute value to
+    the corner and reduces the corner's row and column by it; a nonzero
+    remainder is a smaller entry for the next round.  Once both are clear,
+    the corner is recorded and its row and column dropped if it divides
+    every entry left; otherwise a row it does not divide is added to its
+    row, where the next round leaves a remainder.  A recorded factor divides
+    all that is left, so the factors come out in divisibility order."""
     a = [row[:] for row in a]
-    nr = len(a)
-    nc = len(a[0]) if nr else 0
-    t = 0
-    while t < min(nr, nc):
-        pr = pc = None
-        best = None
-        for i in range(t, nr):
-            for j in range(t, nc):
-                v = abs(a[i][j])
-                if v and (best is None or v < best):
-                    best, pr, pc = v, i, j
-        if best is None:
-            break
-        a[t], a[pr] = a[pr], a[t]
+    factors = []
+    while True:
+        nonzero = [(abs(v), i, j) for i, row in enumerate(a)
+                   for j, v in enumerate(row) if v]
+        if not nonzero:
+            return factors
+        _, i, j = min(nonzero)
+        a[0], a[i] = a[i], a[0]
         for row in a:
-            row[t], row[pc] = row[pc], row[t]
-        while True:
-            redo = False
-            for i in range(t + 1, nr):
-                q = a[i][t] // a[t][t]
-                if q:
-                    for j in range(t, nc):
-                        a[i][j] -= q * a[t][j]
-                if a[i][t]:
-                    a[t], a[i] = a[i], a[t]
-                    redo = True
-                    break
-            if redo:
-                continue
-            for j in range(t + 1, nc):
-                q = a[t][j] // a[t][t]
-                if q:
-                    for i in range(t, nr):
-                        a[i][j] -= q * a[i][t]
-                if a[t][j]:
-                    for row in a:
-                        row[t], row[j] = row[j], row[t]
-                    redo = True
-                    break
-            if not redo:
-                break
-        t += 1
-    diag = [abs(a[i][i]) for i in range(t)]
-    changed = True
-    while changed:
-        changed = False
-        for i in range(len(diag)):
-            for j in range(i + 1, len(diag)):
-                if diag[j] % diag[i]:
-                    g = gcd(diag[i], diag[j])
-                    diag[i], diag[j] = g, diag[i] * diag[j] // g
-                    changed = True
-    return sorted(diag)
+            row[0], row[j] = row[j], row[0]
+        top, p = a[0], a[0][0]
+        for row in a[1:]:
+            q = row[0] // p
+            for c, v in enumerate(top):
+                row[c] -= q * v
+        for c in range(1, len(top)):
+            q = top[c] // p
+            for row in a:
+                row[c] -= q * row[0]
+        if any(top[1:]) or any(row[0] for row in a[1:]):
+            continue
+        rest = next((row for row in a[1:] if any(v % p for v in row)), None)
+        if rest is None:
+            factors.append(abs(p))
+            a = [row[1:] for row in a[1:]]
+        else:
+            for c, v in enumerate(rest):
+                top[c] += v
 
 
 class HomologyResult:
@@ -286,25 +269,31 @@ class HomologyResult:
 
 
 def homology(k_complex):
-    """Reduced integral homology of an explicit complex via Smith normal form."""
+    """Reduced integral homology of an explicit complex via Smith normal form.
+
+    The boundaries are reduced from the top dimension down, and a k-face
+    that is a pivot row of the reduced (k+1)-boundary gets no column
+    (clearing; Chen and Kerber 2011).  Each reduced pivot column is a
+    boundary, hence a cycle; it holds 1 in its pivot row and no row of an
+    earlier pivot, so on the pivot rows these columns form a unit-triangular
+    block.  Swapping them for the unit vectors of their rows is thus a
+    unimodular change of basis of the k-chains, under which the k-boundary
+    sends them to zero: dropping the columns of those rows keeps its rank
+    and its invariant factors."""
     euler = k_complex.euler_reduced()
     faces = k_complex.faces_by_dim
     top = max(faces)
     rank = {}
     invf = {}
-    for k in range(0, top + 1):
+    cleared = set()
+    for k in range(top, -1, -1):
         upper = faces.get(k, [])
-        lower = faces.get(k - 1, [])
-        if not upper or not lower:
-            rank[k] = 0
-            invf[k] = []
-            continue
-        index_low = {f: i for i, f in enumerate(lower)}
-        cols = _boundary_columns(upper, index_low)
-        units, residual = _reduce_units(cols)
-        extra = _dense_snf(residual) if residual else []
-        rank[k] = units + len(extra)
-        invf[k] = extra
+        index_low = {f: i for i, f in enumerate(faces.get(k - 1, []))}
+        cols = _boundary_columns(
+            (f for i, f in enumerate(upper) if i not in cleared), index_low)
+        units, residual, cleared = _reduce_units(cols)
+        invf[k] = _dense_snf(residual)
+        rank[k] = units + len(invf[k])
     betti = {}
     torsion = {}
     for k in range(-1, top + 1):

@@ -308,3 +308,27 @@ def test_interval_product_check_small():
     assert interval_product_check(5, 2) == []
     assert interval_product_check(6, 2) == []
     assert interval_product_check(6, 3) == []
+
+
+def test_interval_product_check_validates_each_subdivision_once(monkeypatch):
+    # the interval's ends come from the cells baues_poset has checked, so
+    # _checked_subdivision runs only inside baues_poset, once per subdivision
+    checked, inside = [], []
+
+    def counted(*args):
+        checked.append(bool(inside))
+        return checked_subdivision(*args)
+
+    def marked(*args):
+        inside.append(True)
+        try:
+            return build(*args)
+        finally:
+            inside.pop()
+
+    checked_subdivision, build = baues._checked_subdivision, baues.baues_poset
+    subdivisions = len(build(7, 2))
+    monkeypatch.setattr(baues, "_checked_subdivision", counted)
+    monkeypatch.setattr(baues, "baues_poset", marked)
+    assert interval_product_check(7, 2) == []
+    assert checked == [True] * subdivisions

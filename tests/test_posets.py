@@ -160,6 +160,24 @@ def test_hall_mobius_of_the_proper_part_is_mobius_bottom_top(build):
         assert p.restrict(range(1, len(p) - 1)).hall_mobius() == want
 
 
+def test_mobius_bottom_top_builds_no_proper_part(monkeypatch):
+    # criterion 04's orders: mu(bottom, top) read on the rows equals the
+    # proper part's Hall sum, with proper_part made to raise
+    orders = [build(n, d) for d in range(1, 7) for n in range(d + 2, 10)
+              for build in (build_s1, build_s2)]
+    want = [p.proper_part().hall_mobius() for p in orders]
+
+    def no_proper_part(self):
+        raise AssertionError("mobius_bottom_top built a proper part")
+
+    monkeypatch.setattr(FinitePoset, "proper_part", no_proper_part)
+    assert [p.mobius_bottom_top() for p in orders] == want
+    assert _poset(["x"], []).mobius_bottom_top() == 1
+    for unbounded in (_poset([], []), _poset(*M_POSET)):
+        with pytest.raises(ValueError, match="poset is not bounded"):
+            unbounded.mobius_bottom_top()
+
+
 def test_mobius_is_hall_mobius_of_the_open_interval():
     for p in (boolean_lattice(4), build_s1(7, 3)):
         for x in range(len(p)):

@@ -135,10 +135,16 @@ def _random_complexes(count, seed=2005):
              for _ in range(rng.randint(0, 6))])
 
 
+def _suspended(facets, *poles):
+    return [f + (v,) for f in facets for v in poles]
+
+
 def _oracle_complexes():
-    suspended = [f + (v,) for f in RP2 for v in (7, 8)]
     yield "RP2", complex_from_maximal(RP2)
-    yield "suspended RP2", complex_from_maximal(suspended)
+    yield "suspended RP2", complex_from_maximal(_suspended(RP2, 7, 8))
+    # its Z/2 is cleared across three dimensions
+    yield "double suspended RP2", complex_from_maximal(
+        _suspended(_suspended(RP2, 7, 8), 9, 10))
     yield "torus", complex_from_maximal(TORUS)
     for k in range(4):
         yield "S%d" % k, _sphere_complex(k)
@@ -171,15 +177,23 @@ def _determinantal_factors(a):
 
 
 def test_dense_snf_matches_determinantal_divisors():
-    # diag(2, 3) needs the divisibility fix-up; in [[3, 2], [4, 6]] the first
-    # pivot is the 2, a column away, and leaves a remainder in its row
+    # diag(2, 3) is clear at once, but 2 does not divide the 3 left; in
+    # [[3, 2], [4, 6]] the first pivot is the 2, a column away, and leaves
+    # a remainder in its row
     assert topology._dense_snf([[2, 0], [0, 3]]) == [1, 6]
     assert topology._dense_snf([[3, 2], [4, 6]]) == [1, 10]
+    assert topology._dense_snf([[0, 0], [0, 0]]) == []
     rng = random.Random(32)
     for _ in range(600):
-        rows, cols = rng.randint(1, 4), rng.randint(1, 4)
+        rows, cols = rng.randint(1, 5), rng.randint(1, 5)
         a = [[rng.choice((0, 0, rng.randint(-6, 6))) for _ in range(cols)]
              for _ in range(rows)]
+        if rng.random() < 0.3:
+            a[rng.randrange(rows)] = [0] * cols
+        if rng.random() < 0.3:
+            zero = rng.randrange(cols)
+            for row in a:
+                row[zero] = 0
         assert topology._dense_snf(a) == _determinantal_factors(a), a
 
 
@@ -195,8 +209,39 @@ def test_homology_matches_dense_snf_of_whole_boundaries():
 def test_reduction_clears_kept_columns_against_later_pivots():
     # the first column has no unit when it is met; the second's pivot row 1
     # must still be cleared from it, leaving [[2]] and the Z/2
-    units, residual = topology._reduce_units([{0: 2, 1: 3}, {1: 1}])
-    assert (units, residual) == (1, [[2]])
+    units, residual, pivot_rows = topology._reduce_units([{0: 2, 1: 3}, {1: 1}])
+    assert (units, residual, pivot_rows) == (1, [[2]], {1})
+
+
+@pytest.mark.parametrize("build, columns", [
+    (lambda: complex_from_maximal(TORUS), None),
+    (lambda: complex_from_maximal(_suspended(RP2, 7, 8)), None),
+    (lambda: order_complex(poset_core(baues_poset(8, 3))), 8385),
+], ids=["torus", "suspended RP2", "core Baues(8,3)"])
+def test_homology_builds_no_column_at_a_pivot_row_one_dimension_up(
+        monkeypatch, build, columns):
+    # from the top down, dimension k yields f_k columns minus the unit
+    # pivots of dimension k + 1
+    k_complex = build()
+    reduce_units = topology._reduce_units
+    built, units = [], []
+
+    def counted(cols):
+        cols = list(cols)
+        built.append(len(cols))
+        out = reduce_units(cols)
+        assert len(out[2]) == out[0]
+        units.append(out[0])
+        return out
+
+    monkeypatch.setattr(topology, "_reduce_units", counted)
+    homology(k_complex)
+    f = k_complex.counts()
+    top = max(f)
+    assert built == [f[k] - (units[top - k - 1] if k < top else 0)
+                     for k in range(top, -1, -1)]
+    if columns is not None:
+        assert sum(built) == columns
 
 
 def test_order_complex_of_chain_is_simplex():
