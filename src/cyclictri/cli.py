@@ -47,7 +47,9 @@ def _check_output(path):
     """Raise ValueError unless path names a file that can be written: its
     directory exists and is writable, and it is not itself a directory."""
     parent = os.path.dirname(os.path.abspath(path))
-    if os.path.isdir(path):
+    if not path:
+        code = errno.ENOENT
+    elif os.path.isdir(path):
         code = errno.EISDIR
     elif not os.path.exists(parent):
         code = errno.ENOENT
@@ -237,15 +239,16 @@ def main(argv=None):
     try:
         if args.d < 1 or args.n <= args.d:
             raise ValueError("need n > d >= 1")
-        if getattr(args, "output", None):
-            _check_output(args.output)
+        output = getattr(args, "output", None)
+        if output is not None:
+            _check_output(output)
         code, lines, payload = args.func(args)
-        if payload is not None and args.output:
+        if payload is not None and output is not None:
             try:
-                with open(args.output, "w") as fh:
+                with open(output, "w") as fh:
                     fh.write(payload)
             except OSError as exc:
-                raise ValueError("cannot write %s: %s" % (args.output, exc.strerror))
+                raise ValueError("cannot write %s: %s" % (output, exc.strerror))
             payload = None
     except ValueError as exc:
         # first: an argument error is caught before the next clause reads

@@ -16,8 +16,9 @@ sorted order for S1 and S2, only in exports (covers) and witnesses (first_pair).
 
 The lattice verdict on a bounded poset is one join test per pair of upper
 covers of a common element (Bjorner-Edelman-Ziegler 1990, Lemma 2.1); a
-refutation scans pairs in key order, with the small side of each row, meets
-or joins, settled in bulk.  Enumeration walks the members of each flip-search
+refutation is first_pair's on the masks of the positions lacking a meet or
+a join, with the small side of each row, meets or joins, settled in bulk.
+Enumeration walks the members of each flip-search
 mask once, for its flips, its validation and its compact bytes sort key, and
 keeps one record: the masks, sorted in key order by those keys, and the flip
 edges in flat arrays that the S1 closure reads, and S2 reads its submersion
@@ -315,72 +316,46 @@ class FinitePoset:
 
         A finite bounded poset is a lattice iff any two upper covers of a
         common element have a join (Bjorner-Edelman-Ziegler, DCG 5 (1990),
-        Lemma 2.1), so a lattice is certified by one join test per such
-        pair.  Otherwise the key-order scan of _lattice_witness finds the
-        witness."""
-        if self.is_bounded() and self._cover_joins():
+        Lemma 2.1), so a lattice is certified by one join per such pair.
+        Otherwise first_pair names the witness on the masks of _lacking,
+        the meet side first.  The witness row's mask is computed in full,
+        so a witness found early in a large order costs up to one row of
+        pair tests more than a scan that stops at the first failing pair."""
+        if self.is_bounded() and all(
+                self.join(a, b) is not None for x in range(len(self.elements))
+                for a, b in combinations(self._upper_covers(x), 2)):
             return True
-        return self._lattice_witness()
+        w = self.first_pair(self._lacking)
+        if w is None:
+            return True
+        x, y = w
+        return {"pair": (self.elements[x], self.elements[y]),
+                "missing": "meet" if self.meet(x, y) is None else "join"}
 
-    def _cover_joins(self):
-        """Whether every two upper covers of a common element have a join."""
-        up = self._up
-        for x in range(len(self.elements)):
-            for a, b in combinations(self._upper_covers(x), 2):     # a < b
-                ups = (up[a] >> (b - a)) & up[b]    # not empty: bounded
-                k = (ups & -ups).bit_length() - 1
-                if up[b + k] != ups >> k:
-                    return False
-        return True
-
-    def _lattice_witness(self):
-        """The first pair (x, y), x before y in key order, lacking a meet or,
-        failing that, a join, as a witness dict; True if there is none.
-
-        A row x whose down-set has k members, k * k <= n, settles all its
-        meets at once (_meets, k * k mask operations instead of n pair
-        tests), and likewise its joins when the up-set is that small
-        (_joins); only the other side is tested pair by pair."""
-        up, down, order, rank = self._up, self.down, self.by_key, self.rank
-        n = len(order)
+    def _lacking(self, x):
+        """The mask of the positions lacking a meet or a join with x; only
+        those incomparable with x can.  A side whose k bounds of x have
+        k * k <= n is settled in bulk (_bounded, k * k mask operations
+        instead of n pair tests), and only the other side is tested pair by
+        pair."""
+        n = len(self.elements)
         full = (1 << n) - 1
-        for r, x in enumerate(order):
-            dx, ux = down[x], up[x]
-            # masks of the positions with a meet (a join) with x, or None
-            # where that side is tested pair by pair
-            meets = _meets(dx, down, up) if dx.bit_count() ** 2 <= n else None
-            joins = _joins(x, ux, up, down) if ux.bit_count() ** 2 <= n else None
-            # every y before x in key order passed with x in its own row, so
-            # bad holds only later positions
-            bad = 0
-            if meets is not None:
-                bad |= full & ~meets
-            if joins is not None:
-                bad |= full & ~joins
-            stop = n    # the key-order index of the first y a bulk side rejects
-            if bad:
-                stop = min(map(rank.__getitem__, bits(bad)))
-            if meets is None or joins is None:
-                for y in order[r + 1:stop]:
-                    if meets is None:
-                        lows = dx & down[y]
-                        if not lows or down[lows.bit_length() - 1] != lows:
-                            return self._witness(x, y, "meet")
-                    if joins is None:
-                        if y > x:
-                            ups, low = (ux >> (y - x)) & up[y], y
-                        else:
-                            ups, low = (up[y] >> (x - y)) & ux, x
-                        k = (ups & -ups).bit_length() - 1
-                        if not ups or up[low + k] != ups >> k:
-                            return self._witness(x, y, "join")
-            if stop < n:
-                y = order[stop]
-                return self._witness(x, y, "meet" if self.meet(x, y) is None else "join")
-        return True
-
-    def _witness(self, x, y, missing):
-        return {"pair": (self.elements[x], self.elements[y]), "missing": missing}
+        down, up = self.down, self.up
+        dx, ux = down[x], up[x]
+        bulk_meets = dx.bit_count() ** 2 <= n
+        bulk_joins = ux.bit_count() ** 2 <= n
+        out = 0
+        if bulk_meets:
+            out |= full & ~_bounded(dx, down, up)
+        if bulk_joins:
+            out |= full & ~_bounded(ux, up, down)
+        if not (bulk_meets and bulk_joins):
+            meet, join = self.meet, self.join
+            for y in bits(full & ~(dx | ux)):
+                if (not bulk_meets and meet(x, y) is None) or \
+                        (not bulk_joins and join(x, y) is None):
+                    out |= 1 << y
+        return out
 
     def mobius(self, x, y):
         """Mobius function of the interval [x, y]: mu(0, 1) of the open
@@ -525,32 +500,19 @@ def _take(seq, positions):
     return [seq[x] for x in positions]
 
 
-def _meets(dx, down, up):
-    """For dx = down[x] and the stored up-rows: the mask of the positions y
-    that have a meet with x.  The meet of x and y is the member m of dx with
-    down[m] = dx & down[y], so the y met at m are the up-set of m minus the
-    up-set of each member w of dx outside down[m]."""
+def _bounded(row, same, other):
+    """For row = down[x], same = down and other = up, all position masks:
+    the mask of the positions y that have a meet with x.  The meet of x and
+    y is the member m of row with down[m] = row & down[y], so the y met at
+    m are up[m] minus up[w] for each member w of row outside down[m].  Read
+    dually, with row = up[x], same = up and other = down, it is the mask of
+    the positions that have a join with x."""
     out = 0
-    for m in bits(dx):
+    for m in bits(row):
         cut = 0
-        for w in bits(dx & ~down[m]):
-            cut |= up[w] << w
-        out |= (up[m] << m) & ~cut
-    return out
-
-
-def _joins(x, ux, up, down):
-    """For ux = up[x] as stored (bit k for position x + k): the mask of the
-    positions y that have a join with x, the dual of _meets.  The join is
-    the member m of ux whose up-set is the common one, so the y joined at m
-    are down[m] minus down[w] for each member w of ux outside the up-set of
-    m."""
-    out = 0
-    for k in bits(ux):
-        cut = 0
-        for w in bits(ux & ~(up[x + k] << k)):
-            cut |= down[x + w]
-        out |= down[x + k] & ~cut
+        for w in bits(row & ~same[m]):
+            cut |= other[w]
+        out |= other[m] & ~cut
     return out
 
 

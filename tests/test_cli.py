@@ -532,6 +532,7 @@ def test_failed_run_leaves_stdout_empty(tmp_path, monkeypatch, capsys, argv, exp
     ("missing/x", "No such file or directory"),
     ("file/x", "Not a directory"),
     (".", "Is a directory"),
+    ("", "No such file or directory"),
 ])
 def test_unwritable_output_stops_before_the_handler(tmp_path, monkeypatch, capsys,
                                                     target, reason):

@@ -1,6 +1,7 @@
-"""The package namespace: public names resolve to their home modules, and
-the oracles stay out of it."""
+"""The package namespace: public names resolve to their home modules, the
+oracles stay out of it, and every private helper is named somewhere in it."""
 
+import ast
 import importlib
 import os
 import subprocess
@@ -48,3 +49,24 @@ def test_oracles_are_not_registered_but_import():
                           text=True, timeout=30, env=dict(os.environ, PYTHONPATH=SRC))
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "False False\ncyclictri.oracles\n"
+
+
+def test_every_private_helper_is_referenced():
+    # a private function, method or class no code of the package names is dead
+    defined, named = {}, set()
+    package = os.path.join(SRC, "cyclictri")
+    for fname in sorted(os.listdir(package)):
+        if not fname.endswith(".py"):
+            continue
+        with open(os.path.join(package, fname)) as fh:
+            tree = ast.parse(fh.read(), fname)
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                if node.name.startswith("_") and not node.name.endswith("__"):
+                    defined[node.name] = "%s:%d" % (fname, node.lineno)
+            elif isinstance(node, ast.Name):
+                named.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                named.add(node.attr)
+    assert defined
+    assert {name: at for name, at in defined.items() if name not in named} == {}

@@ -122,6 +122,39 @@ def test_is_lattice_matches_all_pairs_scan(make):
     assert p.is_lattice() == lattice_witness_all_pairs(p)
 
 
+def test_is_lattice_tests_pairs_through_meet_and_join(monkeypatch):
+    # the verdict reads the pair rules of meet and join, not copies of them
+    calls = {"meet": 0, "join": 0}
+    for name in calls:
+        rule = getattr(FinitePoset, name)
+
+        def counted(self, x, y, rule=rule, name=name):
+            calls[name] += 1
+            return rule(self, x, y)
+
+        monkeypatch.setattr(FinitePoset, name, counted)
+    p = build_s1(7, 3)
+    pairs = sum(len(c) * (len(c) - 1) // 2
+                for c in map(p._upper_covers, range(len(p))))
+    assert p.is_lattice() is True
+    assert calls == {"meet": 0, "join": pairs} and pairs == 18
+    assert build_s1(10, 4).is_lattice() is not True
+    assert calls["meet"] > 0
+
+
+def test_bounded_matches_the_pair_rules():
+    # the bulk route against meet and join, on every row, bounded or not
+    s2 = build_s2(8, 3)
+    for p in (build_s1(8, 3), build_s2(9, 4), boolean_lattice(4), s2.proper_part(),
+              _poset(*M_POSET), interval_poset(build_s2(6, 2))):
+        down, up = p.down, p.up
+        for x in range(len(p)):
+            meets = sum(1 << y for y in range(len(p)) if p.meet(x, y) is not None)
+            joins = sum(1 << y for y in range(len(p)) if p.join(x, y) is not None)
+            assert posets._bounded(down[x], down, up) == meets
+            assert posets._bounded(up[x], up, down) == joins
+
+
 def test_meet_join():
     b2 = boolean_lattice(2)
     i1 = b2.index["{1}"]
