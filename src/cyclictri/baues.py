@@ -113,11 +113,17 @@ def _checked_subdivision(cells, n, d, memo):
     """(violation, low, high): validate_subdivision's verdict, and the table
     masks of the glued cell bottoms and tops once the checks reach them
     (else None).  memo holds the _cell data of the cells seen so far."""
-    if isinstance(cells, Subdivision):
+    canonical = isinstance(cells, Subdivision)
+    if canonical:
         if (cells.n, cells.d) != (n, d):
             return tri.Violation("shape", cells, "ambient (n, d) mismatch"), None, None
-        cells = list(cells.cells)     # canonical by construction
-    else:
+        cells = cells.cells
+    cells = list(map(tuple, cells))
+    for c in cells:     # before sorting: mixed labels do not sort; memo's cells passed
+        if c not in memo and not all(isinstance(v, int) for v in c):
+            return tri.Violation("shape", c, "labels must be positive integers: %r"
+                                 % (c,)), None, None
+    if not canonical:
         cells = [tuple(sorted(c)) for c in cells]
     if not cells:
         return tri.Violation("shape", (), "no cells"), None, None

@@ -13,6 +13,8 @@ beat-point core and the Mobius function read the stored rows directly (the
 top set bit of a down-set is the only candidate for its maximum, the lowest
 bit of an up-set for its minimum).  Keys are mapped to their own order, the
 sorted order for S1 and S2, only in exports (covers) and witnesses (first_pair).
+Masks built from masks have one rule each: an OR of images (_image) for
+interval rows, bulk meets and joins, and one run rule for restricted rows.
 
 The lattice verdict on a bounded poset is one join test per pair of upper
 covers of a common element (Bjorner-Edelman-Ziegler 1990, Lemma 2.1); a
@@ -38,7 +40,7 @@ from functools import cached_property
 from itertools import accumulate, combinations
 
 from . import simplices, triangulations as tri
-from .simplices import bits
+from .simplices import _image, bits
 from .triangulations import DEFAULT_ENUM_CAP, ResourceBudgetError
 
 
@@ -80,22 +82,23 @@ class FinitePoset:
                 raise ValueError("not reflexive at %r" % (elements[i],))
         order, rows, down, by_key = _closure(n, *_edge_arrays(
             (i, j) for i in range(n) for j in bits(up[i] & ~(1 << i))))
-        self._fill([elements[i] for i in order], None, by_key)
-        self._set_rows(rows, down, 0)
+        self._fill([elements[i] for i in order], None, by_key, rows, down)
         for i, x in enumerate(self.by_key):
             if self._up[x].bit_count() != up[i].bit_count():
                 raise ValueError("not transitive at %r" % (elements[i],))
 
-    def _fill(self, elements, data, by_key):
-        """Keys, data and key order: elements and data by position (data
-        None where the elements carry none), by_key the positions in key
-        order.  elements may be an enumeration (the record
+    def _fill(self, elements, data, by_key, up, down, first=0):
+        """Keys, data, key order and rows: elements and data by position
+        (data None where the elements carry none), by_key the positions in
+        key order.  elements may be an enumeration (the record
         enumerate_triangulations returns) whose triangulations are the
         elements in key order, or a _Record (the keys of a poset on one,
         from restrict or proper_part, data its triangulations, or an
         interval poset's keys): elements, and data where it is a _Record,
         are then kept as read-only views, each key built when it is read.
-        Plain keys must be distinct."""
+        Plain keys must be distinct.  Row x is read from the lists up (each
+        stored from its own position) and down at first + x: first = 0 for
+        own rows, 1 for a proper part, whose reads drop the bits outside."""
         self.by_key = array("I", by_key)
         self.rank = array("I", [0]) * len(self.by_key)
         for r, x in enumerate(self.by_key):
@@ -114,17 +117,6 @@ class FinitePoset:
         self.data = data if data is None or isinstance(data, _Record) else tuple(data)
         if self.data is not None and len(self.data) != len(self.elements):
             raise ValueError("data size mismatch")
-
-    @cached_property
-    def index(self):
-        """Key -> position, a dict built from elements on first read."""
-        return {e: x for x, e in enumerate(self.elements)}
-
-    def _set_rows(self, up, down, first):
-        """Rows stored at positions first .. first + len - 1 of the lists up
-        (each from its own position) and down.  With first = 0 the lists are
-        this poset's own rows; a proper part reads its order's lists from
-        first = 1, and every read drops the bits of the positions outside."""
         n = len(self.elements)
         self._frame = (up, down, first)
         self.up = _Rows(up, first, n, "up")
@@ -135,6 +127,11 @@ class FinitePoset:
             self._up = up
             self.down = down
 
+    @cached_property
+    def index(self):
+        """Key -> position, a dict built from elements on first read."""
+        return {e: x for x, e in enumerate(self.elements)}
+
     @classmethod
     def _native(cls, elements, data, up, down, by_key):
         """A poset given in its own coordinates: elements, data, up and down
@@ -142,8 +139,7 @@ class FinitePoset:
         position, by_key the positions in key order.  elements may instead
         be an enumeration, its triangulations in key order (see _fill)."""
         p = cls.__new__(cls)
-        p._fill(elements, data, by_key)
-        p._set_rows(up, down, 0)
+        p._fill(elements, data, by_key, up, down)
         return p
 
     def __len__(self):
@@ -227,9 +223,10 @@ class FinitePoset:
 
     def restrict(self, keep):
         """Induced subposet on the given positions.  Kept elements keep
-        their relative positions and key order, so each row is compressed
-        run by run of the kept positions, read from the stored rows: the
-        bits of the positions left out, a proper part's ends included, lie
+        their relative positions and key order, so each stored row, an
+        up-row shifted to a position mask, is compressed by one rule
+        (_compress) over the runs of kept positions it can reach: the bits
+        of the positions left out, a proper part's ends included, lie
         outside every run.  Keys and data are taken by position, so on an
         enumeration's triangulations the result is a view over the same
         record and no key is built."""
@@ -244,28 +241,17 @@ class FinitePoset:
                 runs[-1][1] = x
             else:
                 runs.append([x, x, k])
-        runs = [(start, (1 << (last - start + 1)) - 1, shift)
-                for start, last, shift in runs]
+        runs = [(start, (1 << (last - start + 1)) - 1, at) for start, last, at in runs]
+        new = [None] * len(self.elements)
         new_up, new_down = [], []
         r = 0           # the run of the kept element
         for k, x in enumerate(kept):
+            new[x] = k
             x += first
             if r + 1 < len(runs) and runs[r + 1][2] == k:
                 r += 1
-            start, width, _ = runs[r]
-            row = up[x]
-            u = row & (width >> (x - start))
-            for start, width, shift in runs[r + 1:]:
-                u |= ((row >> (start - x)) & width) << (shift - k)
-            new_up.append(u)
-            row = down[x]
-            m = 0
-            for start, width, shift in runs[:r + 1]:
-                m |= ((row >> start) & width) << shift
-            new_down.append(m)
-        new = [None] * len(self.elements)
-        for k, x in enumerate(kept):
-            new[x] = k
+            new_up.append(_compress(up[x] << x, runs[r:]) >> k)
+            new_down.append(_compress(down[x], runs[:r + 1]))
         return FinitePoset._native(
             _take(self.elements, kept), _take(self.data, kept), new_up, new_down,
             [new[x] for x in self.by_key if new[x] is not None])
@@ -286,8 +272,7 @@ class FinitePoset:
         p = FinitePoset.__new__(FinitePoset)
         p._fill(self.elements[1:n - 1],
                 None if self.data is None else self.data[1:n - 1],
-                (x - 1 for x in self.by_key if 0 < x < n - 1))
-        p._set_rows(up, down, first + 1)
+                (x - 1 for x in self.by_key if 0 < x < n - 1), up, down, first + 1)
         return p
 
     # The common lower bounds of x and y hold the down-set of each of them,
@@ -500,19 +485,25 @@ def _take(seq, positions):
     return [seq[x] for x in positions]
 
 
+def _compress(row, runs):
+    """((row >> start) & width) << at ORed over the runs (start, width, at)
+    given: row's bits inside each run, moved to at.  The rest are dropped."""
+    m = 0
+    for start, width, at in runs:
+        m |= ((row >> start) & width) << at
+    return m
+
+
 def _bounded(row, same, other):
     """For row = down[x], same = down and other = up, all position masks:
     the mask of the positions y that have a meet with x.  The meet of x and
     y is the member m of row with down[m] = row & down[y], so the y met at
-    m are up[m] minus up[w] for each member w of row outside down[m].  Read
-    dually, with row = up[x], same = up and other = down, it is the mask of
-    the positions that have a join with x."""
+    m are up[m] minus the image under up (_image) of the members of row
+    outside down[m].  Read dually, with row = up[x], same = up and other =
+    down, it is the mask of the positions that have a join with x."""
     out = 0
     for m in bits(row):
-        cut = 0
-        for w in bits(row & ~same[m]):
-            cut |= other[w]
-        out |= other[m] & ~cut
+        out |= other[m] & ~_image(row & ~same[m], other)
     return out
 
 
@@ -882,7 +873,8 @@ def compare_relations(p, q):
     if p.monotone_witness(q, where) is None and q.monotone_witness(p, back) is None:
         return None
     # the positions whose relation to x differs: q's up-set of x, moved to p
-    w = p.first_pair(lambda x: p.up[x] ^ sum(1 << back[y] for y in bits(q.up[where[x]])))
+    moved = [1 << x for x in back]
+    w = p.first_pair(lambda x: p.up[x] ^ _image(q.up[where[x]], moved))
     if w is None:
         raise AssertionError("covers disagree but the relations are equal")
     pin = p.le(*w)
@@ -936,18 +928,8 @@ def interval_poset(p, variant="all"):
     for z, (x, y) in enumerate(pairs):
         low[x] |= 1 << z
         high[y] |= 1 << z
-
-    def gather(masks, rows):
-        out = []
-        for row in rows:
-            m = 0
-            for x in bits(row):
-                m |= masks[x]
-            out.append(m)
-        return out
-
-    low_down, low_up = gather(low, p.down), gather(low, p.up)
-    high_down, high_up = gather(high, p.down), gather(high, p.up)
+    low_down, low_up = [_image(r, low) for r in p.down], [_image(r, low) for r in p.up]
+    high_down, high_up = [_image(r, high) for r in p.down], [_image(r, high) for r in p.up]
     names = [str(e) for e in p.elements]    # each key read once
     keys = _Record(pairs, array("I", range(len(pairs))), lambda z: json.dumps(
         [names[x] for x in pairs[z]], separators=(",", ":")))

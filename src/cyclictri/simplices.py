@@ -3,9 +3,9 @@
 Vertices of C(n, d) are the integer labels 1..n sitting on the moment curve;
 everything in this module is pure bookkeeping on sorted label tuples, plus
 `bits`, the one walk (by bytes) over the set bits of the int masks that
-index sets of them.  The geometric meaning of each predicate is pinned down
-by the exact-arithmetic oracles in `oracles` and the agreement tests between
-the two routes.
+index sets of them, and `_image`, the one OR of images over it.  What each
+predicate means geometrically is pinned down by the exact-arithmetic
+oracles in `oracles` and the agreement tests between the two routes.
 """
 
 from itertools import combinations
@@ -33,6 +33,14 @@ def bits(m):
                 for i in _BYTE_BITS[byte]:
                     yield low + i
             low += 8
+
+
+def _image(mask, images):
+    """The OR of images[i] over the set bits i of mask."""
+    m = 0
+    for i in bits(mask):
+        m |= images[i]
+    return m
 
 
 def simplex(labels):

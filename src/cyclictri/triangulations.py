@@ -32,7 +32,7 @@ from itertools import accumulate, combinations
 from math import comb
 
 from . import geometry
-from .simplices import LOWER, bits, facet_split, gale_facets, simplex
+from .simplices import LOWER, _image, bits, facet_split, gale_facets, simplex
 
 DEFAULT_ENUM_CAP = 10 ** 6
 
@@ -417,8 +417,8 @@ class _Table:
 
     def green(self, mask):
         """Whether a mask is green: it holds the terminal simplex, the last
-        d + 1 labels, iff d is odd."""
-        return (mask >> self.index[terminal_simplex(self.n, self.d)]) & 1 == self.d % 2
+        d + 1 labels and so the last simplex, iff d is odd."""
+        return (mask >> (len(self.simplices) - 1)) & 1 == self.d % 2
 
     @cached_property
     def _middle(self):
@@ -489,14 +489,6 @@ def _holders(n, size):
     return masks[size]
 
 
-def _image(mask, images):
-    """The OR of images[i] over the set bits i of mask."""
-    m = 0
-    for i in bits(mask):
-        m |= images[i]
-    return m
-
-
 def _facets(s):
     """The facets of a simplex, dropping its labels first to last."""
     return [s[:k] + s[k + 1:] for k in range(len(s))]
@@ -517,12 +509,12 @@ def _size_guard(n, d, *sizes):
 def table(n, d):
     """The lookup table of C(n, d), built on first use.  Before building
     anything, raises ResourceBudgetError when the d- or (d+1)-simplices of
-    [n] number more than DEFAULT_ENUM_CAP."""
+    [n], or the d-subsets (its facets), number more than DEFAULT_ENUM_CAP."""
     got = _table_cache.get((n, d))
     if got is None:
         if n < d + 1 or d < 1:
             raise ValueError("need n >= d+1 >= 2")
-        _size_guard(n, d, d + 1, d + 2)
+        _size_guard(n, d, d + 1, d + 2, d)
         got = _table_cache[(n, d)] = _Table(n, d)
     return got
 

@@ -3,11 +3,11 @@ supposed to satisfy: the suspension-map hypotheses, connecting sets of
 (d+1)-simplices witnessing flip-order comparability, and monotonicity of the
 terminal simplex.
 
-The checks read masks, and no member tuple.  The suspension maps are
-position lists between the two posets, computed on the masks by the
-tables' index maps, and a map is checked monotone on the covers of its
-source only (FinitePoset.monotone_witness); every witness pair is the
-first in key order (FinitePoset.first_pair).  A connecting set is a mask
+The checks read masks, and no member tuple, by the tables' own rules: the
+suspension maps are position lists computed by the tables' index maps, the
+colours by the green rule, and a map is checked monotone on the covers of
+its source only (FinitePoset.monotone_witness); every witness is the first
+in key order (FinitePoset.first_pair, _first).  A connecting set is a mask
 over table(n, d+1), checked by one mask-level core: pairwise admissibility
 by the conflict rows of table(n, d+1), the face conditions by the
 lower/upper facet masks of its members in table(n, d) and a two-level count
@@ -32,9 +32,8 @@ def verify_suspension(n, d, order="s1", cap=None):
         raise ValueError("need n > d+2 so the smaller poset is nontrivial")
     p = build_order(order, n, d, cap)
     q = build_order(order, n - 1, d, cap)
-    # masks and the three maps by position, f from p to q, i and j from q
-    # to p, each computed on the masks by the table's index maps.
-    # Witnesses are the first in key order: elements are walked by by_key.
+    # the masks and the three maps by position: f from p to q, i and j
+    # from q to p, each computed on the masks by the table's index maps
     tab = tri.table(n, d)
     p_masks = [t.mask for t in p.data]
     q_masks = [t.mask for t in q.data]
@@ -53,29 +52,17 @@ def verify_suspension(n, d, order="s1", cap=None):
     w = p.first_pair(lambda a: p.down[a] & red_mask if green[a] else 0)
     entry("green_ideal", _keys(p, w and w[::-1]))
 
-    w = next((q.elements[y] for y in q.by_key if f[i[y]] != y), None)
-    entry("f_i_identity", w)
-    w = next((q.elements[y] for y in q.by_key if f[j[y]] != y), None)
-    entry("f_j_identity", w)
-
-    w = next((q.elements[y] for y in q.by_key if not green[i[y]]), None)
-    if w is None:
-        w = next((q.elements[y] for y in q.by_key if green[j[y]]), None)
-    entry("image_colors", w)
-
-    w = next((p.elements[x] for x in p.by_key
-              if not p.le(i[f[x]], x) or not p.le(x, j[f[x]])), None)
-    entry("sandwich", w)
+    entry("f_i_identity", _first(q, lambda y: f[i[y]] != y))
+    entry("f_j_identity", _first(q, lambda y: f[j[y]] != y))
+    entry("image_colors", _first(q, lambda y: not green[i[y]])
+          or _first(q, lambda y: green[j[y]]))      # keys are nonempty strings
+    entry("sandwich", _first(p, lambda x: not p.le(i[f[x]], x) or not p.le(x, j[f[x]])))
 
     bot_p, top_p = p_at[tab.bottom.mask], p_at[tab.top.mask]
     small = tri.table(n - 1, d)
     bot_q, top_q = q_at[small.bottom.mask], q_at[small.top.mask]
-    w = next((p.elements[x] for x in p.by_key
-              if f[x] == bot_q and x != bot_p and green[x]), None)
-    entry("fiber_bottom", w)
-    w = next((p.elements[x] for x in p.by_key
-              if f[x] == top_q and x != top_p and not green[x]), None)
-    entry("fiber_top", w)
+    entry("fiber_bottom", _first(p, lambda x: f[x] == bot_q and x != bot_p and green[x]))
+    entry("fiber_top", _first(p, lambda x: f[x] == top_q and x != top_p and not green[x]))
 
     # order preservation of the three maps, checked because the interval
     # conditions above only make sense for monotone data
@@ -91,6 +78,11 @@ def verify_suspension(n, d, order="s1", cap=None):
 def _keys(poset, pair):
     """The keys of a pair of positions of poset; None for None."""
     return pair and (poset.elements[pair[0]], poset.elements[pair[1]])
+
+
+def _first(poset, bad):
+    """The key of the first position x, in key order, with bad(x), or None."""
+    return next((poset.elements[x] for x in poset.by_key if bad(x)), None)
 
 
 def find_connecting_set(t, t2):
@@ -139,8 +131,8 @@ def verify_connecting_set(t, t2, tilde):
             raise ValueError("connecting sets consist of (d+2)-vertex simplices")
         if s[0] < 1 or s[-1] > n:
             raise ValueError("member %r has a label outside 1..%d" % (s, n))
-    mask = sum(1 << tri.table(n, d + 1).index[s] for s in tilde)
-    return _connecting_report(tri.table(n, d), t.mask, t2.mask, mask)
+    return _connecting_report(tri.table(n, d), t.mask, t2.mask,
+                              tri.table(n, d + 1).mask(tilde))
 
 
 def _report(cond=None, witness=None):
@@ -219,10 +211,10 @@ def verify_connecting_sets(n, d, cap=None):
 
 def verify_s0_monotone(n, d, order="s1", cap=None):
     """Terminal-simplex membership is monotone along the order: upward for
-    even d, downward for odd d, so the rising set (s0's holders for even d,
-    the rest for odd d) is an up-set.  Returns pass or the first witness."""
+    even d, downward for odd d, so the rising set, the red triangulations
+    by the table's green rule, is an up-set.  Returns pass or the first witness."""
     p = build_order(order, n, d, cap)
-    s0 = tri.terminal_simplex(n, d)
-    rising = sum(1 << x for x, t in enumerate(p.data) if (s0 in t) == (d % 2 == 0))
+    green = tri.table(n, d).green
+    rising = sum(1 << x for x, t in enumerate(p.data) if not green(t.mask))
     w = p.first_pair(lambda a: p.up[a] & ~rising if (rising >> a) & 1 else 0)
     return {"pass": w is None, "witness": _keys(p, w)}

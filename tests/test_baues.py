@@ -45,6 +45,15 @@ def test_validate_subdivision_accepts_trivial():
     assert not make_subdivision(5, 2, [(1, 2, 3, 4, 5)]).is_proper()
 
 
+@pytest.mark.parametrize("cell", [(1, 2, 3.5), ("a", "b", "c"), (1, "b", 3), (1, 2, None)])
+def test_validate_subdivision_refuses_non_integer_labels(cell):
+    # a shape violation, with simplex's wording, before the cells are sorted
+    v = validate_subdivision([cell], 5, 2)
+    assert v == ("shape", cell, "labels must be positive integers: %r" % (cell,))
+    with pytest.raises(ValueError, match="labels must be positive integers"):
+        make_subdivision(5, 2, [cell])
+
+
 def test_validate_subdivision_violations():
     # cells on the same side of the shared chord
     v = validate_subdivision([(1, 2, 3, 4), (3, 4, 5)], 5, 2)

@@ -199,6 +199,24 @@ def test_mobius_size_guard_before_enumeration():
                            " of size 11 exceed the size bound 1000000\n")
 
 
+@pytest.mark.parametrize("n,d,count", [(32, 25, 3365856), (28, 21, 1184040)])
+def test_table_size_guard_on_facets(n, d, count):
+    # the d- and (d+1)-simplices of C(n, d) pass the bound, but the table
+    # numbers its C(n, d) facets too: the guard refuses them before the
+    # table is built.  A child capped at 1 GiB of address space turns a
+    # regressed guard into an out-of-memory exit instead of a host-wide one
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run(
+        [sys.executable, "-m", "cyclictri.cli", "check-lattice", "--order", "s1",
+         "--n", str(n), "--d", str(d)],
+        capture_output=True, text=True, env=env, timeout=20,
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30)))
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr == ("resource budget exceeded: C(%d, %d): %d vertex sets of size %d"
+                           " exceed the size bound 1000000\n" % (n, d, count, d))
+
+
 def test_check_lattice_s1_10_3_within_a_minute():
     # 8,477 elements: a lattice certified by joins of cover pairs, where a
     # meet and join test of every pair takes minutes

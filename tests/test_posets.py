@@ -266,6 +266,38 @@ def test_restrict_rejects_positions_out_of_range(proper):
     assert p.restrict([]).elements == ()
 
 
+def _keep_sets(n, rng):
+    """Keep sets for restrict on n positions: none, all, single positions,
+    long runs, runs with gaps and scattered positions."""
+    keeps = [[], list(range(n))] + [[x] for x in rng.sample(range(n), 3)]
+    for _ in range(3):
+        a, b = sorted(rng.sample(range(n + 1), 2))
+        keeps.append(list(range(a, b)))
+        keeps.append([x for x in range(n) if (x // rng.randint(1, 9)) % 2])
+        keeps.append(rng.sample(range(n), rng.randint(1, n)))
+    return keeps
+
+
+def test_restrict_matches_a_bitwise_reference():
+    # every row of a restriction against one built bit by bit from le, on a
+    # triangulation order, on its proper part (rows read from its order's
+    # lists) and on interval rows whose key order is not string order
+    rng = random.Random(39)
+    s1 = build_s1(8, 3)
+    for p in (s1, s1.proper_part(), interval_poset(boolean_lattice(3))):
+        for keep in _keep_sets(len(p), rng):
+            q = p.restrict(keep)
+            kept = sorted(keep)
+            assert list(q.elements) == [p.elements[x] for x in kept]
+            names = set(q.elements)
+            assert q.keys() == [e for e in p.keys() if e in names]
+            assert list(q.up) == [sum(1 << b for b, y in enumerate(kept) if p.le(x, y))
+                                  for x in kept]
+            assert list(q.down) == [sum(1 << b for b, y in enumerate(kept) if p.le(y, x))
+                                    for x in kept]
+            assert [q._up[a] << a for a in range(len(q))] == list(q.up)
+
+
 def test_relabel_shares_the_rows_under_new_keys():
     p = boolean_lattice(3)
     n = len(p)

@@ -120,6 +120,17 @@ def test_s0_monotone():
         assert verify_s0_monotone(n, d, "s2")["pass"]
 
 
+def test_s0_monotone_reads_the_green_rule(monkeypatch):
+    # the rising set is read off the masks by the table's green rule, as
+    # color reads it: no membership test of the terminal simplex is made
+    def refuse(self, s):
+        raise AssertionError("membership tested")
+    monkeypatch.setattr(Triangulation, "__contains__", refuse)
+    for n, d in [(8, 2), (8, 3)]:
+        for order in ("s1", "s2"):
+            assert verify_s0_monotone(n, d, order) == {"pass": True, "witness": None}
+
+
 def test_brute_force_candidate_guard():
     with pytest.raises(ValueError):
         brute_force_triangulations(7, 2, max_candidates=10)
