@@ -32,7 +32,13 @@ class Subdivision:
     def __init__(self, n, d, cells):
         self.n = n
         self.d = d
-        self.cells = tuple(sorted(tuple(sorted(set(c))) for c in cells))
+        try:
+            self.cells = tuple(sorted(tuple(sorted(set(c))) for c in cells))
+        except TypeError:   # labels that do not sort: only then are they checked
+            for c in cells:
+                if not all(isinstance(v, int) for v in c):
+                    raise ValueError("labels must be positive integers: %r" % (tuple(c),))
+            raise
 
     def key(self):
         return json.dumps({"n": self.n, "d": self.d,

@@ -173,7 +173,7 @@ def cmd_oracle_crosscheck(args):
 
 def cmd_flip_graph(args):
     ts = posets.enumerate_triangulations(args.n, args.d, args.cap)
-    edges = sorted(zip(ts.edges.src, ts.edges.dst))
+    edges = sorted(zip(ts.src, ts.dst))
     stray = posets.flip_cover_discrepancies(args.n, args.d, args.cap)
     lines = ["flip graph of C(%d,%d): %d nodes, %d edges, %d non-cover flips"
              % (args.n, args.d, len(ts), len(edges), len(stray))]

@@ -133,13 +133,13 @@ class FinitePoset:
         return {e: x for x, e in enumerate(self.elements)}
 
     @classmethod
-    def _native(cls, elements, data, up, down, by_key):
+    def _native(cls, elements, data, up, down, by_key, first=0):
         """A poset given in its own coordinates: elements, data, up and down
-        by position (a linear extension), each up-row stored from its own
-        position, by_key the positions in key order.  elements may instead
-        be an enumeration, its triangulations in key order (see _fill)."""
+        by position (a linear extension; row x read at first + x, see _fill),
+        each up-row stored from its own position, by_key the positions in key
+        order.  elements may instead be an enumeration (see _fill)."""
         p = cls.__new__(cls)
-        p._fill(elements, data, by_key, up, down)
+        p._fill(elements, data, by_key, up, down, first)
         return p
 
     def __len__(self):
@@ -269,11 +269,9 @@ class FinitePoset:
             raise ValueError("bottom equals top: a one-element order has "
                              "no proper part")
         up, down, first = self._frame
-        p = FinitePoset.__new__(FinitePoset)
-        p._fill(self.elements[1:n - 1],
-                None if self.data is None else self.data[1:n - 1],
-                (x - 1 for x in self.by_key if 0 < x < n - 1), up, down, first + 1)
-        return p
+        return FinitePoset._native(
+            self.elements[1:n - 1], None if self.data is None else self.data[1:n - 1],
+            up, down, (x - 1 for x in self.by_key if 0 < x < n - 1), first + 1)
 
     # The common lower bounds of x and y hold the down-set of each of them,
     # so they have a maximum iff they equal the down-set of their highest
@@ -445,12 +443,12 @@ class _Rows(Sequence):
 
 
 class _Record(Sequence):
-    """Keys or data by position, built on each read: position x holds item
-    at[x] of source, read as read(at[x]); source is an enumeration (read by
-    its key or its Triangulation) or an interval poset's intervals (read by
-    their keys).  A slice, or take(positions), is the same view over those
-    positions; a slice shares at (a memoryview of it), so a proper part
-    copies no positions."""
+    """Keys, data or flip edges by position, built on each read: position x
+    holds item at[x] of source, read as read(at[x]); source is an
+    enumeration (read by key, Triangulation, or edge over range(len(src)))
+    or an interval poset's intervals (read by their keys).  A slice, or
+    take(positions), is the same view over those positions; a slice shares
+    at (a memoryview of it), so a proper part copies no positions."""
 
     __slots__ = ("source", "at", "_read")
 
@@ -608,41 +606,19 @@ def _edge_arrays(edges):
     return src, dst
 
 
-class _FlipEdges(Sequence):
-    """The flip search's steps: edge k goes from element src[k] to element
-    dst[k] of the sorted enumeration by the flip simplex move(flip[k])[0],
-    src, dst and flip being array('I') and move the table's (_Table.move).
-    Read as a sequence, edge k is the tuple (i, j, flip simplex), built when
-    it is read."""
-
-    __slots__ = ("src", "dst", "flip", "move")
-
-    def __init__(self, src, dst, flip, move):
-        self.src, self.dst, self.flip, self.move = src, dst, flip, move
-
-    def __len__(self):
-        return len(self.src)
-
-    def __getitem__(self, k):
-        return self.src[k], self.dst[k], self.move(self.flip[k])[0]
-
-    def __iter__(self):
-        return zip(self.src, self.dst, (self.move(k)[0] for k in self.flip))
-
-
 class _Enumeration(Sequence):
     """The one record of an enumeration of C(n, d): masks, the table masks
-    of its triangulations in key order, and edges, its flip steps
-    (_FlipEdges).  Read as a sequence it gives the Triangulations, each
-    wrapping its mask when it is read, and key(r) builds the key of element
-    r."""
+    of its triangulations in key order, and its flip steps, all array('I'):
+    step k goes from element src[k] to dst[k] by the (d+2)-set at bit
+    flip[k] of table(n, d+1).  Read as a sequence it gives the
+    Triangulations, wrapped when read; key(r) builds element r's key,
+    edge(k) step k's tuple (i, j, flip simplex), and edges reads them."""
 
-    __slots__ = ("table", "masks", "edges")
+    __slots__ = ("table", "masks", "src", "dst", "flip")
 
-    def __init__(self, table, masks, edges):
-        self.table = table
-        self.masks = masks
-        self.edges = edges
+    def __init__(self, table, masks, src, dst, flip):
+        self.table, self.masks = table, masks
+        self.src, self.dst, self.flip = src, dst, flip
 
     def __len__(self):
         return len(self.masks)
@@ -655,6 +631,13 @@ class _Enumeration(Sequence):
 
     def key(self, r):
         return self.table.key(self.masks[r])
+
+    def edge(self, k):
+        return self.src[k], self.dst[k], self.table.move(self.flip[k])[0]
+
+    @property
+    def edges(self):
+        return _Record(self, range(len(self.src)), self.edge)
 
 
 def _dot_escape(s):
@@ -722,9 +705,7 @@ def enumerate_triangulations(n, d, cap=None):
                 j = seen.get(nxt)
                 if j is None:
                     if len(seen) >= cap:
-                        raise ResourceBudgetError(
-                            "enumeration cap %d exceeded at C(%d, %d)" % (cap, n, d),
-                            "enum_cap", cap, len(seen) + 1, "C(%d, %d)" % (n, d))
+                        raise _over_cap(cap, len(seen) + 1, n, d)
                     j = seen[nxt] = len(masks)
                     masks.append(nxt)
                 src(i)
@@ -733,21 +714,24 @@ def enumerate_triangulations(n, d, cap=None):
         if tab.top.mask not in seen:
             raise AssertionError("flip search failed to reach the top element")
         del seen
-        edges = _FlipEdges(*ends, tab.move)
         order = sorted(range(len(masks)), key=sort_keys.__getitem__)
         del sort_keys
         rank = array("I", [0]) * len(order)
         for r, i in enumerate(order):
             rank[i] = r
-        for ends in (edges.src, edges.dst):     # re-ranked in place
-            for k, i in enumerate(ends):
-                ends[k] = rank[i]
-        got = _enum_cache[key] = _Enumeration(tab, [masks[i] for i in order], edges)
+        for e in ends[:2]:     # src and dst, re-ranked in place
+            for k, i in enumerate(e):
+                e[k] = rank[i]
+        got = _enum_cache[key] = _Enumeration(tab, [masks[i] for i in order], *ends)
     elif len(got) > cap:
-        raise ResourceBudgetError(
-            "enumeration cap %d exceeded at C(%d, %d)" % (cap, n, d),
-            "enum_cap", cap, len(got), "C(%d, %d)" % (n, d))
+        raise _over_cap(cap, len(got), n, d)
     return got
+
+
+def _over_cap(cap, reached, n, d):
+    """enumerate_triangulations' refusal (enum_cap) at C(n, d)."""
+    return ResourceBudgetError("enumeration cap %d exceeded at C(%d, %d)" % (cap, n, d),
+                               "enum_cap", cap, reached, "C(%d, %d)" % (n, d))
 
 
 def flip_step_edges(n, d, cap=None):
@@ -776,7 +760,7 @@ def build_s1(n, d, cap=None):
     _relation_guard(len(ts), "flip order of C(%d, %d)" % key)    # and so does the bound
     p = _s1_cache.get(key)
     if p is None:
-        _, up, down, by_key = _closure(len(ts), ts.edges.src, ts.edges.dst)
+        _, up, down, by_key = _closure(len(ts), ts.src, ts.dst)
         p = FinitePoset._native(ts, None, up, down, by_key)
         _check_ends(p, ts, "flip order")
         _s1_cache[key] = p
@@ -886,9 +870,10 @@ def flip_cover_discrepancies(n, d, cap=None):
     """Flip edges that are not cover relations of the flip order (empty in
     every verified instance; reported, never assumed)."""
     p, ts = build_s1(n, d, cap), enumerate_triangulations(n, d, cap)
-    e, at, up, down = ts.edges, p.by_key, p._up, p.down
+    at, up, down = p.by_key, p._up, p.down
     # y covers x iff [x, y] has two members
-    return [(ts.key(i), ts.key(j), e.move(k)[0]) for i, j, k in zip(e.src, e.dst, e.flip)
+    return [(ts.key(i), ts.key(j), ts.table.move(k)[0])
+            for i, j, k in zip(ts.src, ts.dst, ts.flip)
             if (up[at[i]] & (down[at[j]] >> at[i])).bit_count() != 2]
 
 

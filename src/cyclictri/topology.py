@@ -257,15 +257,15 @@ class HomologyResult:
         g = self.groups()
         if not g:
             return "HomologyResult(trivial)"
-        bits = []
+        parts = []
         for k, (b, t) in g.items():
             s = "Z^%d" % b if b != 1 else "Z"
             if b == 0:
                 s = ""
             for d in t:
                 s += ("+" if s else "") + "Z/%d" % d
-            bits.append("H~%d=%s" % (k, s))
-        return "HomologyResult(%s)" % ", ".join(bits)
+            parts.append("H~%d=%s" % (k, s))
+        return "HomologyResult(%s)" % ", ".join(parts)
 
 
 def homology(k_complex):

@@ -292,14 +292,9 @@ class _Table:
         number |boundary| + 2|met outside the boundary|: with odd counts
         (at least 1) on the hull and even ones (at least 2) elsewhere, the
         incidences reach that sum only when every count is 1 or 2."""
-        clash, vol, odd, met = sums
-        if mask & clash:
-            rows = self._rows
-            i = next(i for i in bits(mask) if mask & rows[i][0])
-            bad = mask & rows[i][0]
-            j = (bad & -bad).bit_length() - 1
-            return Violation("admissible", (self.simplices[i], self.simplices[j]),
-                             "members intersect improperly")
+        conflicts, vol, odd, met = sums
+        if mask & conflicts:
+            return Violation("admissible", self.clash(mask), "members intersect improperly")
 
         if vol != self.hull:
             return Violation("volume", (vol, self.hull),
@@ -314,6 +309,16 @@ class _Table:
         for v in range(1, self.n + 1) if self.d >= 2 else (1, self.n):
             if not mask & holders[v]:
                 return Violation("labels", v, "extreme label unused")
+        return None
+
+    def clash(self, mask):
+        """The first non-admissible pair of the mask's members, or None: the
+        first member whose conflict row meets the mask, and the first there."""
+        rows = self._rows
+        for i in bits(mask):
+            bad = mask & (rows[i] or self.row(i))[0]
+            if bad:
+                return self.simplices[i], self.simplices[(bad & -bad).bit_length() - 1]
         return None
 
     def _wall_violation(self, mask):

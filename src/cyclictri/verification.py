@@ -9,10 +9,10 @@ colours by the green rule, and a map is checked monotone on the covers of
 its source only (FinitePoset.monotone_witness); every witness is the first
 in key order (FinitePoset.first_pair, _first).  A connecting set is a mask
 over table(n, d+1), checked by one mask-level core: pairwise admissibility
-by the conflict rows of table(n, d+1), the face conditions by the
-lower/upper facet masks of its members in table(n, d) and a two-level count
-of the faces they cover.  Members and faces are walked one by one only to
-name the witness of a failure.
+by table(n, d+1)'s clash, as validation names it, the face conditions by
+the lower/upper facet masks of its members in table(n, d) and a two-level
+count of the faces they cover.  Members and faces are walked one by one
+only to name the witness of a failure.
 """
 
 from collections import deque
@@ -48,9 +48,7 @@ def verify_suspension(n, d, order="s1", cap=None):
         report[name] = {"pass": witness is None, "witness": witness}
 
     green = list(map(tab.green, p_masks))
-    red_mask = sum(1 << x for x, g in enumerate(green) if not g)
-    w = p.first_pair(lambda a: p.down[a] & red_mask if green[a] else 0)
-    entry("green_ideal", _keys(p, w and w[::-1]))
+    entry("green_ideal", _reds_rise(p, green))
 
     entry("f_i_identity", _first(q, lambda y: f[i[y]] != y))
     entry("f_j_identity", _first(q, lambda y: f[j[y]] != y))
@@ -85,27 +83,35 @@ def _first(poset, bad):
     return next((poset.elements[x] for x in poset.by_key if bad(x)), None)
 
 
+def _reds_rise(p, green):
+    """None if the red positions (green[x] false) are an up-set of the
+    poset p, else the keys of first_pair's pair x <= y, x red and y green."""
+    red = sum(1 << x for x, g in enumerate(green) if not g)
+    return _keys(p, p.first_pair(lambda x: p.up[x] & ~red if (red >> x) & 1 else 0))
+
+
 def find_connecting_set(t, t2):
     """Union of the flip simplices along a shortest increasing-flip path from
-    t to t2, or None when t2 is not reachable (t is not below t2)."""
+    t to t2, or None when t2 is not reachable (t is not below t2), walked
+    on masks as the flip search walks them (_Table.flips)."""
     if (t.n, t.d) != (t2.n, t2.d):
         raise ValueError("triangulations on different polytopes")
     if t == t2:
         return frozenset()
-    frontier = deque([t])
-    back = {t: (None, None)}
+    tab = tri.table(t.n, t.d)
+    frontier = deque([t.mask])
+    back = {t.mask: None}     # mask -> (the mask before it, the flip's cand)
     while frontier:
-        cur = frontier.popleft()
-        for cand in tri.increasing_flips(cur):
-            nxt = tri.apply_flip(cur, cand)
+        m = frontier.popleft()
+        for cand, low, up, _ in tab.flips(m):
+            nxt = (m ^ low) | up
             if nxt in back:
                 continue
-            back[nxt] = (cur, cand)
-            if nxt == t2:
+            back[nxt] = (m, cand)
+            if nxt == t2.mask:
                 flips = []
-                node = nxt
-                while back[node][0] is not None:
-                    node, cand = back[node]
+                while back[nxt] is not None:
+                    nxt, cand = back[nxt]
                     flips.append(cand)
                 return frozenset(flips)
             frontier.append(nxt)
@@ -142,15 +148,14 @@ def _report(cond=None, witness=None):
 def _connecting_report(tab, low, high, tilde):
     """verify_connecting_set's report on masks: low and high over tab =
     table(n, d), tilde over table(n, d+1).  The members are tilde's bits,
-    in lexicographic order; bit k has its conflict row in table(n, d+1) and
-    its lower and upper facet masks in tab.move(k)."""
+    in lexicographic order; bit k has its lower and upper facet masks in
+    tab.move(k), and (i) is table(n, d+1)'s clash."""
+    pair = tilde and tri.table(tab.n, tab.d + 1).clash(tilde)
+    if pair:
+        return _report("i", pair)
     members = list(map(tab.move, simplices.bits(tilde)))
-    big = tri.table(tab.n, tab.d + 1) if tilde else None
     once = twice = lowers = uppers = 0      # twice: facets of two members
-    for s, lo, up, k in members:
-        bad = tilde & big.row(k)[0]
-        if bad:
-            return _report("i", (s, big.simplices[(bad & -bad).bit_length() - 1]))
+    for _, lo, up, _ in members:
         twice |= once & (lo | up)
         once |= lo | up
         lowers |= lo
@@ -214,7 +219,5 @@ def verify_s0_monotone(n, d, order="s1", cap=None):
     even d, downward for odd d, so the rising set, the red triangulations
     by the table's green rule, is an up-set.  Returns pass or the first witness."""
     p = build_order(order, n, d, cap)
-    green = tri.table(n, d).green
-    rising = sum(1 << x for x, t in enumerate(p.data) if not green(t.mask))
-    w = p.first_pair(lambda a: p.up[a] & ~rising if (rising >> a) & 1 else 0)
-    return {"pass": w is None, "witness": _keys(p, w)}
+    w = _reds_rise(p, list(map(tri.table(n, d).green, (t.mask for t in p.data))))
+    return {"pass": w is None, "witness": w}

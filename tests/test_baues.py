@@ -54,6 +54,19 @@ def test_validate_subdivision_refuses_non_integer_labels(cell):
         make_subdivision(5, 2, [cell])
 
 
+@pytest.mark.parametrize("build,cell", [
+    (lambda: Subdivision(5, 2, [(1, "b", 3)]), (1, "b", 3)),
+    (lambda: Subdivision(5, 2, [(1, 2, None)]), (1, 2, None)),
+    (lambda: Subdivision.from_json('{"n":5,"d":2,"cells":[[1,"b",3]]}'), (1, "b", 3)),
+], ids=["str", "none", "from_json"])
+def test_subdivision_refuses_labels_that_do_not_sort(build, cell):
+    # the constructor sorts each cell's labels; a label that does not sort
+    # with the others is a ValueError naming the cell, in simplex's wording
+    with pytest.raises(ValueError) as err:
+        build()
+    assert str(err.value) == "labels must be positive integers: %r" % (cell,)
+
+
 def test_validate_subdivision_violations():
     # cells on the same side of the shared chord
     v = validate_subdivision([(1, 2, 3, 4), (3, 4, 5)], 5, 2)

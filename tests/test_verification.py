@@ -88,6 +88,22 @@ def test_single_flip_is_a_connecting_set():
     assert r["pass"] is True
 
 
+@pytest.mark.parametrize("n,d", [(6, 2), (7, 2), (7, 3)])
+def test_find_connecting_set_on_every_pair(n, d):
+    # None exactly when the first is not below the second in the flip
+    # order; otherwise a set verify_connecting_set passes
+    s1 = build_s1(n, d)
+    ts = list(enumerate_triangulations(n, d))
+    for a in ts:
+        for b in ts:
+            tilde = find_connecting_set(a, b)
+            if s1.le_keys(a.key(), b.key()):
+                assert tilde is not None, (a.key(), b.key())
+                assert verify_connecting_set(a, b, tilde)["pass"], (a.key(), b.key())
+            else:
+                assert tilde is None, (a.key(), b.key())
+
+
 def test_find_connecting_set():
     t1 = bottom(5, 2)
     t2 = top(5, 2)
@@ -136,22 +152,40 @@ def test_brute_force_candidate_guard():
         brute_force_triangulations(7, 2, max_candidates=10)
 
 
-def test_s0_monotone_witness_is_first_in_key_order(monkeypatch):
-    # the triangulations of C(6,2) in a chain that scrambles their key order,
-    # so membership of the terminal simplex is not monotone along it, and
-    # the first violating element has several violating elements above it
+def _scrambled_chain():
+    """The triangulations of C(6,2) in a chain that scrambles their key
+    order, so membership of the terminal simplex is not monotone along it,
+    and the first violating element has several violating elements above
+    it."""
     s1 = build_s1(6, 2)
     keys = s1.keys()
     link = [(5 * i) % len(keys) for i in range(len(keys))]
     chain = FinitePoset(keys, [sum(1 << j for j in range(len(keys))
                                    if link[j] >= link[i]) for i in range(len(keys))])
     chain.data = tuple(s1.data[s1.index[k]] for k in chain.elements)
+    return chain
+
+
+def test_s0_monotone_witness_is_first_in_key_order(monkeypatch):
+    chain = _scrambled_chain()
+    keys = chain.keys()
     monkeypatch.setattr(verification, "build_order", lambda order, n, d, cap=None: chain)
     s0 = terminal_simplex(6, 2)
     t = dict(zip(chain.elements, chain.data))
     want = next((a, b) for a in keys for b in keys if chain.le_keys(a, b)
                 and s0 in t[a] and s0 not in t[b])
     assert verify_s0_monotone(6, 2) == {"pass": False, "witness": want}
+
+
+def test_green_ideal_witness_is_the_s0_witness(monkeypatch):
+    # the green ideal and the terminal-simplex check test one up-set rule,
+    # so on the scrambled chain both name the same first pair
+    chain, small = _scrambled_chain(), build_order("s1", 5, 2)
+    monkeypatch.setattr(verification, "build_order",
+                        lambda order, n, d, cap=None: chain if n == 6 else small)
+    want = verify_s0_monotone(6, 2)
+    assert want["pass"] is False
+    assert verify_suspension(6, 2)["green_ideal"] == want
 
 
 def _reference_connecting_set(t, t2, tilde):
