@@ -105,7 +105,7 @@ def _cell(c, tab, memo):
             {sum(1 << c[i - 1] for i in s) for f in facets
              for k in range(d + 1) for s in combinations(f, k)},
             bottom, tab.mask(cell_top(c, d)),
-            sum(tab.row(i)[1] for i in simplices.bits(bottom)))
+            tab._accumulate(bottom)[1])
     return got
 
 
@@ -231,18 +231,18 @@ def _cells_of_interval(t_low, t_high, memo):
     """The subdivision of the proper coatomic interval [t_low, t_high] of
     S2, checked by end-mask equality (memo as for _checked_subdivision), as
     t_low and t_high are valid, ordered and not both ends.  Its cells join
-    t_high's members across the walls t_low lacks, on the table rows:
-    t_low's walls are the OR of its members' facet masks, members merge
-    when their masks of walls outside t_low meet, a cell is the union of
-    their labels."""
+    t_high's members across the walls t_low lacks: t_low's walls are the OR
+    of its members' facet masks (the met sum of _accumulate), a member of
+    both ends has all its facets among them and is a cell alone, the other
+    members merge when their masks of walls outside t_low meet, and a cell
+    is the union of their labels."""
     n, d = t_high.n, t_high.d
     tab = tri.table(n, d)
-    walls = 0
-    for k in simplices.bits(t_low.mask):
-        walls |= tab.row(k)[2]
+    walls = tab._accumulate(t_low.mask)[3]
+    cells = [set(tab.simplices[k]) for k in simplices.bits(t_low.mask & t_high.mask)]
     comps = []      # (walls outside t_low, labels) of each component so far
-    for k in simplices.bits(t_high.mask):
-        beside = tab.row(k)[2] & ~walls
+    for k in simplices.bits(t_high.mask & ~t_low.mask):
+        beside = tab._accumulate(1 << k)[3] & ~walls
         labels = set(tab.simplices[k])
         joined = [comp for comp in comps if comp[0] & beside]
         comps = [comp for comp in comps if not comp[0] & beside]
@@ -250,7 +250,7 @@ def _cells_of_interval(t_low, t_high, memo):
             beside |= w
             labels |= other
         comps.append((beside, labels))
-    cells = [labels for _, labels in comps]
+    cells += [labels for _, labels in comps]
     if d == 1:
         # triangulations of a segment may skip interior vertices, so cells
         # must pick up the vertices the fine end uses inside each span

@@ -27,10 +27,11 @@ edges in flat arrays that the S1 closure reads, and S2 reads its submersion
 masks off the masks.
 A Triangulation is its mask, wrapped when it is read, and a key string is
 built from the mask when it is read: a poset on C(n, d), its proper part,
-its restrictions and its interval posets name their elements through
-positional views (_Record), so none of them holds a key string or a
-Triangulation of its own, and index, key -> position, is a dict built from
-the keys on first read.
+its restrictions and its interval posets name their elements through the
+one positional view (_Record), which also reads the flip edges off the
+record and a poset's up-sets and a proper part's rows off the stored rows,
+so none of them holds a key string, a Triangulation or a row of its own,
+and index, key -> position, is a dict built from the keys on first read.
 """
 
 import json
@@ -56,13 +57,13 @@ class FinitePoset:
     is the mask of the positions below x, and up[x] of those above x, both
     including x, so no bit of up[x] lies below bit x and no bit of down[x]
     above it.  The up-sets are stored from their own positions, bit k of
-    _up[x] standing for position x + k (up[x] == _up[x] << x); up is a
-    read-only sequence over that storage, and the poset's own code reads
-    _up.  The keys also have an order of their own, the order they were
-    given in (sorted keys for S1 and S2): by_key lists the positions in key
-    order and rank[x] is the key-order index of position x, both
-    array('I').  Exports (to_json, to_dot, covers) and every witness use key
-    order; nothing else does.
+    _up[x] standing for position x + k (up[x] == _up[x] << x); up is the
+    positional view (_Record) of that storage shifted on each read, and the
+    poset's own code reads _up.  The keys also have an order of their own,
+    the order they were given in (sorted keys for S1 and S2): by_key lists
+    the positions in key order and rank[x] is the key-order index of
+    position x, both array('I').  Exports (to_json, to_dot, covers) and
+    every witness use key order; nothing else does.
     """
 
     def __init__(self, elements, up):
@@ -117,15 +118,17 @@ class FinitePoset:
         self.data = data if data is None or isinstance(data, _Record) else tuple(data)
         if self.data is not None and len(self.data) != len(self.elements):
             raise ValueError("data size mismatch")
-        n = len(self.elements)
         self._frame = (up, down, first)
-        self.up = _Rows(up, first, n, "up")
-        if first:
-            self._up = _Rows(up, first, n, "stored")
-            self.down = _Rows(down, first, n, "down")
+        end = first + len(self.elements)
+        at = array("I", range(first, end))     # indexed faster than a range
+        if first:   # a proper part: each read drops the bits of the positions outside
+            self._up = _Record(up, at, lambda s: up[s] & ((1 << (end - s)) - 1))
+            self.up = _Record(up, at,
+                              lambda s: (up[s] & ((1 << (end - s)) - 1)) << (s - first))
+            self.down = _Record(down, at, lambda s: down[s] >> first)
         else:
-            self._up = up
-            self.down = down
+            self._up, self.down = up, down
+            self.up = _Record(up, at, lambda x: up[x] << x)
 
     @cached_property
     def index(self):
@@ -407,48 +410,16 @@ class FinitePoset:
         return "\n".join(lines) + "\n"
 
 
-class _Rows(Sequence):
-    """Read-only rows of a poset over stored rows, position x at stored
-    position x + first: kind "up" gives the up-sets as position masks,
-    "stored" the up-rows as stored (bit k for position x + k) and "down" the
-    down-sets.  With first > 0 (a proper part) the bits of the positions
-    outside the poset are dropped on each read."""
-
-    __slots__ = ("_rows", "_first", "_n", "_kind")
-
-    def __init__(self, rows, first, n, kind):
-        self._rows = rows
-        self._first = first
-        self._n = n
-        self._kind = kind
-
-    def __len__(self):
-        return self._n
-
-    def __getitem__(self, x):
-        if x < 0:
-            x += self._n
-        if not 0 <= x < self._n:
-            raise IndexError("row index out of range")
-        first = self._first
-        row = self._rows[x + first]
-        if self._kind == "down":
-            return row >> first
-        if first:
-            row &= (1 << (self._n - x)) - 1
-        return row << x if self._kind == "up" else row
-
-    def __iter__(self):
-        return map(self.__getitem__, range(self._n))
-
-
 class _Record(Sequence):
-    """Keys, data or flip edges by position, built on each read: position x
-    holds item at[x] of source, read as read(at[x]); source is an
-    enumeration (read by key, Triangulation, or edge over range(len(src)))
-    or an interval poset's intervals (read by their keys).  A slice, or
-    take(positions), is the same view over those positions; a slice shares
-    at (a memoryview of it), so a proper part copies no positions."""
+    """The one positional view: position x holds item at[x] of source,
+    read as read(at[x]).  Keys, data and flip edges read an enumeration (by
+    key, Triangulation, or edge over range(len(src))) or an interval poset's
+    intervals (by their keys); a poset's up-sets, and a proper part's
+    stored rows, read the stored row lists at their stored positions, each
+    row shifted by its position or with the bits outside a proper part
+    dropped.  A slice, or take(positions), is the same view over those
+    positions; a slice shares at (a range slices to a range, anything else
+    to a memoryview), so a proper part's keys and data copy no positions."""
 
     __slots__ = ("source", "at", "_read")
 
@@ -461,9 +432,13 @@ class _Record(Sequence):
         return len(self.at)
 
     def __getitem__(self, x):
-        if isinstance(x, slice):
-            return _Record(self.source, memoryview(self.at)[x], self._read)
-        return self._read(self.at[x])
+        try:
+            return self._read(self.at[x])
+        except TypeError:   # a slice of at is a sequence, which no read takes
+            if not isinstance(x, slice):
+                raise
+        at = self.at if isinstance(self.at, range) else memoryview(self.at)
+        return _Record(self.source, at[x], self._read)
 
     def __iter__(self):
         return map(self._read, self.at)
@@ -916,7 +891,7 @@ def interval_poset(p, variant="all"):
     low_down, low_up = [_image(r, low) for r in p.down], [_image(r, low) for r in p.up]
     high_down, high_up = [_image(r, high) for r in p.down], [_image(r, high) for r in p.up]
     names = [str(e) for e in p.elements]    # each key read once
-    keys = _Record(pairs, array("I", range(len(pairs))), lambda z: json.dumps(
+    keys = _Record(pairs, range(len(pairs)), lambda z: json.dumps(
         [names[x] for x in pairs[z]], separators=(",", ":")))
     by_key = sorted(range(len(pairs)), key=lambda z: (names[pairs[z][0]],
                                                       names[pairs[z][1]]))

@@ -70,3 +70,20 @@ def test_every_private_helper_is_referenced():
                 named.add(node.attr)
     assert defined
     assert {name: at for name, at in defined.items() if name not in named} == {}
+
+
+def test_only_triangulations_reads_table_rows():
+    # the row tuple of a table simplex has one reader, triangulations, so its
+    # layout can change in one module; the oracles, reference code the tests
+    # check against, are not held to it
+    calls = []
+    package = os.path.join(SRC, "cyclictri")
+    for fname in sorted(os.listdir(package)):
+        if not fname.endswith(".py") or fname in ("triangulations.py", "oracles.py"):
+            continue
+        with open(os.path.join(package, fname)) as fh:
+            tree = ast.parse(fh.read(), fname)
+        calls += ["%s:%d" % (fname, node.lineno) for node in ast.walk(tree)
+                  if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                  and node.func.attr == "row"]
+    assert calls == []

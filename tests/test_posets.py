@@ -372,6 +372,31 @@ def test_proper_part_rows_are_read_only_views():
             q.index[end]
 
 
+def test_positional_views_read_like_lists():
+    # every positional view (keys, data, flip edges, rows) reads, slices
+    # and slices again as the list of its items does
+    p = build_s1(6, 2)
+    q = p.proper_part()
+    r = q.restrict(range(0, len(q), 3))
+    views = [view for poset in (p, q, r)
+             for view in (poset.elements, poset.data, poset.up, poset.down, poset._up)]
+    views += [interval_poset(build_s2(5, 2)).elements, flip_step_edges(5, 2)]
+    for v in views:
+        items = list(v)
+        n = len(v)
+        assert n == len(items) > 3
+        assert [v[i] for i in range(n)] == items and v[-1] == items[-1]
+        for a, b in ((1, 3), (0, n), (-3, None), (2, -1), (None, None), (n - 1, 1)):
+            assert list(v[a:b]) == items[a:b]
+            assert list(v[a:b][1:3]) == items[a:b][1:3]
+            assert list(v[a:b][-2:]) == items[a:b][-2:]
+        assert list(v[::2][1::-1]) == items[::2][1::-1]
+        with pytest.raises(IndexError):
+            v[n]
+        with pytest.raises(TypeError):
+            v["0"]
+
+
 @pytest.mark.parametrize("d", [1, 2, 3, 4])
 def test_empty_proper_part(d):
     # n = d + 2: the two triangulations are the bottom and the top
