@@ -4,9 +4,9 @@ construction from coatomic intervals, and the refinement poset.
 
 Cells are vertex subsets, checked and compared as vertex masks (bit v for
 label v); a subdivision is valid when cells are large enough, pairwise meet
-in a common face (combinatorially: their shared vertex mask is in each
-cell's set of face masks, the subsets of its facets, as cells are
-simplicial), the glued bottom triangulations of the cells form a
+in a common face (combinatorially: their shared vertices lie in a facet
+of each cell, as cells are simplicial, which Gale's evenness condition
+decides), the glued bottom triangulations of the cells form a
 triangulation of the whole polytope, and cell volumes sum to the hull
 volume.  Together these force the cell hulls to meet face to face.  The
 cell walk's round trip from a coatomic interval is end-mask equality: the
@@ -34,11 +34,8 @@ class Subdivision:
         self.d = d
         try:
             self.cells = tuple(sorted(tuple(sorted(set(c))) for c in cells))
-        except TypeError:   # labels that do not sort: only then are they checked
-            for c in cells:
-                if not all(isinstance(v, int) for v in c):
-                    raise ValueError("labels must be positive integers: %r" % (tuple(c),))
-            raise
+        except TypeError:   # labels that do not sort: validation names the cell
+            raise ValueError(validate_subdivision(cells, n, d).message)
 
     def key(self):
         return json.dumps({"n": self.n, "d": self.d,
@@ -64,48 +61,40 @@ class Subdivision:
         return "Subdivision(%d, %d, %s)" % (self.n, self.d, list(self.cells))
 
 
-def _relabel(t, labels):
-    return tuple(tuple(labels[i - 1] for i in s) for s in t)
+def _relabel(end, labels, d):
+    labels = sorted(labels)
+    return tuple(tuple(labels[i - 1] for i in s) for s in end(len(labels), d).simplices)
 
 
 def cell_bottom(labels, d):
     """Bottom triangulation of the cyclic subpolytope on the given labels."""
-    labels = sorted(labels)
-    return _relabel(tri.bottom(len(labels), d).simplices, labels)
+    return _relabel(tri.bottom, labels, d)
 
 
 def cell_top(labels, d):
-    labels = sorted(labels)
-    return _relabel(tri.top(len(labels), d).simplices, labels)
+    return _relabel(tri.top, labels, d)
 
 
-_Cell = namedtuple("_Cell", "mask faces bottom top volume")
+def _spans_face(c, w, d):
+    """Whether the vertex mask w spans a face of the simplicial cell c of
+    C(n, d): iff w lies in a facet, iff w's odd interior blocks among c,
+    each evened by one more label, number <= d - |w|."""
+    held = set(simplices.bits(w))
+    return simplices._blocks(held, c)[0] <= d - len(held)
+
+
+_Cell = namedtuple("_Cell", "mask is_face bottom top volume")
 
 
 def _cell(c, tab, memo):
-    """A cell's vertex mask, the set of vertex masks of the faces of its
-    subpolytope (simplicial, so every subset of a facet, the empty face
-    included: at most 2^d per facet), the table masks of its bottom and top
-    triangulations and its volume: built once per cell, in memo.  Before
-    listing faces, raises ResourceBudgetError (size_guard) when the facets
-    times 2^d exceed DEFAULT_ENUM_CAP."""
+    """A cell's vertex mask, its face decisions so far (vertex mask ->
+    _spans_face), the table masks of its bottom and top triangulations and
+    its volume: built once per cell, in memo."""
     got = memo.get(c)
     if got is None:
-        d = tab.d
-        facets = simplices.gale_facets(len(c), d)
-        count = len(facets) << d
-        if count > tri.DEFAULT_ENUM_CAP:
-            raise tri.ResourceBudgetError(
-                "cell %s: %d facets x 2^%d faces exceed the size bound %d"
-                % (c, len(facets), d, tri.DEFAULT_ENUM_CAP),
-                "size_guard", tri.DEFAULT_ENUM_CAP, count, "C(%d, %d)" % (len(c), d))
-        bottom = tab.mask(cell_bottom(c, d))
-        got = memo[c] = _Cell(
-            sum(1 << v for v in c),
-            {sum(1 << c[i - 1] for i in s) for f in facets
-             for k in range(d + 1) for s in combinations(f, k)},
-            bottom, tab.mask(cell_top(c, d)),
-            tab._accumulate(bottom)[1])
+        bottom = tab.mask(cell_bottom(c, tab.d))
+        got = memo[c] = _Cell(sum(1 << v for v in c), {}, bottom,
+                              tab.mask(cell_top(c, tab.d)), tab._accumulate(bottom)[1])
     return got
 
 
@@ -150,7 +139,11 @@ def _checked_subdivision(cells, n, d, memo):
                                  "one cell contains another"), None, None
         w = ma & mb
         for k in (a, b):
-            if w not in data[k].faces:
+            try:
+                ok = data[k].is_face[w]
+            except KeyError:    # decided once per (cell, w); a plain dict reads fastest
+                ok = data[k].is_face[w] = _spans_face(cells[k], w, d)
+            if not ok:
                 return tri.Violation(
                     "face-to-face", (cells[a], cells[b]),
                     "shared vertices do not span a face of cell %s" % (cells[k],)), None, None

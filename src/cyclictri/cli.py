@@ -45,7 +45,8 @@ def _json(doc):
 
 def _check_output(path):
     """Raise ValueError unless path names a file that can be written: its
-    directory exists and is writable, and it is not itself a directory."""
+    directory exists, it is not itself a directory, and it is writable if
+    it exists, else its directory is."""
     parent = os.path.dirname(os.path.abspath(path))
     if not path:
         code = errno.ENOENT
@@ -55,8 +56,7 @@ def _check_output(path):
         code = errno.ENOENT
     elif not os.path.isdir(parent):
         code = errno.ENOTDIR
-    elif not os.access(parent, os.W_OK) or \
-            (os.path.exists(path) and not os.access(path, os.W_OK)):
+    elif not os.access(path if os.path.exists(path) else parent, os.W_OK):
         code = errno.EACCES
     else:
         return

@@ -63,11 +63,20 @@ def gap_parity(face, label):
     return EVEN if above % 2 == 0 else ODD
 
 
+def _blocks(held, labels):
+    """Gale's block scan over the ordered `labels`: the number of odd
+    interior blocks of `held` (maximal runs of held labels touching neither
+    end label) and the length of its last block."""
+    runs = "".join("1" if v in held else "0" for v in labels).split("0")
+    return sum(len(r) & 1 for r in runs[1:-1]), len(runs[-1])
+
+
 def facet_class(face, vertices, d):
     """Classify a d-subset of `vertices` as a lower/upper facet of the
     cyclic subpolytope on `vertices`, or None if it is not a facet.
 
-    A facet is lower iff every gap is even, upper iff every gap is odd.
+    By Gale's evenness condition a facet has no odd interior block, and it
+    is lower iff its last block is even (iff every gap is even).
     """
     face = simplex(face)
     vset = frozenset(vertices)
@@ -77,17 +86,10 @@ def facet_class(face, vertices, d):
         raise ValueError("face %r not inside vertex set" % (face,))
     if len(vset) < d + 1:
         raise ValueError("vertex set too small for dimension %d" % d)
-    saw_even = saw_odd = False
-    for i in vset:
-        if i in face:
-            continue
-        if gap_parity(face, i) == EVEN:
-            saw_even = True
-        else:
-            saw_odd = True
-        if saw_even and saw_odd:
-            return None
-    return UPPER if saw_odd else LOWER
+    odd, last = _blocks(set(face), sorted(vset))
+    if odd:
+        return None
+    return UPPER if last & 1 else LOWER
 
 
 def gale_facets(n, d):

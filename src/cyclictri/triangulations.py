@@ -91,8 +91,11 @@ class Triangulation:
         return self._simplices
 
     def __contains__(self, s):
-        i = table(self.n, self.d).index.get(tuple(s))
-        return i is not None and (self.mask >> i) & 1 == 1
+        """Whether the simplex s, its labels in any order, is a member."""
+        try:
+            return (self.mask >> table(self.n, self.d).index[tuple(sorted(s))]) & 1 == 1
+        except (KeyError, TypeError):   # no simplex of the table, or labels that do not sort
+            return False
 
     def __iter__(self):
         return iter(self.simplices)

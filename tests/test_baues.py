@@ -7,6 +7,7 @@ minus the trivial dissection: 2, 10, 44, 196).
 """
 
 import time
+from itertools import combinations
 
 import pytest
 
@@ -26,7 +27,7 @@ from cyclictri.oracles import dissection_oracle_d2, refinement_leq
 from cyclictri.posets import (FinitePoset, ResourceBudgetError, build_s2,
                               interval_poset)
 from cyclictri.simplices import gale_facets
-from cyclictri.triangulations import Triangulation, _Table, table, top
+from cyclictri.triangulations import Triangulation, _Table, bottom, table, top
 
 
 @pytest.mark.parametrize("n,want", [(4, 2), (5, 10), (6, 44), (7, 196)])
@@ -85,18 +86,32 @@ def test_validate_subdivision_violations():
     assert v is not None
 
 
-def test_cell_faces_are_counted_before_they_are_listed():
-    # one cell on all 18 labels of C(18, 14): 540 Gale facets x 2^14 face
-    # masks pass the bound, so the check stops before listing them (about
-    # 10 s); the cell at (14, 10) counts 0.2 M and is listed
+def _faces_by_listing(c, d):
+    """The vertex masks of the faces of the simplicial cell C(c, d), listed
+    as every subset of every Gale facet: the reference for the block rule."""
+    return {sum(1 << c[i - 1] for i in s) for f in gale_facets(len(c), d)
+            for k in range(d + 1) for s in combinations(f, k)}
+
+
+def test_large_cells_answer_without_listing_faces():
+    # one cell on all 18 labels of C(18, 14) has 540 Gale facets and 2^14
+    # subsets of each; no face is listed, so it answers at once (listing
+    # them took about 10 s), as does the cell at (14, 10)
     start = time.perf_counter()
-    with pytest.raises(ResourceBudgetError) as e:
-        validate_subdivision([tuple(range(1, 19))], 18, 14)
+    assert validate_subdivision([tuple(range(1, 19))], 18, 14) is None
     assert time.perf_counter() - start < 1
-    err = e.value
-    assert (err.kind, err.limit, err.reached, err.where) == \
-        ("size_guard", 10 ** 6, len(gale_facets(18, 14)) << 14, "C(18, 14)")
     assert validate_subdivision([tuple(range(1, 15))], 14, 10) is None
+
+
+@pytest.mark.parametrize("m", range(2, 12))
+def test_block_rule_decides_faces_as_facet_subsets_do(m):
+    # every subset of [m], for every 1 <= d < m, is a face of C(m, d) by
+    # the block rule iff it lies in a Gale facet
+    c = tuple(range(1, m + 1))
+    for d in range(1, m):
+        faces = _faces_by_listing(c, d)
+        for w in range(0, 1 << m + 1, 2):
+            assert baues._spans_face(c, w, d) == (w in faces), (m, d, w)
 
 
 def test_subdivision_key_roundtrip():
@@ -182,6 +197,30 @@ def test_interval_to_subdivision_rejects_endpoint_outside_s2():
                                 build_s2(6, 2))
 
 
+def test_interval_to_subdivision_builds_s2_when_not_given():
+    s2 = build_s2(6, 2)
+    for i, j in interval_poset(s2, "proper_coatomic").data[:10]:
+        lo, hi = s2.data[i], s2.data[j]
+        assert interval_to_subdivision(lo, hi) == interval_to_subdivision(lo, hi, s2)
+
+
+@pytest.mark.parametrize("ends,message", [
+    (lambda: (bottom(6, 4), top(6, 4)), "interval map implemented for d <= 3 only"),
+    (lambda: (bottom(5, 2), top(6, 2)), "interval endpoints on different polytopes"),
+    (lambda: (Triangulation(6, 2, [(1, 2, 3)]), top(6, 2)),
+     "interval endpoint is not a triangulation of C(6, 2)"),
+    (lambda: (top(6, 2), bottom(6, 2)), "endpoints are not ordered"),
+    (lambda: (bottom(6, 2), top(6, 2)), "improper interval"),
+], ids=["d4", "polytopes", "off-s2", "unordered", "improper"])
+def test_interval_to_subdivision_refusals(ends, message):
+    # each refusal, with and without the height order given
+    t_low, t_high = ends()
+    for s2 in [None, build_s2(6, 2)] if t_high.d == 2 else [None]:
+        with pytest.raises(ValueError) as err:
+            interval_to_subdivision(t_low, t_high, s2)
+        assert str(err.value) == message
+
+
 @pytest.mark.parametrize("n,want", [(4, 2), (5, 10), (6, 44)])
 def test_baues_poset_counts_d2(n, want):
     assert len(baues_poset(n, 2)) == want
@@ -236,18 +275,17 @@ def test_baues_poset_validates_each_subdivision_once(monkeypatch):
 
 
 def test_cell_faces_are_the_subsets_of_facets():
-    # the face-to-face check looks shared vertices up in each cell's face
-    # set; the reference is the facet scan it replaced: a vertex set spans
-    # a face of a simplicial cell iff it lies in one of the cell's facets
+    # the face-to-face check decides shared vertices by Gale's block rule;
+    # the reference is the facet listing it replaced: a vertex set spans a
+    # face of a simplicial cell iff it lies in one of the cell's facets
     for n, d in [(4, 2), (5, 2), (6, 2), (7, 2), (5, 3), (6, 3), (7, 3), (8, 3),
                  (3, 1), (4, 1), (5, 1), (6, 1), (7, 1)]:
         tab, memo = table(n, d), {}
         for c in {c for delta in baues_poset(n, d).data for c in delta.cells}:
-            cell = baues._cell(c, tab, memo)
-            facets = [sum(1 << c[i - 1] for i in f) for f in gale_facets(len(c), d)]
+            cell, faces = baues._cell(c, tab, memo), _faces_by_listing(c, d)
             w = cell.mask
             while True:     # every vertex subset of the cell, the cell itself first
-                assert (w in cell.faces) == any(not w & ~f for f in facets), (n, d, c, w)
+                assert baues._spans_face(c, w, d) == (w in faces), (n, d, c, w)
                 if not w:
                     break
                 w = (w - 1) & cell.mask
@@ -330,6 +368,20 @@ def test_interval_product_check_small():
     assert interval_product_check(5, 2) == []
     assert interval_product_check(6, 2) == []
     assert interval_product_check(6, 3) == []
+
+
+def test_interval_product_check_reports_a_factor_that_disagrees(monkeypatch):
+    # the quadrilateral's factor replaced by S2(4, 1), the square lattice
+    # (4 elements, mu 1): each subdivision with a quadrilateral cell, whose
+    # interval is one flip (2 elements, mu -1), is reported
+    real = baues.build_s2
+    monkeypatch.setattr(baues, "build_s2", lambda n, d, cap=None:
+                        real(n, d - 1, cap) if (n, d) == (4, 2) else real(n, d, cap))
+    p = baues_poset(5, 2)
+    want = [{"subdivision": key, "size": (2, 4), "mobius": (-1, 1)}
+            for key, delta in zip(p.elements, p.data) if any(len(c) == 4 for c in delta.cells)]
+    assert len(want) == 5
+    assert interval_product_check(5, 2) == want
 
 
 def test_interval_product_check_validates_each_subdivision_once(monkeypatch):

@@ -1,6 +1,7 @@
 """Command line interface: exit codes, determinism, output formats."""
 
 import argparse
+import ast
 import hashlib
 import importlib.util
 import json
@@ -246,6 +247,32 @@ def test_closed_stdout_exits_quietly():
         proc.stderr.close()
     assert code == 0, err
     assert b"Traceback" not in err
+
+
+def test_reader_closing_mid_payload_runs_the_broken_pipe_handler():
+    # the reader takes the first line of about 100 KB of JSON and closes
+    # the pipe: the write fails with BrokenPipeError, whose handler (marked
+    # on stderr through os.dup2) points fd 1 at devnull, so the run ends
+    # with the handler's exit code and no traceback
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    code = ("import os, sys\n"
+            "from cyclictri.cli import main\n"
+            "dup2 = os.dup2\n"
+            "os.dup2 = lambda *fds: (sys.stderr.write('handler ran\\n'), dup2(*fds))[1]\n"
+            "sys.exit(main(sys.argv[1:]))\n")
+    proc = subprocess.Popen([sys.executable, "-c", code, "baues", "--n", "8", "--d", "3"],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    try:
+        first = proc.stdout.readline()
+        proc.stdout.close()
+        err = proc.stderr.read()
+        status = proc.wait(timeout=60)
+    finally:
+        proc.kill()
+        proc.stderr.close()
+    assert first == b"subdivision poset of C(8,3): 704 elements\n"
+    assert status == 0 and err == b"handler ran\n"
 
 
 def test_cli_import_stays_light():
@@ -567,6 +594,31 @@ def test_unwritable_output_stops_before_the_handler(tmp_path, monkeypatch, capsy
     assert err == "error: cannot write %s: %s\n" % (target, reason)
 
 
+@pytest.mark.parametrize("exists,denied,code", [
+    (True, "dir", 0),       # overwriting a file needs only the file's permission
+    (True, "file", 3),
+    (False, "dir", 3),      # a new file needs a writable directory
+])
+def test_existing_output_needs_only_its_own_write_permission(
+        tmp_path, monkeypatch, capsys, exists, denied, code):
+    # as root os.access always passes, so it is patched to deny one path
+    target = tmp_path / "out"
+    if exists:
+        target.write_text("old\n")
+    refused = str(tmp_path if denied == "dir" else target)
+    real = os.access
+    monkeypatch.setattr(os, "access", lambda path, mode: os.path.abspath(path) != refused
+                        and real(path, mode))
+    monkeypatch.setattr(cli, "cmd_enumerate", lambda args: (0, ["ran"], "new\n"))
+    got, out, err = run(capsys, "enumerate", "--n", "5", "--d", "2", "--output", str(target))
+    assert got == code
+    if code == 0:
+        assert (out, err, target.read_text()) == ("ran\n", "", "new\n")
+    else:
+        assert out == "" and err == "error: cannot write %s: Permission denied\n" % target
+        assert target.exists() == exists and (not exists or target.read_text() == "old\n")
+
+
 @pytest.mark.parametrize("argv", [
     "enumerate --n 5 --d 2",
     "poset --n 5 --d 2 --format dot",
@@ -582,6 +634,31 @@ def test_output_file_is_the_stdout_payload(tmp_path, capsys, argv):
     assert code == plain_code
     assert out.encode() + target.read_bytes() == plain.encode()
     assert out and target.read_bytes()
+
+
+def test_readme_budgets_name_every_budget_kind():
+    # every kind literal src/ passes to ResourceBudgetError (second
+    # argument or kind=) is named, in backticks, in README's Budgets section
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    kinds = set()
+    for dirpath, _, names in os.walk(os.path.join(root, "src")):
+        for name in sorted(names):
+            if not name.endswith(".py"):
+                continue
+            with open(os.path.join(dirpath, name)) as fh:
+                tree = ast.parse(fh.read())
+            for node in ast.walk(tree):
+                func = getattr(node, "func", None)
+                if getattr(func, "id", getattr(func, "attr", None)) != "ResourceBudgetError":
+                    continue
+                kind = node.args[1] if len(node.args) > 1 else \
+                    next(k.value for k in node.keywords if k.arg == "kind")
+                assert isinstance(kind, ast.Constant), (name, node.lineno)
+                kinds.add(kind.value)
+    with open(os.path.join(root, "README.md")) as fh:
+        section = fh.read().split("\n## Budgets\n", 1)[1].split("\n## ", 1)[0]
+    assert kinds == {"enum_cap", "face_budget", "relation_bytes", "size_guard"}
+    assert [k for k in sorted(kinds) if "`%s`" % k not in section] == []
 
 
 def test_readme_examples_parse():

@@ -1403,7 +1403,7 @@ def test_only_posets_reads_the_stored_rows():
     # the row storage (up-rows from their own position, a proper part's
     # window over its order's lists) is read by posets.py alone: no other
     # module of the package touches it or imports a private name of posets
-    storage = {"_frame", "_up", "_native", "_fill", "_set_rows"}
+    storage = {"_frame", "_up", "_native", "_fill"}
     bad = []
     for name, node in _package_nodes("posets.py"):
         if isinstance(node, ast.Attribute) and node.attr in storage:

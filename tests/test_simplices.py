@@ -6,6 +6,8 @@ with the gap-parity implementation under test.  The walk over a mask's
 set bits is checked against the whole-int lowest-bit loop it replaced.
 """
 
+import hashlib
+import json
 import random
 from fractions import Fraction
 from itertools import combinations
@@ -114,6 +116,37 @@ def test_gap_parity_counts_labels_above():
     assert gap_parity((2, 4, 6), 7) == "even"
     with pytest.raises(ValueError):
         gap_parity((2, 4, 6), 4)
+
+
+def _facet_class_by_gaps(face, vertices):
+    # the reference: a facet has every gap of one parity, lower iff even
+    parities = {gap_parity(face, i) for i in vertices if i not in face}
+    return None if len(parities) > 1 else "upper" if parities == {"odd"} else "lower"
+
+
+@pytest.mark.parametrize("m", range(2, 13))
+def test_facet_class_agrees_with_gap_parity(m):
+    # Gale's block scan against the gap-by-gap count, on every d-subset of
+    # [m] and, for m <= 9, of the even labels 2, 4, ..., 2m
+    vertex_sets = [range(1, m + 1)]
+    if m <= 9:
+        vertex_sets.append(range(2, 2 * m + 1, 2))
+    for vertices in vertex_sets:
+        for d in range(1, m):
+            for face in combinations(vertices, d):
+                assert facet_class(face, vertices, d) == \
+                    _facet_class_by_gaps(face, vertices), (face, m)
+
+
+@pytest.mark.parametrize("n,d,digest", [
+    (24, 20, "7c3711f71265047ca2929c2ad94141fd929dd4eff0b91258ec888b5c0193c3d7"),
+    (30, 26, "e12eba6a906bc3b786a0d7d994947764f5f77358fc4fc06ddc2abacbb5865c97"),
+], ids=["24-20", "30-26"])
+def test_gale_facets_keep_keys_order_and_classes(n, d, digest):
+    # sha256 of the facets and classes in order, recorded from the
+    # gap-by-gap classification the block scan replaced
+    text = json.dumps(list(gale_facets(n, d).items()))
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
 def test_facet_split_tetrahedron():

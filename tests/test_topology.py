@@ -9,6 +9,7 @@ checked against the full order complex.
 import itertools
 import math
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -135,8 +136,53 @@ def _random_complexes(count, seed=2005):
              for _ in range(rng.randint(0, 6))])
 
 
+def _rational_betti(k_complex):
+    """Reduced Betti numbers f_k - rank d_k - rank d_(k+1), each rank that
+    of the signed boundary matrix over Q, by Fraction elimination."""
+    faces = k_complex.faces_by_dim
+    rank = {}
+    for k in range(0, max(faces) + 1):
+        pivots = {}     # pivot row -> its reduced column
+        for f in faces.get(k, []):
+            col = {f[:i] + f[i + 1:]: Fraction((-1) ** i) for i in range(len(f))}
+            while col:
+                r = min(col)
+                if r not in pivots:
+                    pivots[r] = col
+                    break
+                q = col[r] / pivots[r][r]
+                for rr, v in pivots[r].items():
+                    col[rr] = col.get(rr, 0) - q * v
+                    if not col[rr]:
+                        del col[rr]
+        rank[k] = len(pivots)
+    return {k: len(faces.get(k, [])) - rank.get(k, 0) - rank.get(k + 1, 0)
+            for k in range(-1, max(faces) + 1)}
+
+
 def _suspended(facets, *poles):
     return [f + (v,) for f in facets for v in poles]
+
+
+def test_homology_betti_numbers_match_rational_rank_on_random_complexes():
+    # larger than _random_complexes: on a few of these, clearing a column
+    # cancels a row that was queued to be cleared later, which _clear skips
+    rng = random.Random(4242)
+    for _ in range(60):
+        verts = range(rng.randint(6, 9))
+        k_complex = complex_from_maximal(
+            [tuple(rng.sample(verts, rng.randint(3, 5))) for _ in range(rng.randint(5, 20))])
+        assert homology(k_complex).betti == _rational_betti(k_complex)
+
+
+@pytest.mark.parametrize("facets,text", [
+    (_suspended(RP2, 7), "HomologyResult(trivial)"),
+    (RP2, "HomologyResult(H~1=Z/2)"),
+    (_suspended(RP2, 7, 8), "HomologyResult(H~2=Z/2)"),
+    (TORUS, "HomologyResult(H~1=Z^2, H~2=Z)"),
+], ids=["cone over RP2", "RP2", "suspended RP2", "torus"])
+def test_homology_repr(facets, text):
+    assert repr(homology(complex_from_maximal(facets))) == text
 
 
 def _oracle_complexes():

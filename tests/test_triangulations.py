@@ -89,6 +89,15 @@ def test_violation_repr_pinned():
     assert (v.rule, v.witness, v.message) == ("wall", (1, 3), "hull facet not covered")
 
 
+def test_membership_ignores_label_order():
+    t = bottom(5, 2)
+    assert Triangulation(5, 2, [(3, 2, 1), (1, 3, 4), (1, 4, 5)]) == t
+    for s in [(1, 2, 3), (3, 2, 1), (2, 1, 3), [4, 1, 3], {5, 4, 1}]:
+        assert s in t
+    for s in [(2, 3, 4), (4, 3, 2), (1, 2), (1, 2, 3, 4), (1, "b", 3), (1, None, 2), 7]:
+        assert s not in t
+
+
 def test_triangulation_key_roundtrip():
     t = bottom(7, 3)
     s = t.key()

@@ -10,6 +10,7 @@ from itertools import combinations
 import pytest
 
 from cyclictri import verification
+from cyclictri.cli import main
 from cyclictri.posets import FinitePoset, build_order, build_s1, enumerate_triangulations
 from cyclictri.oracles import brute_force_triangulations, zig_zag_admissible
 from cyclictri.simplices import bits, facet_split
@@ -21,6 +22,7 @@ from cyclictri.triangulations import (
     increasing_flips,
     insert_bottom,
     insert_top,
+    table,
     terminal_simplex,
     top,
 )
@@ -69,6 +71,26 @@ def test_connecting_sets_verify_small():
             assert ra["pass"], (t.key(), ra)
             rb = verify_connecting_set(t, insert_top(f), connecting_b(t))
             assert rb["pass"], (t.key(), rb)
+
+
+def test_connecting_set_failures_are_reported(monkeypatch, capsys):
+    # A~'s index map loses the widening of (1, 3, 5), so A~ of the one
+    # triangulation of C(5, 2) holding (1, 3, 5) misses the member that
+    # flips (1, 3, 4) away: condition iv, in the record and on the CLI
+    tab = table(5, 2)
+    a, b = tab._widening
+    a = list(a)
+    a[tab.index[(1, 3, 5)]] = 0
+    monkeypatch.setitem(tab.__dict__, "_widening", (a, b))
+    key = '{"n":5,"d":2,"simplices":[[1,2,3],[1,3,5],[3,4,5]]}'
+    assert verification.verify_connecting_sets(5, 2) == (5, [
+        {"t": key, "set": "A",
+         "report": {"pass": False, "condition": "iv", "witness": (1, 3, 4)}}])
+    assert main(["verify-connecting", "--n", "5", "--d", "2"]) == 1
+    out = capsys.readouterr()
+    assert out.out == "connecting sets for C(5,2): 5 triangulations, 1 failures\n" \
+        "  A at %s: condition iv\n" % key
+    assert out.err == ""
 
 
 def test_verify_connecting_rejects_wrong_set():
