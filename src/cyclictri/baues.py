@@ -32,9 +32,10 @@ class Subdivision:
     def __init__(self, n, d, cells):
         self.n = n
         self.d = d
+        cells = list(cells)     # read once: validation may read them again
         try:
             self.cells = tuple(sorted(tuple(sorted(set(c))) for c in cells))
-        except TypeError:   # labels that do not sort: validation names the cell
+        except TypeError:   # labels that do not hash or sort: validation names the cell
             raise ValueError(validate_subdivision(cells, n, d).message)
 
     def key(self):
@@ -62,7 +63,7 @@ class Subdivision:
 
 
 def _relabel(end, labels, d):
-    labels = sorted(labels)
+    labels = sorted(simplices._ints(labels))
     return tuple(tuple(labels[i - 1] for i in s) for s in end(len(labels), d).simplices)
 
 
@@ -114,8 +115,9 @@ def _checked_subdivision(cells, n, d, memo):
             return tri.Violation("shape", cells, "ambient (n, d) mismatch"), None, None
         cells = cells.cells
     cells = list(map(tuple, cells))
-    for c in cells:     # before sorting: mixed labels do not sort; memo's cells passed
-        if c not in memo and not all(isinstance(v, int) for v in c):
+    for c in cells:     # before sorting or hashing, which mixed or list labels
+        # break; a Subdivision's cells hash, and memo's cells have passed
+        if not (canonical and c in memo) and not all(isinstance(v, int) for v in c):
             return tri.Violation("shape", c, "labels must be positive integers: %r"
                                  % (c,)), None, None
     if not canonical:
@@ -164,6 +166,7 @@ def _checked_subdivision(cells, n, d, memo):
 
 
 def make_subdivision(n, d, cells):
+    cells = list(cells)     # read once, for validation and the constructor
     v = validate_subdivision(cells, n, d)
     if v is not None:
         raise ValueError("invalid subdivision: %s (%s)" % (v.message, v.rule))

@@ -43,14 +43,23 @@ def _image(mask, images):
     return m
 
 
+def _ints(labels):
+    """The labels as a tuple, each checked to be an int before a sort or a
+    hash meets it: a str, None or list label breaks those with TypeError."""
+    t = tuple(labels)
+    if not all(isinstance(v, int) for v in t):
+        raise ValueError("labels must be positive integers: %r" % (labels,))
+    return t
+
+
 def simplex(labels):
     """Canonical simplex: strictly increasing tuple of positive int labels."""
-    t = tuple(sorted(labels))
+    t = tuple(sorted(_ints(labels)))
     if len(t) != len(set(t)):
         raise ValueError("repeated label in simplex: %r" % (labels,))
     if not t:
         raise ValueError("empty simplex")
-    if any((not isinstance(v, int)) or v < 1 for v in t):
+    if t[0] < 1:
         raise ValueError("labels must be positive integers: %r" % (labels,))
     return t
 
@@ -79,7 +88,7 @@ def facet_class(face, vertices, d):
     is lower iff its last block is even (iff every gap is even).
     """
     face = simplex(face)
-    vset = frozenset(vertices)
+    vset = frozenset(_ints(vertices))
     if len(face) != d:
         raise ValueError("facet of a d-polytope needs d vertices")
     if not set(face) <= vset:

@@ -21,6 +21,7 @@ complexes from their facets with `oracles.complex_from_maximal`.
 
 import json
 from heapq import heapify, heappop, heappush
+from itertools import accumulate
 
 from .posets import ResourceBudgetError, interval_poset, poset_core
 from .simplices import bits
@@ -50,28 +51,17 @@ class SimplicialComplex:
 
 def chain_counts(p):
     """Number of chains per size (index = number of elements; entry 0 is the
-    empty chain), counted without materializing any chain.
-
-    The chains with top x, by size, are the polynomial f_x(t) = t (1 + sum
-    of f_y over y < x), kept as one int with a digit of `width` bits per
-    size.  The digits never carry: each is at most the number of chains,
-    which a first pass counts.  The strict down-sets are kept for both
-    passes as tuples of positions; the counted posets are cores, whose rows
-    are short and sparse."""
-    below = [tuple(bits(d & ~(1 << x))) for x, d in enumerate(p.down)]
-    total = []
-    for row in below:
-        total.append(1 + sum(map(total.__getitem__, row)))
-    width = (1 + sum(total)).bit_length()
-    poly = []
-    for row in below:
-        poly.append((1 + sum(map(poly.__getitem__, row))) << width)
-    packed = 1 + sum(poly)
-    digit = (1 << width) - 1
-    counts = []
-    while packed:
-        counts.append(packed & digit)
-        packed >>= width
+    empty chain), counted size by size without materializing any chain: the
+    chains of size k + 1 with top x number the sum, over the y below x, of
+    the chains of size k with top y, up to the first size with none.  Each
+    size is one pass over the strict down-sets, read once as tuples.  A Baues
+    core keeps nearly all of its poset; there reading the rows costs most."""
+    below = [tuple(bits(d ^ (1 << x))) for x, d in enumerate(p.down)]
+    counts = [1]
+    top = [1] * len(below)
+    while any(top):
+        counts.append(sum(top))
+        top = [sum(map(top.__getitem__, row)) for row in below]
     return counts
 
 
@@ -81,23 +71,19 @@ def order_complex(p, budget=None):
     budget, naming the dimension that blew up."""
     if budget is None:
         budget = DEFAULT_FACE_BUDGET
-    total = 0
-    for size, count in enumerate(chain_counts(p)):
-        total += count
+    for size, total in enumerate(accumulate(chain_counts(p))):
         if total > budget:
             raise ResourceBudgetError(
                 "face budget %d exceeded at dimension %d" % (budget, size - 1),
                 "face_budget", budget, total, "dimension %d" % (size - 1))
-    n = len(p.elements)
-    # positions are a linear extension, so a chain grows by higher positions
-    succ = [list(bits(p.up[x] & ~(1 << x))) for x in range(n)]
+    # positions are a linear extension: each size's chains are the last
+    # size's, each grown by every position above its top, in lexicographic order
+    above = [tuple(bits(u ^ (1 << x))) for x, u in enumerate(p.up)]
     by_dim = {-1: [()]}
-    stack = [(x,) for x in range(n)]
-    while stack:
-        f = stack.pop()
-        by_dim.setdefault(len(f) - 1, []).append(f)
-        for y in succ[f[-1]]:
-            stack.append(f + (y,))
+    faces = [(x,) for x in range(len(above))]
+    while faces:
+        by_dim[len(faces[0]) - 1] = faces
+        faces = [f + (y,) for f in faces for y in above[f[-1]]]
     return SimplicialComplex(by_dim)
 
 

@@ -131,7 +131,7 @@ def verify_connecting_set(t, t2, tilde):
     n, d = t.n, t.d
     if (t2.n, t2.d) != (n, d):
         raise ValueError("triangulations on different polytopes")
-    tilde = {tuple(sorted(s)) for s in tilde}
+    tilde = {tuple(sorted(simplices._ints(s))) for s in tilde}
     for s in tilde:
         if len(s) != d + 2 or len(set(s)) != d + 2:
             raise ValueError("connecting sets consist of (d+2)-vertex simplices")

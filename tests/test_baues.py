@@ -68,6 +68,25 @@ def test_subdivision_refuses_labels_that_do_not_sort(build, cell):
     assert str(err.value) == "labels must be positive integers: %r" % (cell,)
 
 
+def test_unhashable_labels_are_a_shape_violation():
+    # the label check comes before any memo lookup hashes the cell
+    cell = (1, [2], 3)
+    want = "labels must be positive integers: %r" % (cell,)
+    assert validate_subdivision([cell], 5, 2) == ("shape", cell, want)
+    with pytest.raises(ValueError) as err:
+        Subdivision(5, 2, [cell])
+    assert str(err.value) == want
+
+
+def test_cell_iterators_are_read_once():
+    # validation must not use up the cells the constructor then reads
+    assert make_subdivision(5, 2, iter([(1, 2, 3, 4), (1, 4, 5)])) == \
+        Subdivision(5, 2, [(1, 2, 3, 4), (1, 4, 5)])
+    with pytest.raises(ValueError) as err:
+        Subdivision(5, 2, (c for c in [(1, "b", 3)]))
+    assert str(err.value) == "labels must be positive integers: (1, 'b', 3)"
+
+
 def test_validate_subdivision_violations():
     # cells on the same side of the shared chord
     v = validate_subdivision([(1, 2, 3, 4), (3, 4, 5)], 5, 2)

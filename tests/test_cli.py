@@ -661,6 +661,23 @@ def test_readme_budgets_name_every_budget_kind():
     assert [k for k in sorted(kinds) if "`%s`" % k not in section] == []
 
 
+def test_readme_option_table_matches_the_parser():
+    # README's "| subcommand | further options |" table lists, per
+    # subcommand, the options it takes beyond --n, --d and --cap
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    with open(os.path.join(root, "README.md")) as fh:
+        readme = fh.read()
+    rows = readme.split("| subcommand", 1)[1].split("\n\n", 1)[0].splitlines()[2:]
+    table = {}
+    for row in rows:
+        command, options = [cell.strip() for cell in row.strip("|").split("|")]
+        table[command.strip("`")] = set(re.findall(r"`(--[a-z-]+)`", options))
+    parsed = {name: {s for a in p._actions for s in a.option_strings}
+              - {"-h", "--help", "--n", "--d", "--cap"}
+              for name, p in _subparsers().items()}
+    assert table == parsed
+
+
 def test_readme_examples_parse():
     root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
     with open(os.path.join(root, "README.md")) as fh:

@@ -332,6 +332,71 @@ def test_order_complex_budget_fields():
     assert str(err) == "face budget 100 exceeded at dimension 0"
 
 
+def _chains_by_listing(p):
+    """Every totally ordered set of positions, by size, listed as the
+    position subsets whose consecutive members compare: the reference for
+    the size-by-size build."""
+    by_dim = {-1: [()]}
+    for size in itertools.count(1):
+        faces = [c for c in itertools.combinations(range(len(p)), size)
+                 if all(p.le(a, b) for a, b in zip(c, c[1:]))]
+        if not faces:
+            return by_dim
+        by_dim[size - 1] = faces
+
+
+@pytest.mark.parametrize("build", [
+    lambda: boolean_lattice(4).proper_part(),
+    lambda: build_s2(6, 2).proper_part(),
+    lambda: poset_core(baues_poset(6, 2)),
+], ids=["B4", "S2(6,2)", "core Baues(6,2)"])
+def test_order_complex_lists_every_chain_in_order(monkeypatch, build):
+    # each dimension reaches SimplicialComplex already in lexicographic order
+    p = build()
+    handed = []
+    real = topology.SimplicialComplex
+
+    def recorded(by_dim):
+        handed.append({k: list(v) for k, v in by_dim.items()})
+        return real(by_dim)
+
+    monkeypatch.setattr(topology, "SimplicialComplex", recorded)
+    want = _chains_by_listing(p)
+    assert order_complex(p).faces_by_dim == want
+    assert handed == [want]
+
+
+def _refuse_to_build(monkeypatch):
+    def fail(by_dim):
+        raise AssertionError("a refused complex was built")
+
+    monkeypatch.setattr(topology, "SimplicialComplex", fail)
+
+
+def test_order_complex_refuses_above_dimension_0_before_building(monkeypatch):
+    # proper B4: 1 + 14 chains fit in 20, its 36 comparable pairs do not
+    _refuse_to_build(monkeypatch)
+    with pytest.raises(ResourceBudgetError) as e:
+        order_complex(boolean_lattice(4).proper_part(), budget=20)
+    err = e.value
+    assert (err.kind, err.limit, err.reached, err.where) == \
+        ("face_budget", 20, 51, "dimension 1")
+    assert str(err) == "face budget 20 exceeded at dimension 1"
+
+
+def test_baues_9_2_core_counts_and_refusal(monkeypatch):
+    # the core keeps all 4,278 subdivisions; its 2,519,197 chains through
+    # dimension 4 exceed the default budget of 2,000,000 there
+    core = poset_core(baues_poset(9, 2))
+    assert chain_counts(core) == [1, 4278, 91398, 483120, 1013760, 926640, 308880]
+    _refuse_to_build(monkeypatch)
+    with pytest.raises(ResourceBudgetError) as e:
+        order_complex(core)
+    err = e.value
+    assert (err.kind, err.limit, err.reached, err.where) == \
+        ("face_budget", 2000000, 2519197, "dimension 4")
+
+
 # proper S2(8,2) is left out: its full order complex has 1.6 M faces
 @pytest.mark.parametrize("build", [
     lambda: boolean_lattice(3).proper_part(),
